@@ -61,8 +61,14 @@ func (p *Pipeline) CapacityStudy() (*CapacityResult, error) {
 }
 
 // CapacityStudyContext is CapacityStudy with cancellation; the diurnal
-// sweep serves its 24 hours across p.Workers goroutines.
+// sweep serves its 24 hours across p.Workers goroutines. The result is
+// computed once per pipeline; later calls return it unchanged and must not
+// modify it.
 func (p *Pipeline) CapacityStudyContext(ctx context.Context) (*CapacityResult, error) {
+	return cached(&p.memo, memoKey{"capacity-study", 0}, func() (*CapacityResult, error) { return p.capacityStudy(ctx) })
+}
+
+func (p *Pipeline) capacityStudy(ctx context.Context) (*CapacityResult, error) {
 	root := p.span("capacity-study")
 	defer root.End()
 	_, d, err := p.deployment(hypergiant.Epoch2023)

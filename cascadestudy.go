@@ -58,8 +58,14 @@ func (p *Pipeline) CascadeStudy() (*CascadeResult, error) {
 }
 
 // CascadeStudyContext is CascadeStudy with cancellation; the facility sweep
-// and the QoE session simulation fan out across p.Workers goroutines.
+// and the QoE session simulation fan out across p.Workers goroutines. The
+// result is computed once per pipeline; later calls return it unchanged and
+// must not modify it.
 func (p *Pipeline) CascadeStudyContext(ctx context.Context) (*CascadeResult, error) {
+	return cached(&p.memo, memoKey{"cascade-study", 0}, func() (*CascadeResult, error) { return p.cascadeStudy(ctx) })
+}
+
+func (p *Pipeline) cascadeStudy(ctx context.Context) (*CascadeResult, error) {
 	root := p.span("cascade-study")
 	defer root.End()
 	w, d, err := p.deployment(hypergiant.Epoch2023)

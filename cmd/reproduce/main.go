@@ -18,7 +18,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,12 +27,8 @@ import (
 	"offnetrisk"
 	"offnetrisk/internal/chaos"
 	"offnetrisk/internal/cli"
-	"offnetrisk/internal/coloc"
 	"offnetrisk/internal/geo"
-	"offnetrisk/internal/inet"
-	"offnetrisk/internal/mlab"
 	"offnetrisk/internal/obs"
-	"offnetrisk/internal/optics"
 	"offnetrisk/internal/svgplot"
 	"offnetrisk/internal/sweep"
 	"offnetrisk/internal/temporal"
@@ -175,17 +170,18 @@ func main() {
 
 	run("reachability-plot", func() error {
 		// Reachability plot of the busiest analyzed ISP: the raw material the
-		// ξ extraction works on (the OPTICS paper's signature diagram).
-		reach, err := reachabilityOf(ctx, p, common.Workers)
+		// ξ extraction works on (the OPTICS paper's signature diagram), read
+		// from the colocation result the stage above computed.
+		col, err := p.ColocationContext(ctx)
 		if err != nil {
 			return err
 		}
-		if len(reach) == 0 {
+		if len(col.Reachability) < 2 {
 			return nil
 		}
 		if err := writeFile("reachability.svg", svgplot.Bars(
 			"OPTICS reachability plot (busiest analyzed ISP)",
-			"processing order", "reachability distance (ms)", reach)); err != nil {
+			"processing order", "reachability distance (ms)", col.Reachability)); err != nil {
 			return err
 		}
 		fmt.Fprintf(&md, "![reachability](reachability.svg)\n\n")
@@ -249,17 +245,23 @@ func main() {
 	})
 
 	run("sensitivity-sweeps", func() error {
-		fmt.Fprintf(&md, "## Sensitivity sweeps (DESIGN.md §5)\n\n```\n")
-		if r, err := sweep.ColocationPropensity(common.Seed, []float64{0.3, 0.6, 0.86, 0.95}); err == nil {
-			fmt.Fprint(&md, r)
+		var tables strings.Builder
+		for _, s := range []struct {
+			name   string
+			run    func(int64, []float64) (sweep.Result, error)
+			values []float64
+		}{
+			{"colocation-propensity", sweep.ColocationPropensity, []float64{0.3, 0.6, 0.86, 0.95}},
+			{"shared-headroom", sweep.SharedHeadroom, []float64{1.05, 1.25, 1.5, 2.0}},
+			{"demand-spike", sweep.DemandSpike, []float64{1.0, 1.3, 1.58, 2.0, 3.0}},
+		} {
+			r, err := s.run(common.Seed, s.values)
+			if err != nil {
+				return fmt.Errorf("%s sweep: %w", s.name, err)
+			}
+			tables.WriteString(r.String())
 		}
-		if r, err := sweep.SharedHeadroom(common.Seed, []float64{1.05, 1.25, 1.5, 2.0}); err == nil {
-			fmt.Fprint(&md, r)
-		}
-		if r, err := sweep.DemandSpike(common.Seed, []float64{1.0, 1.3, 1.58, 2.0, 3.0}); err == nil {
-			fmt.Fprint(&md, r)
-		}
-		fmt.Fprintf(&md, "```\n\n")
+		fmt.Fprintf(&md, "## Sensitivity sweeps (DESIGN.md §5)\n\n```\n%s```\n\n", tables.String())
 		return nil
 	})
 
@@ -405,40 +407,4 @@ func main() {
 		"path", filepath.Join(*outDir, "REPORT.md"),
 		"conformance", fmt.Sprintf("%d/%d", passed, total),
 		"elapsed", time.Since(start).Round(time.Millisecond))
-}
-
-// reachabilityOf recomputes the OPTICS ordering for the ISP with the most
-// measured offnets and returns its reachability values.
-func reachabilityOf(ctx context.Context, p *offnetrisk.Pipeline, workers int) ([]float64, error) {
-	_, d, err := p.World2023()
-	if err != nil {
-		return nil, nil
-	}
-	sp := p.Scenario()
-	mcfg := mlab.ConfigFromScenario(sp, p.Seed)
-	mcfg.Workers = workers
-	mcfg.Chaos = p.Chaos
-	c, err := mlab.MeasureContext(ctx, d, mlab.Sites(sp.Measurement.PingSites, p.Seed), mcfg)
-	if err != nil {
-		return nil, err
-	}
-	var bestAS inet.ASN
-	best := 0
-	// Tie-break on the lowest ASN: map iteration order would otherwise pick
-	// a different ISP across runs of the same seed.
-	for as, ms := range c.ByISP {
-		if len(ms) > best || (len(ms) == best && best > 0 && as < bestAS) {
-			best, bestAS = len(ms), as
-		}
-	}
-	if best < 2 {
-		return nil, nil
-	}
-	ms := c.ByISP[bestAS]
-	dm, err := coloc.DistanceMatrixContext(ctx, ms, c.GoodSites[bestAS], coloc.DiscrepancyExclusion, workers)
-	if err != nil {
-		return nil, err
-	}
-	res := optics.Run(len(ms), dm.At, 2, math.Inf(1))
-	return res.Reach, nil
 }

@@ -79,6 +79,10 @@ type ColocationResult struct {
 	// a single site (§4.1).
 	SingleSitePct map[string]map[float64]float64
 	Validation    []ValidationRow
+	// Reachability is the OPTICS reachability plot (distances in processing
+	// order) of the busiest analyzed ISP: the one with the most measured
+	// offnets, lowest ASN on ties.
+	Reachability []float64
 	// Campaign accounting (Appendix A).
 	Unresponsive, Impossible, MeasuredISPs int
 }
@@ -91,8 +95,14 @@ func (p *Pipeline) Colocation() (*ColocationResult, error) {
 }
 
 // ColocationContext is Colocation with cancellation; the ping campaign and
-// the per-ISP OPTICS clustering fan out across p.Workers goroutines.
+// the per-ISP OPTICS clustering fan out across p.Workers goroutines. The
+// result is computed once per pipeline; later calls return it unchanged and
+// must not modify it.
 func (p *Pipeline) ColocationContext(ctx context.Context) (*ColocationResult, error) {
+	return cached(&p.memo, memoKey{"colocation", 0}, func() (*ColocationResult, error) { return p.colocation(ctx) })
+}
+
+func (p *Pipeline) colocation(ctx context.Context) (*ColocationResult, error) {
 	root := p.span("colocation")
 	defer root.End()
 	w, d, err := p.deployment(hypergiant.Epoch2023)
@@ -130,6 +140,7 @@ func (p *Pipeline) ColocationContext(ctx context.Context) (*ColocationResult, er
 		Unresponsive:   campaign.Unresponsive,
 		Impossible:     campaign.Impossible,
 		MeasuredISPs:   campaign.MeasuredISPs,
+		Reachability:   analysis.BusiestReach,
 	}
 
 	for _, row := range analysis.Table2() {
@@ -162,7 +173,7 @@ func (p *Pipeline) ColocationContext(ctx context.Context) (*ColocationResult, er
 		coloc.GlobalUserShares(w, hosting)
 
 	var analyzableUsers float64
-	for as := range campaign.ByISP {
+	for _, as := range inet.SortedASNs(campaign.ByISP) {
 		if isp, ok := w.ISPs[as]; ok {
 			analyzableUsers += isp.Users
 		}

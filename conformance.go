@@ -2,6 +2,7 @@ package offnetrisk
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 
 	"offnetrisk/internal/report"
@@ -9,10 +10,12 @@ import (
 	sweeppkg "offnetrisk/internal/sweep"
 )
 
-// Conformance runs every experiment and scores the outcome against the
-// paper's reported shapes, one check per claim. The bands accept the
-// synthetic substrate's variance while rejecting direction or ordering
-// violations — the standard DESIGN.md §4 sets for "reproduced".
+// Conformance scores every experiment's result against the paper's
+// reported shapes, one check per claim. The bands accept the synthetic
+// substrate's variance while rejecting direction or ordering violations —
+// the standard DESIGN.md §4 sets for "reproduced". Results the pipeline has
+// already computed are scored as they are, so a suite run after the
+// experiments scores that run's own results.
 func (p *Pipeline) Conformance() (*report.Suite, error) {
 	return p.ConformanceContext(context.Background())
 }
@@ -163,19 +166,37 @@ func (p *Pipeline) ConformanceContext(ctx context.Context) (*report.Suite, error
 	// sweep at large scale would dominate the suite's runtime.
 	sp := p.span("conformance/sensitivity-sweeps")
 	defer sp.End()
-	if prop, err := sweeppkg.ColocationPropensity(p.Seed, []float64{0.4, 0.9}); err == nil && len(prop.Points) == 2 {
-		s.AddBool("Sweep/propensity-direction",
-			"more colocation propensity → more correlated failures",
-			prop.Points[1].Metrics["hg-per-failure"] > prop.Points[0].Metrics["hg-per-failure"])
+	prop, err := directionSweep("propensity", sweeppkg.ColocationPropensity, p.Seed, 0.4, 0.9)
+	if err != nil {
+		return nil, err
 	}
-	if hr, err := sweeppkg.SharedHeadroom(p.Seed, []float64{1.05, 2.0}); err == nil && len(hr.Points) == 2 {
-		s.AddBool("Sweep/headroom-direction",
-			"more shared headroom → fewer congesting scenarios",
-			hr.Points[1].Metrics["congesting-frac"] <= hr.Points[0].Metrics["congesting-frac"])
+	s.AddBool("Sweep/propensity-direction",
+		"more colocation propensity → more correlated failures",
+		prop.Points[1].Metrics["hg-per-failure"] > prop.Points[0].Metrics["hg-per-failure"])
+	hr, err := directionSweep("headroom", sweeppkg.SharedHeadroom, p.Seed, 1.05, 2.0)
+	if err != nil {
+		return nil, err
 	}
+	s.AddBool("Sweep/headroom-direction",
+		"more shared headroom → fewer congesting scenarios",
+		hr.Points[1].Metrics["congesting-frac"] <= hr.Points[0].Metrics["congesting-frac"])
 
 	root.SetAttr("checks", len(s.Checks))
 	return s, nil
+}
+
+// directionSweep runs a sensitivity sweep at a low and a high value for a
+// direction check. A failed sweep fails the suite rather than dropping its
+// check.
+func directionSweep(name string, run func(int64, []float64) (sweeppkg.Result, error), seed int64, lo, hi float64) (sweeppkg.Result, error) {
+	r, err := run(seed, []float64{lo, hi})
+	if err != nil {
+		return r, fmt.Errorf("offnetrisk: %s sweep: %w", name, err)
+	}
+	if len(r.Points) != 2 {
+		return r, fmt.Errorf("offnetrisk: %s sweep: %d points, want 2", name, len(r.Points))
+	}
+	return r, nil
 }
 
 func paperPct(v float64) string {

@@ -54,10 +54,11 @@ var fCluster = obs.NewLazyFunnel("coloc.cluster",
 	"offnet servers entering OPTICS label extraction vs. assigned to a cluster")
 
 // MeanTrafficHHI returns the user-weighted mean facility-traffic
-// concentration index at the given ξ.
+// concentration index at the given ξ, summed in ascending-ASN order.
 func (a *Analysis) MeanTrafficHHI(xi float64) float64 {
 	var weighted, users float64
-	for _, isp := range a.PerISP {
+	for _, as := range inet.SortedASNs(a.PerISP) {
+		isp := a.PerISP[as]
 		x, ok := isp.PerXi[xi]
 		if !ok {
 			continue
@@ -111,6 +112,10 @@ type ISPResult struct {
 type Analysis struct {
 	Xis    []float64
 	PerISP map[inet.ASN]*ISPResult
+	// BusiestReach holds the OPTICS reachability distances, in processing
+	// order, of the analyzed ISP with the most measured offnets (lowest ASN
+	// on ties): the raw material the ξ extraction works on.
+	BusiestReach []float64
 }
 
 // Analyze clusters every usable ISP at each ξ. MinPts is fixed at the
@@ -152,6 +157,12 @@ func AnalyzeMixContext(ctx context.Context, w *inet.World, c *mlab.Campaign, xis
 		asns = append(asns, as)
 	}
 	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
+	var busiest inet.ASN
+	for _, as := range asns {
+		if len(c.ByISP[as]) > len(c.ByISP[busiest]) {
+			busiest = as
+		}
+	}
 
 	results, err := par.MapLocal(ctx, len(asns), par.Options{Workers: workers, Name: "optics-cluster"},
 		func() *ispScratch { return &ispScratch{} },
@@ -169,6 +180,10 @@ func AnalyzeMixContext(ctx context.Context, w *inet.World, c *mlab.Campaign, xis
 			}
 			res.HGs = hostedHGs(ms)
 			ord := sc.opt.Run(len(ms), sc.dm.At, 2, math.Inf(1))
+			if as == busiest {
+				// One task writes it; MapLocal returns after every task.
+				a.BusiestReach = append([]float64(nil), ord.Reach...)
+			}
 			for _, xi := range xis {
 				labels := ord.Labels(ord.ExtractXi(xi, 2))
 				res.PerXi[xi] = summarize(ms, labels, mix)
@@ -404,10 +419,12 @@ func hasHG(hgs []traffic.HG, hg traffic.HG) bool {
 }
 
 // Figure2 returns the user-weighted CCDF of the estimated traffic fraction
-// one facility can serve, at the given ξ.
+// one facility can serve, at the given ξ, its weights taken in ascending-ASN
+// order.
 func (a *Analysis) Figure2(xi float64) []stats.CCDFPoint {
 	var pts []stats.WeightedPoint
-	for _, isp := range a.PerISP {
+	for _, as := range inet.SortedASNs(a.PerISP) {
+		isp := a.PerISP[as]
 		x, ok := isp.PerXi[xi]
 		if !ok {
 			continue
@@ -445,10 +462,11 @@ func (a *Analysis) SingleSiteFrac(hg traffic.HG, xi float64) float64 {
 // UserShareAtLeast returns the fraction of analyzed users whose ISP has a
 // facility able to serve at least the given traffic share (§3.2: "71%–82%
 // are in an ISP with a facility ... capable of delivering at least 25% of
-// their traffic").
+// their traffic"), summed in ascending-ASN order.
 func (a *Analysis) UserShareAtLeast(xi, share float64) float64 {
 	var total, qualifying float64
-	for _, isp := range a.PerISP {
+	for _, as := range inet.SortedASNs(a.PerISP) {
+		isp := a.PerISP[as]
 		x, ok := isp.PerXi[xi]
 		if !ok {
 			continue

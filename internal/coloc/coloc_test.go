@@ -1,12 +1,14 @@
 package coloc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/mlab"
+	"offnetrisk/internal/optics"
 	"offnetrisk/internal/stats"
 	"offnetrisk/internal/traffic"
 )
@@ -404,5 +406,59 @@ func TestTrafficConcentration(t *testing.T) {
 	// not decrease relative to ξ=0.1.
 	if a.MeanTrafficHHI(0.9) < a.MeanTrafficHHI(0.1)-1e-9 {
 		t.Errorf("HHI fell with merging: %.3f → %.3f", a.MeanTrafficHHI(0.1), a.MeanTrafficHHI(0.9))
+	}
+}
+
+// TestUserWeightedSumsAscendingASN guards the user-weighted aggregates
+// against float sums in map iteration order: eight one-user ISPs and one
+// 1e16-user ISP sum exactly only when the ones come first, as they do in
+// ascending-ASN order (each 1 added to 1e16 is lost; its ulp is 2).
+func TestUserWeightedSumsAscendingASN(t *testing.T) {
+	w := &inet.World{ISPs: make(map[inet.ASN]*inet.ISP)}
+	hosting := make(map[inet.ASN][]traffic.HG)
+	a := &Analysis{PerISP: make(map[inet.ASN]*ISPResult)}
+	for as := inet.ASN(1); as <= 9; as++ {
+		users, hhi, share := 1.0, 1.0, 0.5
+		if as == 9 {
+			users, hhi, share = 1e16, 0.5, 0.1
+		}
+		w.ISPs[as] = &inet.ISP{ASN: as, Country: "US", Tier: inet.TierAccess, Users: users}
+		hosting[as] = []traffic.HG{traffic.Google, traffic.Netflix}
+		a.PerISP[as] = &ISPResult{ASN: as, Users: users,
+			PerXi: map[float64]*XiResult{0.1: {TrafficHHI: hhi, BestShare: share}}}
+	}
+	total, big := 1e16+8.0, 5e15+8.0
+	for i := 0; i < 50; i++ {
+		if one, two, _, _ := GlobalUserShares(w, hosting); one != 1 || two != 1 {
+			t.Fatalf("GlobalUserShares ≥1/≥2 = %v/%v, want 1/1", one, two)
+		}
+		if rows := Figure1(w, hosting); len(rows) != 1 || rows[0].AtLeast2 != 1 {
+			t.Fatalf("Figure1 = %+v, want one country with AtLeast2 1", rows)
+		}
+		if got := a.MeanTrafficHHI(0.1); got != big/total {
+			t.Fatalf("MeanTrafficHHI = %v, want %v", got, big/total)
+		}
+		if got := a.UserShareAtLeast(0.1, 0.25); got != 8/total {
+			t.Fatalf("UserShareAtLeast = %v, want %v", got, 8/total)
+		}
+	}
+}
+
+// TestBusiestReachMatchesStandaloneRun: the reachability the analysis keeps
+// is the one a standalone OPTICS run over the busiest ISP's distance matrix
+// computes — the ISP with the most measured offnets, lowest ASN on ties.
+func TestBusiestReachMatchesStandaloneRun(t *testing.T) {
+	_, c, a := fullPipeline(t, 42)
+	var busiest inet.ASN
+	for as, ms := range c.ByISP {
+		if n := len(c.ByISP[busiest]); len(ms) > n || (len(ms) == n && as < busiest) {
+			busiest = as
+		}
+	}
+	ms := c.ByISP[busiest]
+	want := optics.Run(len(ms), DistanceMatrix(ms, c.GoodSites[busiest], DiscrepancyExclusion).At, 2, math.Inf(1)).Reach
+	if len(want) < 2 || fmt.Sprint(a.BusiestReach) != fmt.Sprint(want) {
+		t.Fatalf("BusiestReach (%d values) differs from the standalone run over ISP %d (%d values)",
+			len(a.BusiestReach), busiest, len(want))
 	}
 }

@@ -20,8 +20,8 @@ type CountryShare struct {
 }
 
 // Figure1 aggregates hosting sets per country, weighted by ISP user
-// population. hosting maps each ISP to the hypergiants it hosts (from the
-// scan inference or deployment ground truth).
+// population and summed in ascending-ASN order. hosting maps each ISP to the
+// hypergiants it hosts (from the scan inference or deployment ground truth).
 func Figure1(w *inet.World, hosting map[inet.ASN][]traffic.HG) []CountryShare {
 	users := w.CountryUsers()
 	type acc struct{ one, two, three, four float64 }
@@ -29,11 +29,12 @@ func Figure1(w *inet.World, hosting map[inet.ASN][]traffic.HG) []CountryShare {
 	for cc := range users {
 		per[cc] = &acc{}
 	}
-	for as, hgs := range hosting {
+	for _, as := range inet.SortedASNs(hosting) {
 		isp, ok := w.ISPs[as]
 		if !ok || !isp.IsAccess() {
 			continue
 		}
+		hgs := hosting[as]
 		a := per[isp.Country]
 		if a == nil {
 			a = &acc{}
@@ -86,7 +87,7 @@ func dedupeHGs(hgs []traffic.HG) []traffic.HG {
 
 // GlobalUserShares summarizes Figure 1 globally: the fraction of all users
 // in ISPs hosting ≥1, ≥2, ≥3, and 4 hypergiants (§3.2 reports 76% of users
-// are in ISPs with at least one offnet).
+// are in ISPs with at least one offnet), summed in ascending-ASN order.
 func GlobalUserShares(w *inet.World, hosting map[inet.ASN][]traffic.HG) (one, two, three, four float64) {
 	var total float64
 	for _, isp := range w.AccessISPs() {
@@ -95,12 +96,12 @@ func GlobalUserShares(w *inet.World, hosting map[inet.ASN][]traffic.HG) (one, tw
 	if total <= 0 {
 		return
 	}
-	for as, hgs := range hosting {
+	for _, as := range inet.SortedASNs(hosting) {
 		isp, ok := w.ISPs[as]
 		if !ok || !isp.IsAccess() {
 			continue
 		}
-		n := len(dedupeHGs(hgs))
+		n := len(dedupeHGs(hosting[as]))
 		if n >= 1 {
 			one += isp.Users
 		}

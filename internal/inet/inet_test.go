@@ -406,3 +406,40 @@ func TestTierString(t *testing.T) {
 		}
 	}
 }
+
+// orderSensitiveWorld holds eight one-user ISPs below one 1e16-user ISP.
+// Float addition loses each 1 added to 1e16 (its ulp is 2), so only the
+// ascending-ASN order, which adds the ones first, sums to exactly 1e16+8.
+func orderSensitiveWorld() *World {
+	w := &World{ISPs: make(map[ASN]*ISP)}
+	for as := ASN(1); as <= 9; as++ {
+		w.ISPs[as] = &ISP{ASN: as, Country: "US", Tier: TierAccess, Users: 1}
+	}
+	w.ISPs[9].Users = 1e16
+	return w
+}
+
+// TestUserSumsAscendingASN guards the determinism of user totals: a sum in
+// map iteration order differs between calls on these values.
+func TestUserSumsAscendingASN(t *testing.T) {
+	w := orderSensitiveWorld()
+	set := make(map[ASN]bool)
+	for as := range w.ISPs {
+		set[as] = true
+	}
+	const want = 1e16 + 8
+	for i := 0; i < 50; i++ {
+		if got := w.UsersInISPs(set); got != want {
+			t.Fatalf("UsersInISPs = %v, want %v", got, want)
+		}
+		if got := w.TotalUsers(); got != want {
+			t.Fatalf("TotalUsers = %v, want %v", got, want)
+		}
+		if got := w.CountryUsers()["US"]; got != want {
+			t.Fatalf("CountryUsers[US] = %v, want %v", got, want)
+		}
+	}
+	if got := SortedASNs(set); len(got) != 9 || got[0] != 1 || got[8] != 9 {
+		t.Errorf("SortedASNs = %v, want 1..9", got)
+	}
+}

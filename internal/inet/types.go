@@ -287,11 +287,24 @@ func (w *World) IXPOf(addr netaddr.Addr) (*IXP, ASN, bool) {
 	return x, 0, false
 }
 
-// UsersInISPs sums the user population of the given set of ASNs.
+// SortedASNs returns the keys of an ASN-keyed map in ascending order. User
+// totals sum in this order: float addition over map iteration order differs
+// in the last bits from run to run (see DownstreamUsers).
+func SortedASNs[V any](m map[ASN]V) []ASN {
+	out := make([]ASN, 0, len(m))
+	for as := range m {
+		out = append(out, as)
+	}
+	sortASNs(out)
+	return out
+}
+
+// UsersInISPs sums the user population of the given set of ASNs, in
+// ascending-ASN order.
 func (w *World) UsersInISPs(set map[ASN]bool) float64 {
 	var total float64
-	for as, in := range set {
-		if !in {
+	for _, as := range SortedASNs(set) {
+		if !set[as] {
 			continue
 		}
 		if isp, ok := w.ISPs[as]; ok {
@@ -301,24 +314,22 @@ func (w *World) UsersInISPs(set map[ASN]bool) float64 {
 	return total
 }
 
-// TotalUsers sums the user population across all access ISPs.
+// TotalUsers sums the user population across all access ISPs, in
+// ascending-ASN order.
 func (w *World) TotalUsers() float64 {
 	var total float64
-	for _, isp := range w.ISPs {
-		if isp.IsAccess() {
-			total += isp.Users
-		}
+	for _, isp := range w.AccessISPs() {
+		total += isp.Users
 	}
 	return total
 }
 
-// CountryUsers returns the total access-ISP user population per country.
+// CountryUsers returns the total access-ISP user population per country,
+// each summed in ascending-ASN order.
 func (w *World) CountryUsers() map[string]float64 {
 	out := make(map[string]float64)
-	for _, isp := range w.ISPs {
-		if isp.IsAccess() {
-			out[isp.Country] += isp.Users
-		}
+	for _, isp := range w.AccessISPs() {
+		out[isp.Country] += isp.Users
 	}
 	return out
 }

@@ -37,8 +37,14 @@ func (p *Pipeline) MappingStudy() (*MappingResult, error) {
 }
 
 // MappingStudyContext is MappingStudy with cancellation (the ECS probes are
-// cheap and serial, so the context only gates entry).
+// cheap and serial, so the context only gates entry). The result is
+// computed once per pipeline; later calls return it unchanged and must not
+// modify it.
 func (p *Pipeline) MappingStudyContext(ctx context.Context) (*MappingResult, error) {
+	return cached(&p.memo, memoKey{"mapping-study", 0}, func() (*MappingResult, error) { return p.mappingStudy(ctx) })
+}
+
+func (p *Pipeline) mappingStudy(ctx context.Context) (*MappingResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -108,8 +114,14 @@ func (p *Pipeline) MitigationStudy() (*MitigationResult, error) {
 }
 
 // MitigationStudyContext is MitigationStudy with cancellation; the
-// shared-vs-isolated sweep fans out across p.Workers goroutines.
+// shared-vs-isolated sweep fans out across p.Workers goroutines. The result
+// is computed once per pipeline; later calls return it unchanged and must
+// not modify it.
 func (p *Pipeline) MitigationStudyContext(ctx context.Context) (*MitigationResult, error) {
+	return cached(&p.memo, memoKey{"mitigation-study", 0}, func() (*MitigationResult, error) { return p.mitigationStudy(ctx) })
+}
+
+func (p *Pipeline) mitigationStudy(ctx context.Context) (*MitigationResult, error) {
 	root := p.span("mitigation-study")
 	defer root.End()
 	_, d, err := p.deployment(hypergiant.Epoch2023)

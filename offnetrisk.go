@@ -23,7 +23,6 @@ package offnetrisk
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"offnetrisk/internal/chaos"
 	"offnetrisk/internal/hypergiant"
@@ -50,8 +49,10 @@ const (
 	ScaleLarge
 )
 
-// Pipeline owns a seeded reproduction run. Worlds and deployments are built
-// lazily, once per epoch, and shared across experiments.
+// Pipeline owns a seeded reproduction run. Each epoch's world and
+// deployment, and each experiment's result, is computed lazily on its first
+// request and shared read-only by every later one (DESIGN.md §6), so set
+// every field before the first call.
 type Pipeline struct {
 	Seed  int64
 	Scale Scale
@@ -102,20 +103,13 @@ type Pipeline struct {
 	// runs of the same seed are bit-for-bit identical.
 	tracer *obs.Tracer
 
-	mu     sync.Mutex
-	worlds map[hypergiant.Epoch]*inet.World
-	deps   map[hypergiant.Epoch]*hypergiant.Deployment
+	memo memo
 }
 
 // NewPipeline creates a pipeline for the given seed and scale, running the
 // default scenario.
 func NewPipeline(seed int64, scale Scale) *Pipeline {
-	return &Pipeline{
-		Seed:   seed,
-		Scale:  scale,
-		worlds: make(map[hypergiant.Epoch]*inet.World),
-		deps:   make(map[hypergiant.Epoch]*hypergiant.Deployment),
-	}
+	return &Pipeline{Seed: seed, Scale: scale}
 }
 
 // NewPipelineFromSpec creates a pipeline running a resolved scenario at
@@ -213,30 +207,32 @@ func (p *Pipeline) buildWorld() (*inet.World, error) {
 	return w, nil
 }
 
+// epochWorld is one epoch's cached world and deployment.
+type epochWorld struct {
+	w *inet.World
+	d *hypergiant.Deployment
+}
+
 // deployment returns (building if needed) the world and deployment for an
 // epoch. Deployments mutate their world, so each epoch gets a fresh world
 // generated from the same seed.
 func (p *Pipeline) deployment(epoch hypergiant.Epoch) (*inet.World, *hypergiant.Deployment, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if d, ok := p.deps[epoch]; ok {
-		return p.worlds[epoch], d, nil
-	}
-	sp := p.span(fmt.Sprintf("world/build-%d", epoch))
-	defer sp.End()
-	w, err := p.buildWorld()
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := hypergiant.Deploy(w, epoch, hypergiant.DeployConfigFromScenario(p.spec(), p.Seed))
-	if err != nil {
-		return nil, nil, fmt.Errorf("offnetrisk: deploy epoch %d: %w", epoch, err)
-	}
-	sp.SetAttr("isps", len(w.ISPs))
-	sp.SetAttr("servers", len(d.Servers))
-	p.worlds[epoch] = w
-	p.deps[epoch] = d
-	return w, d, nil
+	ew, err := cached(&p.memo, memoKey{"world", int(epoch)}, func() (epochWorld, error) {
+		sp := p.span(fmt.Sprintf("world/build-%d", epoch))
+		defer sp.End()
+		w, err := p.buildWorld()
+		if err != nil {
+			return epochWorld{}, err
+		}
+		d, err := hypergiant.Deploy(w, epoch, hypergiant.DeployConfigFromScenario(p.spec(), p.Seed))
+		if err != nil {
+			return epochWorld{}, fmt.Errorf("offnetrisk: deploy epoch %d: %w", epoch, err)
+		}
+		sp.SetAttr("isps", len(w.ISPs))
+		sp.SetAttr("servers", len(d.Servers))
+		return epochWorld{w, d}, nil
+	})
+	return ew.w, ew.d, err
 }
 
 // World2023 exposes the 2023 world and deployment for advanced use (custom

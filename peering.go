@@ -65,8 +65,15 @@ func (p *Pipeline) PeeringSurveyFor(hg traffic.HG) (*PeeringSurveyResult, error)
 
 // PeeringSurveyForContext is PeeringSurveyFor with cancellation; the
 // traceroute campaign fans out one destination ISP per task across
-// p.Workers goroutines.
+// p.Workers goroutines. Each hypergiant's survey is computed once per
+// pipeline; later calls return it unchanged and must not modify it.
 func (p *Pipeline) PeeringSurveyForContext(ctx context.Context, hg traffic.HG) (*PeeringSurveyResult, error) {
+	return cached(&p.memo, memoKey{"peering-survey", int(hg)}, func() (*PeeringSurveyResult, error) {
+		return p.peeringSurvey(ctx, hg)
+	})
+}
+
+func (p *Pipeline) peeringSurvey(ctx context.Context, hg traffic.HG) (*PeeringSurveyResult, error) {
 	root := p.span("peering-survey")
 	root.SetAttr("hypergiant", hg.String())
 	defer root.End()

@@ -46,8 +46,13 @@ func (p *Pipeline) Table1() (*Table1Result, error) {
 }
 
 // Table1Context is Table1 with cancellation (the scan simulation streams
-// serially, so the context only gates entry).
+// serially, so the context only gates entry). The result is computed once
+// per pipeline; later calls return it unchanged and must not modify it.
 func (p *Pipeline) Table1Context(ctx context.Context) (*Table1Result, error) {
+	return cached(&p.memo, memoKey{"table1", 0}, func() (*Table1Result, error) { return p.table1(ctx) })
+}
+
+func (p *Pipeline) table1(ctx context.Context) (*Table1Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
