@@ -2,10 +2,14 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-obs bench bench-json bench-smoke bench-compare perf-gate profile check report runs-diff golden fuzz-smoke check-chaos golden-chaos check-scenarios golden-scenarios check-shards check-lineage golden-lineage check-temporal golden-temporal
+.PHONY: build fmt test vet race race-obs bench bench-json bench-smoke bench-compare perf-gate profile check report runs-diff golden fuzz-smoke check-chaos golden-chaos check-scenarios golden-scenarios check-shards check-lineage golden-lineage check-temporal golden-temporal
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: every Go file in the tree must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -57,14 +61,15 @@ profile:
 	$(GO) run ./cmd/obsprofile -validate-trace /tmp/profile-out/trace.json /tmp/profile-out/manifest.json
 	@echo "trace: /tmp/profile-out/trace.json (load in ui.perfetto.dev)"
 
-# race-obs runs first so concurrency regressions in the observability and
-# parallel substrates fail fast, before the full race suite; perf-gate is
+# fmt runs first, so an unformatted file fails before anything builds;
+# race-obs runs before the full race suite so concurrency regressions in the
+# observability and parallel substrates fail fast; perf-gate is
 # pure file analysis; check-scenarios proves every named scenario still
 # reproduces its committed golden manifest; check-shards proves -shards is
 # output-invariant and the huge tier generates and streams; check-lineage
 # proves the provenance capture reproduces its committed digest and answers
 # evidence queries.
-check: build vet race-obs race perf-gate check-scenarios check-shards check-lineage check-temporal
+check: fmt build vet race-obs race perf-gate check-scenarios check-shards check-lineage check-temporal
 
 # Full reproduction report with provenance manifest.
 report:

@@ -12,7 +12,6 @@ package capacity
 
 import (
 	"math"
-	"sort"
 
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
@@ -106,6 +105,11 @@ type Model struct {
 	IXPPort map[traffic.HG]map[inet.ASN]float64
 	// IXPOf maps (hg, isp) to the exchange carrying that peering.
 	IXPIDOf map[traffic.HG]map[inet.ASN]inet.IXPID
+
+	// plan is the flat serving plan compiled from the maps above by Build
+	// and WithCuts; serving reads only the plan, so the maps are a
+	// read-only description of the model once it is built.
+	plan plan
 }
 
 // Build derives the capacity model from a deployment. Offnet site capacity
@@ -171,6 +175,7 @@ func Build(d *hypergiant.Deployment, cfg Config) *Model {
 			m.IXPIDOf[p.HG][p.ISP] = p.IXP
 		}
 	}
+	m.plan = m.compile()
 	mModelsBuilt.Inc()
 	sites := 0
 	for _, hg := range traffic.All {
@@ -281,10 +286,11 @@ func (c Cut) hits(hg traffic.HG, as inet.ASN) bool {
 }
 
 // WithCuts returns a model with the cuts applied multiplicatively; the
-// receiver is never mutated (sites and capacity maps are deep-copied), so a
-// temporal engine can re-derive the cut model whenever its active-cut set
-// changes while the pristine baseline model stays untouched. An empty cut
-// list returns the receiver itself, keeping uncut serving bit-identical.
+// receiver is never mutated (sites and capacity maps are deep-copied and the
+// serving plan recompiled), so a temporal engine can re-derive the cut model
+// whenever its active-cut set changes while the pristine baseline model
+// stays untouched. An empty cut list returns the receiver itself, keeping
+// uncut serving bit-identical.
 func (m *Model) WithCuts(cuts []Cut) *Model {
 	if len(cuts) == 0 {
 		return m
@@ -332,93 +338,6 @@ func (m *Model) WithCuts(cuts []Cut) *Model {
 			out.IXPPort[hg][as] = v * keep(hg, as, LayerIXP)
 		}
 	}
+	out.plan = out.compile()
 	return out
-}
-
-func (m *Model) serve(mult float64, scale map[traffic.HG]float64, failedFacilities map[inet.FacilityID]bool, burst bool) []Flow {
-	var flows []Flow
-	// Per-(hg, transit) upstream pools, drained greedily in deterministic
-	// flow order within one serving pass.
-	pool := make(map[traffic.HG]map[inet.ASN]float64)
-	for _, hg := range traffic.All {
-		pool[hg] = make(map[inet.ASN]float64, len(m.Upstream[hg]))
-		for as, site := range m.Upstream[hg] {
-			avail := site.NominalGbps
-			if burst {
-				avail = site.BurstGbps
-			}
-			if failedFacilities != nil {
-				lost := 0.0
-				for fid, share := range site.Facilities {
-					if failedFacilities[fid] {
-						lost += share
-					}
-				}
-				avail *= 1 - lost
-			}
-			pool[hg][as] = avail
-		}
-	}
-	for _, hg := range traffic.All {
-		s := 1.0
-		if scale != nil {
-			if v, ok := scale[hg]; ok {
-				s = v
-			}
-		}
-		isps := make([]inet.ASN, 0, len(m.Sites[hg]))
-		for as := range m.Sites[hg] {
-			isps = append(isps, as)
-		}
-		sort.Slice(isps, func(i, j int) bool { return isps[i] < isps[j] })
-		for _, as := range isps {
-			site := m.Sites[hg][as]
-			demand := m.PeakDemand(hg, as) * mult * s
-			avail := site.NominalGbps
-			if burst {
-				avail = site.BurstGbps
-			}
-			if failedFacilities != nil {
-				lost := 0.0
-				for fid, share := range site.Facilities {
-					if failedFacilities[fid] {
-						lost += share
-					}
-				}
-				avail *= 1 - lost
-			}
-			// Offnets can serve at most the cacheable share of demand.
-			offnet := math.Min(demand*m.cfg.Mix.OffnetFraction(hg), avail)
-			rest := demand - offnet
-			pni := math.Min(rest, m.PNIGbps[hg][as])
-			rest -= pni
-			ixp := math.Min(rest, m.IXPPort[hg][as])
-			rest -= ixp
-			// Remaining spill heads to the ISP's providers; offnets hosted
-			// there absorb what their pools allow.
-			var upstream float64
-			if rest > 0 {
-				if isp, ok := m.dep.World.ISPs[as]; ok {
-					for _, prov := range isp.Providers {
-						if rest <= 0 {
-							break
-						}
-						if p, ok := pool[hg][prov]; ok && p > 0 {
-							take := math.Min(rest, p)
-							pool[hg][prov] -= take
-							upstream += take
-							rest -= take
-						}
-					}
-				}
-			}
-			flows = append(flows, Flow{
-				HG: hg, ISP: as,
-				Demand: demand, Offnet: offnet, PNI: pni, IXP: ixp,
-				UpstreamOffnet: upstream, Transit: rest,
-			})
-		}
-	}
-	mFlowsServed.Add(int64(len(flows)))
-	return flows
 }

@@ -126,159 +126,12 @@ func (sc Scenario) sanitized() Scenario {
 
 // Simulate runs the scenario: serve demand with the failed facilities
 // removed, aggregate spill onto shared links, size those links from the
-// baseline (no-failure) loads, and trace the collateral damage.
+// baseline (no-failure) loads, and trace the collateral damage. It is the
+// one-shot form of NewBaseline(m, d, sc.DemandMult).Simulate(sc); a caller
+// running many scenarios at one multiplier builds the Baseline once.
 func Simulate(m *capacity.Model, d *hypergiant.Deployment, sc Scenario) *Report {
 	sc = sc.sanitized()
-	baseline := m.Serve(sc.DemandMult, nil, nil)
-	// Under failure/surge the surviving offnets are pushed to burst.
-	flows := m.ServeBurst(sc.DemandMult, sc.Surge, sc.FailFacilities)
-	return Assess(m, d, sc, baseline, flows)
-}
-
-// Assess is the replay entry point behind Simulate: it takes serving splits
-// the caller already computed (the temporal engine serves once per clock
-// step and hands the result here) and derives the full congestion report —
-// shared-link loads, capacities sized from baseline×headroom, direct and
-// collateral ISP sets. Simulate(m, d, sc) is exactly
-// Assess(m, d, sc, m.Serve(...), m.ServeBurst(...)), so engine trajectories
-// and closed-form sweeps agree bit-for-bit by construction.
-func Assess(m *capacity.Model, d *hypergiant.Deployment, sc Scenario, baseline, flows []capacity.Flow) *Report {
-	mScenariosSimulated.Inc()
-	sc = sc.sanitized()
-	w := d.World
-	rep := &Report{
-		Scenario:       sc,
-		Baseline:       baseline,
-		Flows:          flows,
-		DirectISPs:     make(map[inet.ASN]bool),
-		CollateralISPs: make(map[inet.ASN]bool),
-	}
-
-	// Direct impact: ISPs owning a failed facility, and hypergiants with
-	// servers there.
-	hgHit := map[traffic.HG]bool{}
-	for fid := range sc.FailFacilities {
-		if f, ok := w.Facilities[fid]; ok {
-			rep.DirectISPs[f.Owner] = true
-		}
-	}
-	for _, s := range d.Servers {
-		if sc.FailFacilities[s.Facility] {
-			hgHit[s.HG] = true
-		}
-	}
-	for _, hg := range traffic.All {
-		if hgHit[hg] {
-			rep.HGsImpacted = append(rep.HGsImpacted, hg)
-		}
-	}
-
-	rep.IXPLoad = loadIXPs(m, w, rep.Flows, baselineIXPs(m, w, rep.Baseline), sc.SharedHeadroom)
-	rep.TransitLoad = loadTransits(w, rep.Flows, baselineTransits(w, rep.Baseline), sc.SharedHeadroom)
-
-	// Collateral: ISPs that did not fail but whose serving path crosses a
-	// congested shared resource — via their IXP peering or any of their
-	// transit providers.
-	congIXP := make(map[inet.IXPID]bool)
-	for _, id := range rep.CongestedIXPs() {
-		congIXP[id] = true
-	}
-	congTr := make(map[inet.ASN]bool)
-	for _, as := range rep.CongestedTransits() {
-		congTr[as] = true
-	}
-	for _, f := range rep.Flows {
-		if rep.DirectISPs[f.ISP] {
-			continue
-		}
-		if f.IXP > 0 {
-			if id, ok := m.IXPIDOf[f.HG][f.ISP]; ok && congIXP[id] {
-				rep.CollateralISPs[f.ISP] = true
-			}
-		}
-		if f.Transit+f.UpstreamOffnet > 0 {
-			if isp, ok := w.ISPs[f.ISP]; ok {
-				for _, prov := range isp.Providers {
-					if congTr[prov] {
-						rep.CollateralISPs[f.ISP] = true
-					}
-				}
-			}
-		}
-	}
-	return rep
-}
-
-// baselineIXPs computes normal per-exchange hypergiant load.
-func baselineIXPs(m *capacity.Model, w *inet.World, flows []capacity.Flow) map[inet.IXPID]float64 {
-	out := make(map[inet.IXPID]float64)
-	for _, f := range flows {
-		if f.IXP <= 0 {
-			continue
-		}
-		if id, ok := m.IXPIDOf[f.HG][f.ISP]; ok {
-			out[id] += f.IXP
-		}
-	}
-	return out
-}
-
-func loadIXPs(m *capacity.Model, w *inet.World, flows []capacity.Flow, base map[inet.IXPID]float64, headroom float64) map[inet.IXPID]LinkLoad {
-	out := make(map[inet.IXPID]LinkLoad)
-	load := baselineIXPs(m, w, flows)
-	for id, x := range w.IXPs {
-		b := base[id]
-		// Capacity: whichever is larger of the fabric's provisioned
-		// capacity share for hypergiant traffic and baseline×headroom —
-		// exchanges are provisioned for their normal peak, not for failover
-		// surges.
-		cap := b * headroom
-		if cap <= 0 {
-			cap = x.CapacityGbps
-		}
-		if l, ok := load[id]; ok || b > 0 {
-			out[id] = LinkLoad{LoadGbps: l, CapacityGbps: cap}
-		}
-	}
-	return out
-}
-
-// baselineTransits computes normal per-transit-provider hypergiant load:
-// each flow's transit share splits evenly over the destination ISP's
-// providers.
-func baselineTransits(w *inet.World, flows []capacity.Flow) map[inet.ASN]float64 {
-	out := make(map[inet.ASN]float64)
-	for _, f := range flows {
-		load := f.Transit + f.UpstreamOffnet
-		if load <= 0 {
-			continue
-		}
-		isp, ok := w.ISPs[f.ISP]
-		if !ok || len(isp.Providers) == 0 {
-			continue
-		}
-		per := load / float64(len(isp.Providers))
-		for _, prov := range isp.Providers {
-			out[prov] += per
-		}
-	}
-	return out
-}
-
-func loadTransits(w *inet.World, flows []capacity.Flow, base map[inet.ASN]float64, headroom float64) map[inet.ASN]LinkLoad {
-	load := baselineTransits(w, flows)
-	out := make(map[inet.ASN]LinkLoad, len(load))
-	for as, l := range load {
-		cap := base[as] * headroom
-		if cap <= 0 {
-			// A provider with no baseline hypergiant load still has some
-			// capacity; size it from its customers' baseline interdomain
-			// traffic floor.
-			cap = 10
-		}
-		out[as] = LinkLoad{LoadGbps: l, CapacityGbps: cap}
-	}
-	return out
+	return NewBaseline(m, d, sc.DemandMult).Simulate(sc)
 }
 
 // TopFacility returns the ISP's facility hosting offnets from the most
@@ -336,8 +189,9 @@ func Sweep(m *capacity.Model, d *hypergiant.Deployment, isps []inet.ASN) SweepSt
 }
 
 // SweepContext is Sweep with cancellation, one scenario simulation per task
-// on a bounded worker pool. Simulate is read-only on the model and
-// deployment and the stats are commutative sums, so the aggregate is
+// on a bounded worker pool. The no-failure baseline is built once and shared
+// read-only by every task; a scenario only reads the model, deployment and
+// baseline, and the stats are commutative sums, so the aggregate is
 // identical at any worker count.
 func SweepContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment, isps []inet.ASN, workers int) (SweepStats, error) {
 	type outcome struct {
@@ -345,6 +199,7 @@ func SweepContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployme
 		hgs, coll float64
 		congested bool
 	}
+	b := NewBaseline(m, d, DefaultScenario().DemandMult)
 	outs, err := par.Map(ctx, len(isps), par.Options{Workers: workers, Name: "facility-sweep"},
 		func(_ context.Context, i int) (outcome, error) {
 			fid, nHGs := TopFacility(d, isps[i])
@@ -353,7 +208,7 @@ func SweepContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployme
 			}
 			sc := DefaultScenario()
 			sc.FailFacilities = map[inet.FacilityID]bool{fid: true}
-			rep := Simulate(m, d, sc)
+			rep := b.Simulate(sc)
 			return outcome{
 				ok:        true,
 				hgs:       float64(nHGs),

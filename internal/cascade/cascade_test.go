@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"reflect"
 	"testing"
 
 	"offnetrisk/internal/capacity"
@@ -229,9 +230,10 @@ func TestCongestedBoundary(t *testing.T) {
 	}
 }
 
-// TestAssessMatchesSimulate: Simulate is exactly sanitize + Serve +
-// ServeBurst + Assess — the decomposition the temporal engine relies on to
-// share the assessment path with the closed-form oracle.
+// TestAssessMatchesSimulate: Simulate is exactly a Baseline at the
+// scenario's multiplier plus ServeBurst plus Assess — the decomposition the
+// sweeps and the temporal engine rely on to share one baseline and the
+// assessment path with the closed-form oracle.
 func TestAssessMatchesSimulate(t *testing.T) {
 	d, m := setup(t, 2)
 	_, fid, _ := multiHGISP(t, d)
@@ -240,36 +242,24 @@ func TestAssessMatchesSimulate(t *testing.T) {
 	sc.Surge = map[traffic.HG]float64{traffic.Akamai: 2.0}
 
 	want := Simulate(m, d, sc)
-	baseline := m.Serve(sc.DemandMult, nil, nil)
-	flows := m.ServeBurst(sc.DemandMult, sc.Surge, sc.FailFacilities)
-	got := Assess(m, d, sc, baseline, flows)
-
-	if len(got.Flows) != len(want.Flows) {
-		t.Fatalf("flow counts differ: %d vs %d", len(got.Flows), len(want.Flows))
+	b := NewBaseline(m, d, sc.DemandMult)
+	got := b.Assess(sc, m.ServeBurst(sc.DemandMult, sc.Surge, sc.FailFacilities))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Baseline.Assess over ServeBurst differs from Simulate")
 	}
-	for i := range got.Flows {
-		if got.Flows[i] != want.Flows[i] {
-			t.Fatalf("flow %d differs", i)
-		}
+	if again := b.Simulate(sc); !reflect.DeepEqual(again, want) {
+		t.Fatal("Baseline.Simulate differs from Simulate")
 	}
-	for _, pair := range []struct {
-		name      string
-		got, want int
-	}{
-		{"congested IXPs", len(got.CongestedIXPs()), len(want.CongestedIXPs())},
-		{"congested transits", len(got.CongestedTransits()), len(want.CongestedTransits())},
-		{"direct ISPs", len(got.DirectISPs), len(want.DirectISPs)},
-		{"collateral ISPs", len(got.CollateralISPs), len(want.CollateralISPs)},
-	} {
-		if pair.got != pair.want {
-			t.Fatalf("%s differ: %d vs %d", pair.name, pair.got, pair.want)
-		}
+	if !reflect.DeepEqual(got.Baseline, m.Serve(sc.DemandMult, nil, nil)) {
+		t.Fatal("report baseline is not the no-failure serve")
+	}
+	// A baseline re-derived at another multiplier equals a fresh one.
+	if !reflect.DeepEqual(NewBaseline(m, d, 0.5), b.At(0.5)) {
+		t.Fatal("At(0.5) differs from NewBaseline at 0.5")
 	}
 	// And the isolated assessment decomposes the same way.
 	wantIso := SimulateIsolated(m, d, sc)
-	gotIso := AssessIsolated(m, d, got)
-	if len(gotIso.IsolatedCollateralISPs) != len(wantIso.IsolatedCollateralISPs) {
-		t.Fatalf("isolated collateral differ: %d vs %d",
-			len(gotIso.IsolatedCollateralISPs), len(wantIso.IsolatedCollateralISPs))
+	if gotIso := b.AssessIsolated(got); !reflect.DeepEqual(gotIso, wantIso) {
+		t.Fatal("Baseline.AssessIsolated differs from SimulateIsolated")
 	}
 }

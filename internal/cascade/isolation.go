@@ -52,64 +52,52 @@ func (r *IsolatedReport) IsolatedCollateralUsers(w *inet.World) float64 {
 // the plain shared-fate model (the Report) and once with per-hypergiant
 // capacity slices on every shared link.
 func SimulateIsolated(m *capacity.Model, d *hypergiant.Deployment, sc Scenario) *IsolatedReport {
-	return AssessIsolated(m, d, Simulate(m, d, sc))
+	sc = sc.sanitized()
+	b := NewBaseline(m, d, sc.DemandMult)
+	return b.AssessIsolated(b.Simulate(sc))
 }
 
-// AssessIsolated is the replay entry point behind SimulateIsolated: it
-// re-evaluates an existing Report under per-hypergiant capacity slices
-// without re-serving the flows, so the temporal engine can toggle isolation
-// mid-trajectory over the step it already assessed.
-func AssessIsolated(m *capacity.Model, d *hypergiant.Deployment, rep *Report) *IsolatedReport {
+// AssessIsolated re-evaluates a report the baseline assessed under
+// per-hypergiant capacity slices without re-serving the flows, so the
+// temporal engine can toggle isolation mid-trajectory over the step it
+// already assessed.
+func (b *Baseline) AssessIsolated(rep *Report) *IsolatedReport {
 	out := &IsolatedReport{
 		Report:                 rep,
 		IsolatedCollateralISPs: make(map[inet.ASN]bool),
 	}
-	w := d.World
+	w := b.d.World
 
-	// Per-(link, hypergiant) loads for scenario and baseline.
-	ixpHG := perHGIXP(m, rep.Flows)
-	ixpHGBase := perHGIXP(m, rep.Baseline)
-	trHG := perHGTransit(w, rep.Flows)
-	trHGBase := perHGTransit(w, rep.Baseline)
+	// Per-(link, hypergiant) scenario loads; the baseline's are precomputed.
+	ixpHG := ixpLoadsByHG(b.m, rep.Flows)
+	trHG := transitLoadsByHG(w, rep.Flows)
 
 	// Isolation is work-conserving: unused capacity is shareable, so a
 	// hypergiant only offends when the link is actually congested AND its
 	// own load exceeds its slice (baseline share × link capacity).
-	offend := make(map[traffic.HG]bool)
-	ixpOffenders := make(map[inet.IXPID]map[traffic.HG]bool)
+	var offend hgSet
+	ixpOffenders := make(map[inet.IXPID]hgSet)
 	for id, l := range rep.IXPLoad {
 		if !l.Congested() {
 			continue
 		}
-		slices := slicesOf(ixpHGBase[id], l.CapacityGbps)
-		for hg, load := range ixpHG[id] {
-			if load > slices[hg] {
-				offend[hg] = true
-				if ixpOffenders[id] == nil {
-					ixpOffenders[id] = make(map[traffic.HG]bool)
-				}
-				ixpOffenders[id][hg] = true
-			}
+		if o := offenders(ixpHG[id], slicesOf(b.ixpHG[id], l.CapacityGbps)); o != 0 {
+			offend |= o
+			ixpOffenders[id] = o
 		}
 	}
-	trOffenders := make(map[inet.ASN]map[traffic.HG]bool)
+	trOffenders := make(map[inet.ASN]hgSet)
 	for as, l := range rep.TransitLoad {
 		if !l.Congested() {
 			continue
 		}
-		slices := slicesOf(trHGBase[as], l.CapacityGbps)
-		for hg, load := range trHG[as] {
-			if load > slices[hg] {
-				offend[hg] = true
-				if trOffenders[as] == nil {
-					trOffenders[as] = make(map[traffic.HG]bool)
-				}
-				trOffenders[as][hg] = true
-			}
+		if o := offenders(trHG[as], slicesOf(b.transitHG[as], l.CapacityGbps)); o != 0 {
+			offend |= o
+			trOffenders[as] = o
 		}
 	}
 	for _, hg := range traffic.All {
-		if offend[hg] {
+		if offend.has(hg) {
 			out.OffendingHGs = append(out.OffendingHGs, hg)
 		}
 	}
@@ -121,14 +109,14 @@ func AssessIsolated(m *capacity.Model, d *hypergiant.Deployment, rep *Report) *I
 			continue
 		}
 		if f.IXP > 0 {
-			if id, ok := m.IXPIDOf[f.HG][f.ISP]; ok && ixpOffenders[id][f.HG] {
+			if id, ok := b.m.IXPIDOf[f.HG][f.ISP]; ok && ixpOffenders[id].has(f.HG) {
 				out.IsolatedCollateralISPs[f.ISP] = true
 			}
 		}
 		if f.Transit+f.UpstreamOffnet > 0 {
 			if isp, ok := w.ISPs[f.ISP]; ok {
 				for _, prov := range isp.Providers {
-					if trOffenders[prov][f.HG] {
+					if trOffenders[prov].has(f.HG) {
 						out.IsolatedCollateralISPs[f.ISP] = true
 					}
 				}
@@ -138,15 +126,32 @@ func AssessIsolated(m *capacity.Model, d *hypergiant.Deployment, rep *Report) *I
 	return out
 }
 
+// offenders returns the hypergiants whose load on a link exceeds their
+// slice of it.
+func offenders(load *hgLoads, slices hgLoads) hgSet {
+	var out hgSet
+	if load == nil {
+		return out
+	}
+	for _, hg := range traffic.All {
+		if load[hg] > slices[hg] {
+			out |= 1 << hg
+		}
+	}
+	return out
+}
+
 // slicesOf divides a link's capacity into per-hypergiant slices
 // proportional to baseline usage; hypergiants with no baseline get an equal
 // split of whatever is left (at least a minimal share, so new entrants are
-// not starved).
-func slicesOf(base map[traffic.HG]float64, cap float64) map[traffic.HG]float64 {
-	out := make(map[traffic.HG]float64, len(traffic.All))
+// not starved). The baseline total sums in traffic.All order.
+func slicesOf(base *hgLoads, cap float64) hgLoads {
+	var out hgLoads
 	var total float64
-	for _, v := range base {
-		total += v
+	if base != nil {
+		for _, hg := range traffic.All {
+			total += base[hg]
+		}
 	}
 	if total <= 0 {
 		for _, hg := range traffic.All {
@@ -156,46 +161,6 @@ func slicesOf(base map[traffic.HG]float64, cap float64) map[traffic.HG]float64 {
 	}
 	for _, hg := range traffic.All {
 		out[hg] = cap * base[hg] / total
-	}
-	return out
-}
-
-func perHGIXP(m *capacity.Model, flows []capacity.Flow) map[inet.IXPID]map[traffic.HG]float64 {
-	out := make(map[inet.IXPID]map[traffic.HG]float64)
-	for _, f := range flows {
-		if f.IXP <= 0 {
-			continue
-		}
-		id, ok := m.IXPIDOf[f.HG][f.ISP]
-		if !ok {
-			continue
-		}
-		if out[id] == nil {
-			out[id] = make(map[traffic.HG]float64)
-		}
-		out[id][f.HG] += f.IXP
-	}
-	return out
-}
-
-func perHGTransit(w *inet.World, flows []capacity.Flow) map[inet.ASN]map[traffic.HG]float64 {
-	out := make(map[inet.ASN]map[traffic.HG]float64)
-	for _, f := range flows {
-		load := f.Transit + f.UpstreamOffnet
-		if load <= 0 {
-			continue
-		}
-		isp, ok := w.ISPs[f.ISP]
-		if !ok || len(isp.Providers) == 0 {
-			continue
-		}
-		per := load / float64(len(isp.Providers))
-		for _, prov := range isp.Providers {
-			if out[prov] == nil {
-				out[prov] = make(map[traffic.HG]float64)
-			}
-			out[prov][f.HG] += per
-		}
 	}
 	return out
 }
@@ -216,8 +181,9 @@ func MitigationSweep(m *capacity.Model, d *hypergiant.Deployment, isps []inet.AS
 }
 
 // MitigationSweepContext is MitigationSweep with cancellation and a worker
-// pool; each ISP's shared-vs-isolated scenario pair is one task, and the
-// aggregates are commutative sums, so the stats match at any worker count.
+// pool; the no-failure baseline is built once and shared read-only, each
+// ISP's shared-vs-isolated scenario pair is one task, and the aggregates are
+// commutative sums, so the stats match at any worker count.
 func MitigationSweepContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment, isps []inet.ASN, workers int) (MitigationStats, error) {
 	type outcome struct {
 		ok               bool
@@ -241,6 +207,7 @@ func MitigationSweepContext(ctx context.Context, m *capacity.Model, d *hypergian
 		lr.Record(lnMitigation, "reason="+reason, fmt.Sprintf("isp=%d", as),
 			obs.LineageDropped, reason, build)
 	}
+	b := NewBaseline(m, d, DefaultScenario().DemandMult)
 	outs, err := par.Map(ctx, len(isps), par.Options{Workers: workers, Name: "mitigation-sweep"},
 		func(_ context.Context, i int) (outcome, error) {
 			as := isps[i]
@@ -254,7 +221,7 @@ func MitigationSweepContext(ctx context.Context, m *capacity.Model, d *hypergian
 			sc := DefaultScenario()
 			sc.SharedHeadroom = 1.1
 			sc.FailFacilities = map[inet.FacilityID]bool{fid: true}
-			rep := SimulateIsolated(m, d, sc)
+			rep := b.AssessIsolated(b.Simulate(sc))
 			o := outcome{
 				ok:          true,
 				shared:      float64(len(rep.CollateralISPs)),

@@ -67,8 +67,8 @@ func TestMitigationSweepReducesCollateral(t *testing.T) {
 }
 
 func TestSlicesOf(t *testing.T) {
-	base := map[traffic.HG]float64{traffic.Google: 30, traffic.Netflix: 10}
-	s := slicesOf(base, 100)
+	base := hgLoads{traffic.Google: 30, traffic.Netflix: 10}
+	s := slicesOf(&base, 100)
 	if s[traffic.Google] != 75 || s[traffic.Netflix] != 25 {
 		t.Errorf("proportional slices wrong: %+v", s)
 	}

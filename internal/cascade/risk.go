@@ -59,26 +59,21 @@ func MonteCarlo(m *capacity.Model, d *hypergiant.Deployment, k, trials int, seed
 }
 
 // MonteCarloContext is MonteCarlo with cancellation and a worker-pool knob;
-// trials run concurrently and merge in trial order.
+// trials run concurrently against one shared no-failure baseline and merge
+// in trial order.
 func MonteCarloContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment, k, trials int, seed int64, workers int) (RiskCurve, error) {
 	w := d.World
 
 	// Facilities actually hosting offnets.
-	facSet := make(map[inet.FacilityID]bool)
-	for _, s := range d.Servers {
-		facSet[s.Facility] = true
-	}
-	facs := make([]inet.FacilityID, 0, len(facSet))
-	for id := range facSet {
-		facs = append(facs, id)
-	}
-	sort.Slice(facs, func(i, j int) bool { return facs[i] < facs[j] })
-	if k > len(facs) {
-		k = len(facs)
+	facHGs := hgsByFacility(d)
+	if k > len(facHGs) {
+		k = len(facHGs)
 	}
 	if k < 1 || trials < 1 {
 		return RiskCurve{}, nil
 	}
+	b := newBaseline(m, d, DefaultScenario().DemandMult, facHGs)
+	facs := b.facilities()
 
 	type outcome struct {
 		hgs      float64
@@ -92,7 +87,7 @@ func MonteCarloContext(ctx context.Context, m *capacity.Model, d *hypergiant.Dep
 			for _, idx := range rngutil.SampleWithoutReplacement(r, len(facs), k) {
 				sc.FailFacilities[facs[idx]] = true
 			}
-			rep := Simulate(m, d, sc)
+			rep := b.Simulate(sc)
 			return outcome{
 				hgs:      float64(len(rep.HGsImpacted)),
 				affected: rep.DirectUsers(w) + rep.CollateralUsers(w),

@@ -140,19 +140,6 @@ func (w *World) FacilitiesOf(as ASN) []*Facility {
 
 // DownstreamUsers sums the user populations of the AS's direct customers —
 // the population a transit-hosted offnet can serve ("offnets ... can also
-// serve users downstream from a transit provider").
-func (w *World) DownstreamUsers(as ASN) float64 {
-	// Sum in ascending-ASN order: float accumulation over the ISPs map's
-	// iteration order differs in the last ulp from build to build, which is
-	// enough to break byte-identical replay digests downstream.
-	var total float64
-	for _, isp := range w.ISPList() {
-		for _, prov := range isp.Providers {
-			if prov == as {
-				total += isp.Users
-				break
-			}
-		}
-	}
-	return total
-}
+// serve users downstream from a transit provider"). The totals are indexed
+// once per world mutation (see indexDownstream), so this is a lookup.
+func (w *World) DownstreamUsers(as ASN) float64 { return w.downstream[as] }

@@ -299,7 +299,7 @@ func (p *shardPlan) runShards(n int, build func(i int, sh *genShard, sc *shardSc
 	out, err := par.MapLocal(context.Background(), p.shards, par.Options{Workers: p.workers},
 		newShardScratch,
 		func(_ context.Context, s int, sc *shardScratch) (*genShard, error) {
-			lo, hi := s * n / p.shards, (s+1)*n/p.shards
+			lo, hi := s*n/p.shards, (s+1)*n/p.shards
 			sh := &genShard{isps: make([]ISP, 0, hi-lo)}
 			for i := lo; i < hi; i++ {
 				build(i, sh, sc)
@@ -437,7 +437,7 @@ func (p *shardPlan) planUsers() {
 	chunks, err := par.MapLocal(context.Background(), p.shards, par.Options{Workers: p.workers},
 		newShardScratch,
 		func(_ context.Context, s int, sc *shardScratch) (struct{}, error) {
-			lo, hi := s * n / p.shards, (s+1)*n/p.shards
+			lo, hi := s*n/p.shards, (s+1)*n/p.shards
 			for i := lo; i < hi; i++ {
 				z := sc.seed(p.cfg.Seed, labUsers, i).NormFloat64()
 				weights[i] = 1 / math.Pow(float64(i+1), p.cfg.ZipfExponent) * math.Exp(z*0.25)

@@ -12,6 +12,7 @@ package inet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"offnetrisk/internal/geo"
@@ -184,6 +185,9 @@ type World struct {
 	owners []ownerSpan
 	// fabrics is the sorted interval index behind IXPOf.
 	fabrics []fabricSpan
+	// downstream is the index behind DownstreamUsers: each AS's customer
+	// user total.
+	downstream map[ASN]float64
 
 	// Entity slabs: ISPs and Facilities are values in chunked arenas; the
 	// maps above hold pointers into them.
@@ -204,9 +208,10 @@ func (w *World) registerOwner(first, last netaddr.Addr, as ASN) {
 	w.owners = append(w.owners, ownerSpan{first: first, last: last, as: as})
 }
 
-// finalize sorts the interval indexes. Every mutation path (Generate,
-// Restore, AddContentAS) calls it eagerly before returning, so OwnerOf and
-// IXPOf are pure reads — safe under the parallel measurement stages.
+// finalize sorts the interval indexes and totals the downstream users.
+// Every mutation path (Generate, Restore, AddContentAS) calls it eagerly
+// before returning, so OwnerOf, IXPOf and DownstreamUsers are pure reads —
+// safe under the parallel measurement stages.
 func (w *World) finalize() {
 	sort.Slice(w.owners, func(i, j int) bool { return w.owners[i].first < w.owners[j].first })
 	w.fabrics = w.fabrics[:0]
@@ -214,6 +219,23 @@ func (w *World) finalize() {
 		w.fabrics = append(w.fabrics, fabricSpan{first: x.Fabric.First(), last: x.Fabric.Last(), id: x.ID})
 	}
 	sort.Slice(w.fabrics, func(i, j int) bool { return w.fabrics[i].first < w.fabrics[j].first })
+	w.indexDownstream()
+}
+
+// indexDownstream totals every AS's customer users. Customers add in
+// ascending-ASN order, each counted once per provider however often it
+// lists that provider: float accumulation over the ISPs map's iteration
+// order differs in the last ulp from build to build, which is enough to
+// break byte-identical replay digests downstream.
+func (w *World) indexDownstream() {
+	w.downstream = make(map[ASN]float64)
+	for _, isp := range w.ISPList() {
+		for i, prov := range isp.Providers {
+			if !slices.Contains(isp.Providers[:i], prov) {
+				w.downstream[prov] += isp.Users
+			}
+		}
+	}
 }
 
 // ISPList returns all ISPs ordered by ASN for deterministic iteration.
@@ -289,7 +311,7 @@ func (w *World) IXPOf(addr netaddr.Addr) (*IXP, ASN, bool) {
 
 // SortedASNs returns the keys of an ASN-keyed map in ascending order. User
 // totals sum in this order: float addition over map iteration order differs
-// in the last bits from run to run (see DownstreamUsers).
+// in the last bits from run to run (see indexDownstream).
 func SortedASNs[V any](m map[ASN]V) []ASN {
 	out := make([]ASN, 0, len(m))
 	for as := range m {

@@ -221,4 +221,3 @@ func frac(n, d int) float64 {
 	}
 	return float64(n) / float64(d)
 }
-

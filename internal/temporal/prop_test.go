@@ -182,8 +182,8 @@ func TestPropertiesOverRandomSchedules(t *testing.T) {
 }
 
 // Monotonicity of the blast radius holds for the closed-form entry point
-// too: the engine inherits it from cascade.Assess, so pin it there as well
-// with a focused failure scenario.
+// too: the engine inherits it from cascade.Baseline.Assess, so pin it there
+// as well with a focused failure scenario.
 func TestCollateralMonotoneInHeadroomSteady(t *testing.T) {
 	d, m := buildWorld(t, 5)
 	fid := servedFacility(t, d)

@@ -10,13 +10,14 @@
 // The engine is deterministic by construction: events are ordered by
 // (timestamp, sequence number) on a heap, sequence numbers are assigned in
 // a fixed construction order, the serving model and cascade assessment are
-// the same pure functions the closed-form sweeps call (capacity.ServeHour /
-// cascade.Assess), and no wall-clock or map-iteration order reaches the
-// trajectory. The SHA-256 trajectory digest is therefore byte-identical at
-// any -workers/-shards setting, and the closed-form pipeline remains the
-// differential oracle: an empty schedule reproduces capacity.Serve hour by
-// hour, and a scheduled facility failure lands on cascade.Simulate's report
-// bit-exactly.
+// the same pure functions the closed-form sweeps call (capacity.ServeBurst
+// and cascade.Baseline.Assess, against one no-failure cascade.Baseline per
+// clock hour, built on first use), and no wall-clock or map-iteration
+// order reaches the trajectory. The SHA-256 trajectory digest is therefore
+// byte-identical at any -workers/-shards setting, and the closed-form
+// pipeline remains the differential oracle: an empty schedule reproduces
+// capacity.Serve hour by hour, and a scheduled facility failure lands on
+// cascade.Simulate's report bit-exactly.
 package temporal
 
 import (
@@ -140,8 +141,8 @@ func (st *state) disturbed() bool {
 	return len(st.failures) > 0 || len(st.steps) > 0 || len(st.cuts) > 0
 }
 
-// failedSet renders the counted failures as the map capacity.serve expects;
-// nil when nothing is dark.
+// failedSet renders the counted failures as the map capacity.ServeBurst
+// expects; nil when nothing is dark.
 func (st *state) failedSet() map[inet.FacilityID]bool {
 	var out map[inet.FacilityID]bool
 	for fid, n := range st.failures {
@@ -261,7 +262,10 @@ func (e *Engine) Run(ctx context.Context) (*Trajectory, error) {
 		cuts:     make(map[int]bool),
 	}
 	cur := e.base
-	baselineByHour := make(map[int][]capacity.Flow, 24)
+	// One no-failure baseline per clock hour, built on first use; later
+	// hours share the first one's facility index.
+	var baselines [24]*cascade.Baseline
+	var first *cascade.Baseline
 	prevCongIXP := make(map[inet.IXPID]bool)
 	prevCongTr := make(map[inet.ASN]bool)
 	stepCounter := mSteps.Get()
@@ -300,16 +304,21 @@ func (e *Engine) Run(ctx context.Context) (*Trajectory, error) {
 
 		// Evaluate the world at this instant.
 		hIdx := hour % 24
-		baseline, ok := baselineByHour[hIdx]
-		if !ok {
-			baseline = e.base.Serve(capacity.Diurnal[hIdx], nil, nil)
-			baselineByHour[hIdx] = baseline
-		}
 		mult := capacity.Diurnal[hIdx]
+		baseline := baselines[hIdx]
+		if baseline == nil {
+			if first == nil {
+				first = cascade.NewBaseline(e.base, e.dep, mult)
+				baseline = first
+			} else {
+				baseline = first.At(mult)
+			}
+			baselines[hIdx] = baseline
+		}
 		burst := st.disturbed()
 		scale := st.scaleSet(e.sched)
 		failed := st.failedSet()
-		flows := baseline
+		flows := baseline.Flows
 		if burst {
 			flows = cur.ServeBurst(mult, scale, failed)
 		}
@@ -319,10 +328,10 @@ func (e *Engine) Run(ctx context.Context) (*Trajectory, error) {
 			DemandMult:     mult,
 			SharedHeadroom: e.cfg.SharedHeadroom,
 		}
-		rep := cascade.Assess(cur, e.dep, sc, baseline, flows)
+		rep := baseline.Assess(sc, flows)
 		var iso *cascade.IsolatedReport
 		if st.isolated {
-			iso = cascade.AssessIsolated(cur, e.dep, rep)
+			iso = baseline.AssessIsolated(rep)
 		}
 
 		onsets := e.emitCongestionEdges(traj, at, rep, prevCongIXP, prevCongTr)
