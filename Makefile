@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build fmt test vet race race-obs bench bench-json bench-smoke bench-compare perf-gate profile check report runs-diff golden fuzz-smoke check-chaos golden-chaos check-scenarios golden-scenarios check-shards check-lineage golden-lineage check-temporal golden-temporal
+.PHONY: build fmt examples test vet race race-obs bench bench-json bench-smoke bench-compare perf-gate profile check report runs-diff golden fuzz-smoke check-chaos golden-chaos check-scenarios golden-scenarios check-shards check-lineage golden-lineage check-temporal golden-temporal
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ build:
 # Formatting gate: every Go file in the tree must be gofmt-clean.
 fmt:
 	test -z "$$(gofmt -l .)"
+
+# Run every example program end to end (`go build ./...` only compiles
+# them); a non-zero exit from any example fails the target.
+examples:
+	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e > /dev/null || exit 1; done
 
 test:
 	$(GO) test ./...
@@ -68,8 +73,8 @@ profile:
 # reproduces its committed golden manifest; check-shards proves -shards is
 # output-invariant and the huge tier generates and streams; check-lineage
 # proves the provenance capture reproduces its committed digest and answers
-# evidence queries.
-check: fmt build vet race-obs race perf-gate check-scenarios check-shards check-lineage check-temporal
+# evidence queries; examples runs every example program.
+check: fmt build vet race-obs race perf-gate check-scenarios check-shards check-lineage check-temporal examples
 
 # Full reproduction report with provenance manifest.
 report:

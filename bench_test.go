@@ -20,6 +20,7 @@ import (
 	"offnetrisk/internal/mlab"
 	"offnetrisk/internal/obs"
 	"offnetrisk/internal/optics"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/stats"
 	"offnetrisk/internal/tracert"
 	"offnetrisk/internal/traffic"
@@ -63,7 +64,7 @@ func BenchmarkTable1OffnetScan(b *testing.B) {
 		p := NewPipeline(benchSeed, ScaleTiny)
 		tr = instrument(p)
 		var err error
-		res, err = p.Table1()
+		res, err = p.Table1Context(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,12 +79,30 @@ func BenchmarkTable1OffnetScan(b *testing.B) {
 func benchColocation(b *testing.B) (*hypergiant.Deployment, *mlab.Campaign, *coloc.Analysis) {
 	b.Helper()
 	w := inet.Generate(inet.TinyConfig(benchSeed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(benchSeed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := mlab.Measure(d, mlab.Sites(163, benchSeed), mlab.DefaultConfig(benchSeed))
-	return d, c, coloc.Analyze(w, c, []float64{0.1, 0.9})
+	ctx := context.Background()
+	c, err := mlab.MeasureContext(ctx, d, mlab.Sites(163, benchSeed), mlab.ConfigFromScenario(scenario.Default(), benchSeed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := coloc.AnalyzeMixContext(ctx, w, c, []float64{0.1, 0.9}, 1, traffic.DefaultMix())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, c, a
+}
+
+// distanceMatrix builds one ISP's distance matrix on one worker.
+func distanceMatrix(b *testing.B, ms []*mlab.Measurement, sites []int, exclude float64) *coloc.DistMatrix {
+	b.Helper()
+	dm, err := coloc.DistanceMatrixContext(context.Background(), ms, sites, exclude, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return dm
 }
 
 // BenchmarkTable2Colocation regenerates Table 2 (§3.2): the latency
@@ -99,7 +118,7 @@ func benchColocation(b *testing.B) (*hypergiant.Deployment, *mlab.Campaign, *col
 // construction (see TestInstrumentationDeterminism).
 func BenchmarkTable2Colocation(b *testing.B) {
 	w := inet.Generate(inet.TinyConfig(benchSeed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(benchSeed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,13 +128,13 @@ func BenchmarkTable2Colocation(b *testing.B) {
 			ctx := context.Background()
 			var a *coloc.Analysis
 			for i := 0; i < b.N; i++ {
-				cfg := mlab.DefaultConfig(benchSeed)
+				cfg := mlab.ConfigFromScenario(scenario.Default(), benchSeed)
 				cfg.Workers = workers
 				c, err := mlab.MeasureContext(ctx, d, sites, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				a, err = coloc.AnalyzeContext(ctx, w, c, []float64{0.1, 0.9}, workers)
+				a, err = coloc.AnalyzeMixContext(ctx, w, c, []float64{0.1, 0.9}, workers, traffic.DefaultMix())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -142,7 +161,7 @@ func xiTag(xi float64) string {
 // ≥2, ≥3, 4 hypergiants (paper: 76% at ≥1; Figure 1c countries near 100%).
 func BenchmarkFigure1CountryShares(b *testing.B) {
 	w := inet.Generate(inet.TinyConfig(benchSeed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(benchSeed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -193,7 +212,7 @@ func BenchmarkValidationRDNS(b *testing.B) {
 		p := NewPipeline(benchSeed, ScaleTiny)
 		tr = instrument(p)
 		var err error
-		res, err = p.Colocation()
+		res, err = p.ColocationContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,11 +228,11 @@ func BenchmarkValidationRDNS(b *testing.B) {
 // (paper: more than 2×).
 func BenchmarkSec41CovidSpike(b *testing.B) {
 	w := inet.Generate(inet.TinyConfig(benchSeed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(benchSeed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := capacity.Build(d, capacity.DefaultConfig(benchSeed))
+	m := capacity.Build(d, capacity.ConfigFromScenario(scenario.Default(), benchSeed))
 	b.ResetTimer()
 	var rep capacity.CovidReport
 	for i := 0; i < b.N; i++ {
@@ -227,15 +246,18 @@ func BenchmarkSec41CovidSpike(b *testing.B) {
 // observation). Metrics: distant-server share at trough and peak.
 func BenchmarkSec41Diurnal(b *testing.B) {
 	w := inet.Generate(inet.TinyConfig(benchSeed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(benchSeed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := capacity.Build(d, capacity.DefaultConfig(benchSeed))
+	m := capacity.Build(d, capacity.ConfigFromScenario(scenario.Default(), benchSeed))
 	b.ResetTimer()
 	var pts []capacity.DiurnalPoint
 	for i := 0; i < b.N; i++ {
-		pts = capacity.DiurnalSweep(m)
+		pts, err = capacity.DiurnalSweepContext(context.Background(), m, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(100*pts[3].DistantShare, "distant%@03h")
 	b.ReportMetric(100*pts[19].DistantShare, "distant%@19h")
@@ -252,7 +274,7 @@ func BenchmarkSec41Diurnal(b *testing.B) {
 // directly as the parallel speedup of the §4.2.1 hot path.
 func BenchmarkSec421PeeringSurvey(b *testing.B) {
 	w := inet.Generate(inet.TinyConfig(benchSeed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(benchSeed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -262,7 +284,7 @@ func BenchmarkSec421PeeringSurvey(b *testing.B) {
 			var st tracert.SurveyStats
 			var n int
 			for i := 0; i < b.N; i++ {
-				cfg := tracert.DefaultConfig(benchSeed)
+				cfg := tracert.ConfigFromScenario(scenario.Default(), benchSeed)
 				cfg.VMs = 24
 				cfg.Workers = workers
 				traces, err := tracert.SurveyContext(ctx, d, traffic.Google, cfg)
@@ -291,11 +313,11 @@ func BenchmarkSec421PeeringSurvey(b *testing.B) {
 // (paper: ≈10%), aggregated over all four hypergiants.
 func BenchmarkSec422PNICensus(b *testing.B) {
 	w := inet.Generate(inet.TinyConfig(benchSeed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(benchSeed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := capacity.Build(d, capacity.DefaultConfig(benchSeed))
+	m := capacity.Build(d, capacity.ConfigFromScenario(scenario.Default(), benchSeed))
 	b.ResetTimer()
 	var total, deficit, severe float64
 	var excess float64
@@ -323,16 +345,19 @@ func BenchmarkSec422PNICensus(b *testing.B) {
 // out per failure and the fraction of scenarios congesting a shared link.
 func BenchmarkSec43Cascade(b *testing.B) {
 	w := inet.Generate(inet.TinyConfig(benchSeed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(benchSeed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := capacity.Build(d, capacity.DefaultConfig(benchSeed))
+	m := capacity.Build(d, capacity.ConfigFromScenario(scenario.Default(), benchSeed))
 	hosts := d.HostingISPs()
 	b.ResetTimer()
 	var st cascade.SweepStats
 	for i := 0; i < b.N; i++ {
-		st = cascade.Sweep(m, d, hosts)
+		st, err = cascade.SweepContext(context.Background(), m, d, hosts, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(st.MeanHGsPerFailure, "hg-per-failure")
 	b.ReportMetric(100*st.CongestionFraction, "congesting%")
@@ -367,7 +392,7 @@ func BenchmarkAblationXiVsThreshold(b *testing.B) {
 			if len(ms) < 2 {
 				continue
 			}
-			dm := coloc.DistanceMatrix(ms, c.GoodSites[as], coloc.DiscrepancyExclusion)
+			dm := distanceMatrix(b, ms, c.GoodSites[as], coloc.DiscrepancyExclusion)
 			res := optics.Run(len(ms), dm.At, 2, math.Inf(1))
 
 			lx := res.Labels(res.ExtractXi(0.1, 2))
@@ -437,7 +462,7 @@ func BenchmarkAblationSiteExclusion(b *testing.B) {
 				continue
 			}
 			for _, exclude := range []float64{coloc.DiscrepancyExclusion, 0} {
-				dm := coloc.DistanceMatrix(ms, c.GoodSites[as], exclude)
+				dm := distanceMatrix(b, ms, c.GoodSites[as], exclude)
 				labels := optics.ClusterXi(len(ms), dm.At, 2, 0.1)
 				f1, _ := pairF1(ms, labels)
 				if exclude > 0 {
@@ -460,7 +485,7 @@ func BenchmarkAblationSiteExclusion(b *testing.B) {
 // pairwise F1 at ξ=0.1 per statistic.
 func BenchmarkAblationPingStat(b *testing.B) {
 	w := inet.Generate(inet.TinyConfig(benchSeed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(benchSeed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -474,15 +499,18 @@ func BenchmarkAblationPingStat(b *testing.B) {
 	scores := make(map[string]float64)
 	for i := 0; i < b.N; i++ {
 		for name, st := range stat {
-			cfg := mlab.DefaultConfig(benchSeed)
+			cfg := mlab.ConfigFromScenario(scenario.Default(), benchSeed)
 			cfg.Stat = st
-			c := mlab.Measure(d, sites, cfg)
+			c, err := mlab.MeasureContext(context.Background(), d, sites, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var sum, n float64
 			for as, ms := range c.ByISP {
 				if len(ms) < 2 {
 					continue
 				}
-				dm := coloc.DistanceMatrix(ms, c.GoodSites[as], coloc.DiscrepancyExclusion)
+				dm := distanceMatrix(b, ms, c.GoodSites[as], coloc.DiscrepancyExclusion)
 				labels := optics.ClusterXi(len(ms), dm.At, 2, 0.1)
 				f1, _ := pairF1(ms, labels)
 				sum += f1
@@ -509,7 +537,7 @@ func BenchmarkMappingTechnique(b *testing.B) {
 		p := NewPipeline(benchSeed, ScaleTiny)
 		tr = instrument(p)
 		var err error
-		res, err = p.MappingStudy()
+		res, err = p.MappingStudyContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -540,7 +568,7 @@ func BenchmarkMitigationIsolation(b *testing.B) {
 		p := NewPipeline(benchSeed, ScaleTiny)
 		tr = instrument(p)
 		var err error
-		res, err = p.MitigationStudy()
+		res, err = p.MitigationStudyContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -561,7 +589,7 @@ func BenchmarkSec41Apartments(b *testing.B) {
 		p := NewPipeline(benchSeed, ScaleTiny)
 		tr = instrument(p)
 		var err error
-		res, err = p.CapacityStudy()
+		res, err = p.CapacityStudyContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -578,18 +606,24 @@ func BenchmarkSec41Apartments(b *testing.B) {
 // under both layouts.
 func BenchmarkAblationColocationRisk(b *testing.B) {
 	w := inet.Generate(inet.TinyConfig(benchSeed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(benchSeed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
 	decol := cascade.Decolocate(d)
-	mCol := capacity.Build(d, capacity.DefaultConfig(benchSeed))
-	mDecol := capacity.Build(decol, capacity.DefaultConfig(benchSeed))
+	mCol := capacity.Build(d, capacity.ConfigFromScenario(scenario.Default(), benchSeed))
+	mDecol := capacity.Build(decol, capacity.ConfigFromScenario(scenario.Default(), benchSeed))
 	b.ResetTimer()
 	var col, dec cascade.RiskCurve
 	for i := 0; i < b.N; i++ {
-		col = cascade.MonteCarlo(mCol, d, 3, 60, benchSeed)
-		dec = cascade.MonteCarlo(mDecol, decol, 3, 60, benchSeed)
+		col, err = cascade.MonteCarloContext(context.Background(), mCol, d, 3, 60, benchSeed, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dec, err = cascade.MonteCarloContext(context.Background(), mDecol, decol, 3, 60, benchSeed, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(col.MeanHGs, "hg-hit/colocated")
 	b.ReportMetric(dec.MeanHGs, "hg-hit/decolocated")

@@ -54,16 +54,10 @@ type CapacityResult struct {
 	Panel PanelRow
 }
 
-// CapacityStudy runs the offnet/interconnect capacity experiments on the
-// 2023 deployment.
-func (p *Pipeline) CapacityStudy() (*CapacityResult, error) {
-	return p.CapacityStudyContext(context.Background())
-}
-
-// CapacityStudyContext is CapacityStudy with cancellation; the diurnal
-// sweep serves its 24 hours across p.Workers goroutines. The result is
-// computed once per pipeline; later calls return it unchanged and must not
-// modify it.
+// CapacityStudyContext runs the offnet/interconnect capacity experiments
+// on the 2023 deployment. The diurnal sweep serves its 24 hours across
+// p.Workers goroutines. The result is computed once per pipeline; later
+// calls return it unchanged and must not modify it.
 func (p *Pipeline) CapacityStudyContext(ctx context.Context) (*CapacityResult, error) {
 	return cached(&p.memo, memoKey{"capacity-study", 0}, func() (*CapacityResult, error) { return p.capacityStudy(ctx) })
 }

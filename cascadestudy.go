@@ -51,16 +51,11 @@ type CascadeScenario struct {
 	CongestedTransits int
 }
 
-// CascadeStudy sweeps top-facility failures across every hosting ISP and
-// reports the aggregate correlated-failure statistics plus the worst case.
-func (p *Pipeline) CascadeStudy() (*CascadeResult, error) {
-	return p.CascadeStudyContext(context.Background())
-}
-
-// CascadeStudyContext is CascadeStudy with cancellation; the facility sweep
-// and the QoE session simulation fan out across p.Workers goroutines. The
-// result is computed once per pipeline; later calls return it unchanged and
-// must not modify it.
+// CascadeStudyContext sweeps top-facility failures across every hosting
+// ISP and reports the aggregate correlated-failure statistics plus the
+// worst case. The facility sweep and the QoE session simulation fan out
+// across p.Workers goroutines. The result is computed once per pipeline;
+// later calls return it unchanged and must not modify it.
 func (p *Pipeline) CascadeStudyContext(ctx context.Context) (*CascadeResult, error) {
 	return cached(&p.memo, memoKey{"cascade-study", 0}, func() (*CascadeResult, error) { return p.cascadeStudy(ctx) })
 }
@@ -158,14 +153,10 @@ func qoeRow(q session.QoE) QoERow {
 	}
 }
 
-// PerfectStorm runs the §4.3 worst case on demand: simultaneous surge on
-// every hypergiant plus failure of the N most-colocated facilities.
-func (p *Pipeline) PerfectStorm(failures int, surge float64) (*CascadeScenario, error) {
-	return p.PerfectStormContext(context.Background(), failures, surge)
-}
-
-// PerfectStormContext is PerfectStorm with cancellation (the scenario is a
-// single simulation, so the context only gates entry).
+// PerfectStormContext runs the §4.3 worst case on demand: simultaneous
+// surge on every hypergiant plus failure of the N most-colocated
+// facilities. The scenario is a single simulation, so the context only
+// gates entry.
 func (p *Pipeline) PerfectStormContext(ctx context.Context, failures int, surge float64) (*CascadeScenario, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package offnetrisk
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -34,15 +35,15 @@ func chaosState(t *testing.T, workers int, timeline bool) []byte {
 		p.Instrument(tr)
 	}
 
-	coloc, err := p.Colocation()
+	coloc, err := p.ColocationContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := p.Table1()
+	t1, err := p.Table1Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, err := p.PeeringSurvey()
+	peer, err := p.PeeringSurveyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestChaosOffPipelineUnchanged(t *testing.T) {
 			}
 			p.Chaos = chaos.New(off, 7) // nil: profile injects nothing
 		}
-		res, err := p.Colocation()
+		res, err := p.ColocationContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestChaosSeedChangesFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Chaos = chaos.New(prof, chaosSeed)
-		res, err := p.Colocation()
+		res, err := p.ColocationContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

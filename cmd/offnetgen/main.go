@@ -49,7 +49,6 @@ func main() {
 	common := cli.Register(flag.CommandLine)
 	epoch := flag.Int("epoch", 2023, "deployment epoch (2021 or 2023)")
 	summary := flag.Bool("summary", false, "print a short summary instead of JSON")
-	jsonSnapshot := flag.Bool("json-snapshot", false, "emit a loadable world snapshot (inet.RestoreJSON format) instead of the flat dump")
 	genOnly := flag.Bool("gen-only", false, "generate (or stream) the world and print its summary without deploying offnets — the huge-tier smoke path")
 	flag.Parse()
 
@@ -99,15 +98,6 @@ func main() {
 	d, err := hypergiant.Deploy(w, hypergiant.Epoch(*epoch), hypergiant.DeployConfigFromScenario(sp, common.Seed))
 	if err != nil {
 		fatal("deploy failed", err)
-	}
-
-	if *jsonSnapshot {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(w); err != nil {
-			fatal("snapshot encode failed", err)
-		}
-		return
 	}
 
 	if *summary {

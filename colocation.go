@@ -87,17 +87,12 @@ type ColocationResult struct {
 	Unresponsive, Impossible, MeasuredISPs int
 }
 
-// Colocation runs the full §3 pipeline on the 2023 deployment: latency
-// campaign from 163 vantage points, per-ISP OPTICS clustering at both ξ,
-// Table 2 bucketing, Figure 1/2 aggregation, and the rDNS validation.
-func (p *Pipeline) Colocation() (*ColocationResult, error) {
-	return p.ColocationContext(context.Background())
-}
-
-// ColocationContext is Colocation with cancellation; the ping campaign and
-// the per-ISP OPTICS clustering fan out across p.Workers goroutines. The
-// result is computed once per pipeline; later calls return it unchanged and
-// must not modify it.
+// ColocationContext runs the full §3 pipeline on the 2023 deployment:
+// latency campaign from 163 vantage points, per-ISP OPTICS clustering at
+// both ξ, Table 2 bucketing, Figure 1/2 aggregation, and the rDNS
+// validation. The ping campaign and the per-ISP OPTICS clustering fan out
+// across p.Workers goroutines. The result is computed once per pipeline;
+// later calls return it unchanged and must not modify it.
 func (p *Pipeline) ColocationContext(ctx context.Context) (*ColocationResult, error) {
 	return cached(&p.memo, memoKey{"colocation", 0}, func() (*ColocationResult, error) { return p.colocation(ctx) })
 }

@@ -10,19 +10,13 @@ import (
 	sweeppkg "offnetrisk/internal/sweep"
 )
 
-// Conformance scores every experiment's result against the paper's
+// ConformanceContext scores every experiment's result against the paper's
 // reported shapes, one check per claim. The bands accept the synthetic
 // substrate's variance while rejecting direction or ordering violations —
 // the standard DESIGN.md §4 sets for "reproduced". Results the pipeline has
 // already computed are scored as they are, so a suite run after the
-// experiments scores that run's own results.
-func (p *Pipeline) Conformance() (*report.Suite, error) {
-	return p.ConformanceContext(context.Background())
-}
-
-// ConformanceContext is Conformance with cancellation, running every
-// sub-experiment through its context-aware variant so a SIGINT aborts the
-// whole suite promptly.
+// experiments scores that run's own results. Every sub-experiment runs
+// under ctx, so a SIGINT aborts the whole suite promptly.
 func (p *Pipeline) ConformanceContext(ctx context.Context) (*report.Suite, error) {
 	root := p.span("conformance")
 	defer root.End()

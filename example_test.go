@@ -1,6 +1,7 @@
 package offnetrisk_test
 
 import (
+	"context"
 	"fmt"
 
 	"offnetrisk"
@@ -10,7 +11,7 @@ import (
 // at both epochs, certificate inference, and the §2.2 growth numbers.
 func ExampleNewPipeline() {
 	p := offnetrisk.NewPipeline(7, offnetrisk.ScaleTiny)
-	t1, err := p.Table1()
+	t1, err := p.Table1Context(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -25,12 +26,12 @@ func ExampleNewPipeline() {
 	// Akamai: 12 -> 12 ISPs (+0.0%)
 }
 
-// ExamplePipeline_MappingStudy demonstrates the §3.2 methodology point:
-// the 2013 DNS/ECS technique cannot map users to offnets under modern
-// embedded-URL steering.
-func ExamplePipeline_MappingStudy() {
+// ExamplePipeline_MappingStudyContext demonstrates the §3.2 methodology
+// point: the 2013 DNS/ECS technique cannot map users to offnets under
+// modern embedded-URL steering.
+func ExamplePipeline_MappingStudyContext() {
 	p := offnetrisk.NewPipeline(7, offnetrisk.ScaleTiny)
-	res, err := p.MappingStudy()
+	res, err := p.MappingStudyContext(context.Background())
 	if err != nil {
 		panic(err)
 	}

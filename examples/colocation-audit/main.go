@@ -88,7 +88,7 @@ func main() {
 
 	// What happens if the busiest facility fails at peak?
 	fid, nHGs := cascade.TopFacility(d, as)
-	m := capacity.Build(d, capacity.DefaultConfig(7))
+	m := capacity.Build(d, capacity.ConfigFromScenario(p.Scenario(), p.Seed))
 	sc := cascade.DefaultScenario()
 	sc.FailFacilities = map[inet.FacilityID]bool{fid: true}
 	rep := cascade.Simulate(m, d, sc)

@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := capacity.Build(d, capacity.DefaultConfig(7))
+	m := capacity.Build(d, capacity.ConfigFromScenario(p.Scenario(), p.Seed))
 
 	// A bad update takes out the top facility of the five biggest hosts.
 	failed := make(map[inet.FacilityID]bool)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 	fmt.Printf("%-8s %6s %6s %9s %11s %8s %9s\n",
 		"HG", "hosts", "peer", "possible", "no-evidence", "via-IXP", "IXP-only")
 	for _, hg := range traffic.All {
-		res, err := p.PeeringSurveyFor(hg)
+		res, err := p.PeeringSurveyForContext(context.Background(), hg)
 		if err != nil {
 			log.Fatal(err)
 		}

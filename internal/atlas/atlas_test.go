@@ -2,6 +2,7 @@ package atlas
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -10,18 +11,27 @@ import (
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/mlab"
 	"offnetrisk/internal/rdns"
+	"offnetrisk/internal/scenario"
+	"offnetrisk/internal/traffic"
 )
 
 func buildAtlas(t *testing.T, seed int64) (*hypergiant.Deployment, []Entry) {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mlab.Measure(d, mlab.Sites(163, seed), mlab.DefaultConfig(seed))
-	a := coloc.Analyze(w, c, []float64{0.1, 0.9})
-	ptrs := rdns.Synthesize(d, rdns.DefaultConfig(seed))
+	ctx := context.Background()
+	c, err := mlab.MeasureContext(ctx, d, mlab.Sites(163, seed), mlab.ConfigFromScenario(scenario.Default(), seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := coloc.AnalyzeMixContext(ctx, w, c, []float64{0.1, 0.9}, 1, traffic.DefaultMix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptrs := rdns.Synthesize(d, rdns.ConfigFromScenario(scenario.Default(), seed))
 	return d, Build(d, c, a, ptrs, 0.9)
 }
 
@@ -54,7 +64,7 @@ func TestAtlasBeatsPerHostnameLocation(t *testing.T) {
 	// Locating each address only by its own PTR caps coverage at
 	// (PTR coverage × geohint rate) ≈ 25%; the cluster vote must beat it.
 	d, entries := buildAtlas(t, 1)
-	ptrs := rdns.Synthesize(d, rdns.DefaultConfig(1))
+	ptrs := rdns.Synthesize(d, rdns.ConfigFromScenario(scenario.Default(), 1))
 	var soloLocated int
 	for _, e := range entries {
 		if host, ok := ptrs[e.Addr]; ok {

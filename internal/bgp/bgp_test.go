@@ -7,6 +7,7 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/rngutil"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
@@ -125,7 +126,7 @@ func TestFromWorldFullReachabilityAndValleyFree(t *testing.T) {
 	// Every AS must reach every access ISP, and every reconstructed path
 	// must be valley-free — the global invariants of the routing substrate.
 	w := inet.Generate(inet.TinyConfig(1))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(1))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestFromWorldFullReachabilityAndValleyFree(t *testing.T) {
 
 func TestPathsDeterministic(t *testing.T) {
 	w := inet.Generate(inet.TinyConfig(2))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(2))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}

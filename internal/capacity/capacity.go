@@ -47,16 +47,6 @@ type Config struct {
 	Mix traffic.Mix
 }
 
-// DefaultConfig returns the calibration used by the experiments.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:               seed,
-		PeakMbpsPerUser:    0.3,
-		OffnetProvisioning: traffic.SteadyOffnetProvisioning,
-		BurstFactor:        1.2,
-	}
-}
-
 func (c Config) sanitized() Config {
 	if c.PeakMbpsPerUser <= 0 {
 		c.PeakMbpsPerUser = 0.3

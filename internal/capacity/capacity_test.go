@@ -1,22 +1,24 @@
 package capacity
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
 func buildModel(t *testing.T, seed int64) (*hypergiant.Deployment, *Model) {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, Build(d, DefaultConfig(seed))
+	return d, Build(d, ConfigFromScenario(scenario.Default(), seed))
 }
 
 func TestBuildCoversDeployment(t *testing.T) {
@@ -128,7 +130,10 @@ func TestDiurnalDistantServerEffect(t *testing.T) {
 	// Distant share must be higher at peak (hour 19) than at trough (hour
 	// 3) — the 530-apartment observation.
 	_, m := buildModel(t, 1)
-	pts := DiurnalSweep(m)
+	pts, err := DiurnalSweepContext(context.Background(), m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 24 {
 		t.Fatalf("got %d hours", len(pts))
 	}

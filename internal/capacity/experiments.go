@@ -78,17 +78,11 @@ type DiurnalPoint struct {
 	OffnetHeadGap float64 // unserved-by-offnet Gbps
 }
 
-// DiurnalSweep serves all 24 hours and reports the nearby/distant split —
-// the 530-apartment observation: "During peak periods, a higher fraction of
-// traffic from the same services instead comes from more distant servers."
-func DiurnalSweep(m *Model) []DiurnalPoint {
-	out, _ := DiurnalSweepContext(context.Background(), m, 1)
-	return out
-}
-
-// DiurnalSweepContext is DiurnalSweep with cancellation, serving each of the
-// 24 hours as an independent task (Serve is read-only on the model) and
-// returning the points in hour order.
+// DiurnalSweepContext serves all 24 hours and reports the nearby/distant
+// split — the 530-apartment observation: "During peak periods, a higher
+// fraction of traffic from the same services instead comes from more
+// distant servers." Each hour is an independent task (Serve is read-only on
+// the model) and the points return in hour order.
 func DiurnalSweepContext(ctx context.Context, m *Model, workers int) ([]DiurnalPoint, error) {
 	return par.Map(ctx, 24, par.Options{Workers: workers, Name: "diurnal-sweep"},
 		func(_ context.Context, h int) (DiurnalPoint, error) {
@@ -139,8 +133,11 @@ func CensusPNIs(m *Model, hg traffic.HG) PNICensus {
 			byISP[f.ISP] = f
 		}
 	}
+	// Ascending ASN, so the excess sum is the same on every run.
+	pnis := m.PNIGbps[hg]
 	var excessSum float64
-	for as, cap := range m.PNIGbps[hg] {
+	for _, as := range inet.SortedASNs(pnis) {
+		cap := pnis[as]
 		if cap <= 0 {
 			continue
 		}

@@ -9,6 +9,7 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/rngutil"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
@@ -269,11 +270,11 @@ func TestServeAllocs(t *testing.T) {
 	large.TotalUsers *= 5
 	for _, cfg := range []inet.Config{small, large} {
 		w := inet.Generate(cfg)
-		d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(cfg.Seed))
+		d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), cfg.Seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := Build(d, DefaultConfig(cfg.Seed))
+		m := Build(d, ConfigFromScenario(scenario.Default(), cfg.Seed))
 		failed, _ := randomFailures(rngutil.New(cfg.Seed), m)
 		surge := map[traffic.HG]float64{traffic.Netflix: 1.5}
 		if n := testing.AllocsPerRun(20, func() { m.Serve(1.0, nil, nil) }); n != 2 {
@@ -303,7 +304,7 @@ func TestFailedSharesSumInFacilityOrder(t *testing.T) {
 		failed[fid] = true
 	}
 	d.Reindex()
-	m := Build(d, DefaultConfig(1))
+	m := Build(d, ConfigFromScenario(scenario.Default(), 1))
 
 	// The guard needs order-sensitive shares: descending order must not
 	// reach exactly 1.

@@ -4,8 +4,7 @@ import "offnetrisk/internal/scenario"
 
 // ConfigFromScenario builds the capacity-model calibration a resolved spec
 // declares: demand from the deployment section, provisioning and burst
-// tolerance from the traffic section. With the default scenario it equals
-// DefaultConfig(seed) plus the equivalent default mix.
+// tolerance from the traffic section.
 func ConfigFromScenario(sp *scenario.Spec, seed int64) Config {
 	return Config{
 		Seed:               seed,

@@ -182,17 +182,11 @@ type SweepStats struct {
 	MeanCollateralISPs float64
 }
 
-// Sweep fails the top facility of each given ISP in turn and aggregates.
-func Sweep(m *capacity.Model, d *hypergiant.Deployment, isps []inet.ASN) SweepStats {
-	st, _ := SweepContext(context.Background(), m, d, isps, 1)
-	return st
-}
-
-// SweepContext is Sweep with cancellation, one scenario simulation per task
-// on a bounded worker pool. The no-failure baseline is built once and shared
-// read-only by every task; a scenario only reads the model, deployment and
-// baseline, and the stats are commutative sums, so the aggregate is
-// identical at any worker count.
+// SweepContext fails the top facility of each given ISP in turn and
+// aggregates, one scenario simulation per task on a bounded worker pool.
+// The no-failure baseline is built once and shared read-only by every task;
+// a scenario only reads the model, deployment and baseline, and the stats
+// are commutative sums, so the aggregate is identical at any worker count.
 func SweepContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment, isps []inet.ASN, workers int) (SweepStats, error) {
 	type outcome struct {
 		ok        bool

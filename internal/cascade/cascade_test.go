@@ -1,23 +1,25 @@
 package cascade
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"offnetrisk/internal/capacity"
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
 func setup(t *testing.T, seed int64) (*hypergiant.Deployment, *capacity.Model) {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, capacity.Build(d, capacity.DefaultConfig(seed))
+	return d, capacity.Build(d, capacity.ConfigFromScenario(scenario.Default(), seed))
 }
 
 // multiHGISP finds an ISP whose top facility hosts several hypergiants.
@@ -178,7 +180,10 @@ func TestLinkLoadHelpers(t *testing.T) {
 func TestSweep(t *testing.T) {
 	d, m := setup(t, 1)
 	hosts := d.HostingISPs()
-	st := Sweep(m, d, hosts[:20])
+	st, err := SweepContext(context.Background(), m, d, hosts[:20], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Scenarios == 0 {
 		t.Fatal("no scenarios ran")
 	}

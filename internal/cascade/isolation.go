@@ -174,16 +174,10 @@ type MitigationStats struct {
 	ScenariosFullyNeutralized int // isolation removed all collateral
 }
 
-// MitigationSweep runs the §4.3 sweep under both regimes.
-func MitigationSweep(m *capacity.Model, d *hypergiant.Deployment, isps []inet.ASN) MitigationStats {
-	st, _ := MitigationSweepContext(context.Background(), m, d, isps, 1)
-	return st
-}
-
-// MitigationSweepContext is MitigationSweep with cancellation and a worker
-// pool; the no-failure baseline is built once and shared read-only, each
-// ISP's shared-vs-isolated scenario pair is one task, and the aggregates are
-// commutative sums, so the stats match at any worker count.
+// MitigationSweepContext runs the §4.3 sweep under both regimes on a
+// worker pool. The no-failure baseline is built once and shared read-only,
+// each ISP's shared-vs-isolated scenario pair is one task, and the
+// aggregates are commutative sums, so the stats match at any worker count.
 func MitigationSweepContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment, isps []inet.ASN, workers int) (MitigationStats, error) {
 	type outcome struct {
 		ok               bool

@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"context"
 	"testing"
 
 	"offnetrisk/internal/inet"
@@ -52,7 +53,10 @@ func TestMitigationSweepReducesCollateral(t *testing.T) {
 	// links cut collateral damage substantially.
 	d, m := setup(t, 1)
 	hosts := d.HostingISPs()
-	st := MitigationSweep(m, d, hosts)
+	st, err := MitigationSweepContext(context.Background(), m, d, hosts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Scenarios == 0 {
 		t.Fatal("no scenarios")
 	}

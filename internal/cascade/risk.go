@@ -48,19 +48,13 @@ func (r RiskCurve) AtLeast(users float64) float64 {
 	return 0
 }
 
-// MonteCarlo samples `trials` scenarios, each failing k uniformly random
-// offnet-hosting facilities at peak, and returns the exceedance curve of
-// affected users. Each trial draws its facility sample from an independent
-// substream derived from (seed, trial), so the curve is invariant to worker
-// count and scheduling.
-func MonteCarlo(m *capacity.Model, d *hypergiant.Deployment, k, trials int, seed int64) RiskCurve {
-	rc, _ := MonteCarloContext(context.Background(), m, d, k, trials, seed, 1)
-	return rc
-}
-
-// MonteCarloContext is MonteCarlo with cancellation and a worker-pool knob;
-// trials run concurrently against one shared no-failure baseline and merge
-// in trial order.
+// MonteCarloContext samples `trials` scenarios, each failing k uniformly
+// random offnet-hosting facilities at peak, and returns the exceedance
+// curve of affected users. Each trial draws its facility sample from an
+// independent substream derived from (seed, trial), so the curve is
+// invariant to worker count and scheduling. Trials run concurrently on a
+// worker pool against one shared no-failure baseline and merge in trial
+// order.
 func MonteCarloContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment, k, trials int, seed int64, workers int) (RiskCurve, error) {
 	w := d.World
 

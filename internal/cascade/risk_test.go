@@ -1,14 +1,27 @@
 package cascade
 
 import (
+	"context"
 	"testing"
 
 	"offnetrisk/internal/capacity"
+	"offnetrisk/internal/hypergiant"
+	"offnetrisk/internal/scenario"
 )
+
+// monteCarlo runs MonteCarloContext on one worker, failing the test on error.
+func monteCarlo(t *testing.T, m *capacity.Model, d *hypergiant.Deployment, k, trials int, seed int64) RiskCurve {
+	t.Helper()
+	rc, err := MonteCarloContext(context.Background(), m, d, k, trials, seed, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rc
+}
 
 func TestMonteCarloBasics(t *testing.T) {
 	d, m := setup(t, 1)
-	rc := MonteCarlo(m, d, 3, 40, 1)
+	rc := monteCarlo(t, m, d, 3, 40, 1)
 	if rc.Trials != 40 || len(rc.Curve) != 40 {
 		t.Fatalf("trials=%d curve=%d", rc.Trials, len(rc.Curve))
 	}
@@ -37,8 +50,8 @@ func TestMonteCarloBasics(t *testing.T) {
 
 func TestMonteCarloDeterministic(t *testing.T) {
 	d, m := setup(t, 2)
-	a := MonteCarlo(m, d, 2, 20, 7)
-	b := MonteCarlo(m, d, 2, 20, 7)
+	a := monteCarlo(t, m, d, 2, 20, 7)
+	b := monteCarlo(t, m, d, 2, 20, 7)
 	if a.MeanAffected != b.MeanAffected || a.MeanHGs != b.MeanHGs {
 		t.Fatal("Monte Carlo not deterministic for same seed")
 	}
@@ -46,10 +59,10 @@ func TestMonteCarloDeterministic(t *testing.T) {
 
 func TestMonteCarloDegenerate(t *testing.T) {
 	d, m := setup(t, 1)
-	if rc := MonteCarlo(m, d, 0, 10, 1); rc.Trials != 0 {
+	if rc := monteCarlo(t, m, d, 0, 10, 1); rc.Trials != 0 {
 		t.Error("k=0 should return empty curve")
 	}
-	if rc := MonteCarlo(m, d, 3, 0, 1); rc.Trials != 0 {
+	if rc := monteCarlo(t, m, d, 3, 0, 1); rc.Trials != 0 {
 		t.Error("trials=0 should return empty curve")
 	}
 }
@@ -71,10 +84,10 @@ func TestDecolocationReducesCorrelatedRisk(t *testing.T) {
 		}
 	}
 
-	mCol := capacity.Build(d, capacity.DefaultConfig(1))
-	mDecol := capacity.Build(decol, capacity.DefaultConfig(1))
-	col := MonteCarlo(mCol, d, 3, 60, 11)
-	dec := MonteCarlo(mDecol, decol, 3, 60, 11)
+	mCol := capacity.Build(d, capacity.ConfigFromScenario(scenario.Default(), 1))
+	mDecol := capacity.Build(decol, capacity.ConfigFromScenario(scenario.Default(), 1))
+	col := monteCarlo(t, mCol, d, 3, 60, 11)
+	dec := monteCarlo(t, mDecol, decol, 3, 60, 11)
 	if dec.MeanHGs >= col.MeanHGs {
 		t.Errorf("decolocation did not reduce correlated failures: %.2f vs %.2f HGs/scenario",
 			dec.MeanHGs, col.MeanHGs)

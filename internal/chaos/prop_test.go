@@ -6,6 +6,7 @@
 package chaos_test
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -20,6 +21,7 @@ import (
 	"offnetrisk/internal/offnetmap"
 	"offnetrisk/internal/rngutil"
 	"offnetrisk/internal/scan"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/tracert"
 	"offnetrisk/internal/traffic"
 )
@@ -41,12 +43,12 @@ func propFixture(t *testing.T) (*inet.World, *hypergiant.Deployment, []scan.Reco
 	t.Helper()
 	fixture.once.Do(func() {
 		fixture.w = inet.Generate(inet.TinyConfig(7))
-		d, err := hypergiant.Deploy(fixture.w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(7))
+		d, err := hypergiant.Deploy(fixture.w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 7))
 		if err != nil {
 			t.Fatal(err)
 		}
 		fixture.d = d
-		recs, err := scan.Simulate(d, scan.DefaultConfig(7))
+		recs, err := scan.Simulate(d, scan.ConfigFromScenario(scenario.Default(), 7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,12 +89,16 @@ func randomProfile(i int64) chaos.Profile {
 func pingCampaign(t *testing.T, inj *chaos.Injector) *mlab.Campaign {
 	t.Helper()
 	_, d, _, sites := propFixture(t)
-	cfg := mlab.DefaultConfig(7)
+	cfg := mlab.ConfigFromScenario(scenario.Default(), 7)
 	cfg.Probes = 4
 	cfg.MinSites = 25
 	cfg.Workers = 4
 	cfg.Chaos = inj
-	return mlab.Measure(d, sites, cfg)
+	c, err := mlab.MeasureContext(context.Background(), d, sites, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // auditDegraded recomputes the degradation verdict from raw snapshots with
@@ -218,7 +224,10 @@ func TestPropertyColocClustersExcludeDropped(t *testing.T) {
 		prof := randomProfile(1000 + i)
 		inj := chaos.New(prof, rngutil.Derive(propSeed, 3, i))
 		c := pingCampaign(t, inj)
-		a := coloc.Analyze(w, c, []float64{0.9})
+		a, err := coloc.AnalyzeMixContext(context.Background(), w, c, []float64{0.9}, 1, traffic.DefaultMix())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for as, r := range a.PerISP {
 			ms := c.ByISP[as]
 			xr := r.PerXi[0.9]
@@ -291,12 +300,15 @@ func TestPropertyTracertFunnelsBalanced(t *testing.T) {
 		obs.Default.Reset()
 		prof := randomProfile(2000 + i)
 		inj := chaos.New(prof, rngutil.Derive(propSeed, 5, i))
-		cfg := tracert.DefaultConfig(7)
+		cfg := tracert.ConfigFromScenario(scenario.Default(), 7)
 		cfg.VMs = 6
 		cfg.TargetsPerISP = 2
 		cfg.Workers = 4
 		cfg.Chaos = inj
-		traces := tracert.Survey(d, traffic.Google, cfg)
+		traces, err := tracert.SurveyContext(context.Background(), d, traffic.Google, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tracert.Infer(w, traffic.Google, d.ContentAS[traffic.Google], traces)
 
 		var issued int64

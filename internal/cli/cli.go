@@ -158,15 +158,13 @@ func (c *Common) WorldConfig() (inet.Config, error) {
 	if err != nil {
 		return inet.Config{}, err
 	}
-	var cfg inet.Config
 	switch {
 	case c.Tiny:
-		cfg = inet.TinyConfig(c.Seed)
+		sp = scenario.MustLookup("tiny")
 	case c.Large:
-		cfg = inet.LargeConfig(c.Seed)
-	default:
-		cfg = inet.ConfigFromScenario(sp, c.Seed)
+		sp = scenario.MustLookup("large")
 	}
+	cfg := inet.ConfigFromScenario(sp, c.Seed)
 	cfg.Shards = c.Shards
 	cfg.GenWorkers = c.Workers
 	return cfg, nil

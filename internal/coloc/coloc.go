@@ -118,13 +118,6 @@ type Analysis struct {
 	BusiestReach []float64
 }
 
-// Analyze clusters every usable ISP at each ξ. MinPts is fixed at the
-// paper's n_min = 2.
-func Analyze(w *inet.World, c *mlab.Campaign, xis []float64) *Analysis {
-	a, _ := AnalyzeContext(context.Background(), w, c, xis, 1)
-	return a
-}
-
 // ispScratch is the per-worker reusable state of the per-ISP clustering
 // task: the distance matrix storage and the OPTICS working arrays. With it,
 // the steady-state analysis loop performs no per-pair and no per-run
@@ -134,20 +127,15 @@ type ispScratch struct {
 	opt optics.Scratch
 }
 
-// AnalyzeContext is Analyze fanned out one ISP per task (ascending ASN):
+// AnalyzeMixContext clusters every usable ISP at each ξ, with MinPts fixed
+// at the paper's n_min = 2, fanned out one ISP per task (ascending ASN):
 // each task builds its own distance matrix and OPTICS ordering, touching
 // nothing shared, so the per-ISP results are identical at any worker count.
 // The distance matrix and the OPTICS reachability ordering depend only on
 // the sites and the exclusion — not on ξ — so both are computed once per
 // ISP and the per-ξ work is just the steepness extraction over the shared
-// ordering.
-func AnalyzeContext(ctx context.Context, w *inet.World, c *mlab.Campaign, xis []float64, workers int) (*Analysis, error) {
-	return AnalyzeMixContext(ctx, w, c, xis, workers, traffic.DefaultMix())
-}
-
-// AnalyzeMixContext is AnalyzeContext with traffic shares taken from the
-// given mix instead of the paper's constants, so scenario worlds report
-// facility shares consistent with their own traffic section.
+// ordering. Facility traffic shares come from the given mix, so scenario
+// worlds report shares consistent with their own traffic section.
 func AnalyzeMixContext(ctx context.Context, w *inet.World, c *mlab.Campaign, xis []float64, workers int, mix traffic.Mix) (*Analysis, error) {
 	mix = mix.Sanitized()
 	a := &Analysis{Xis: xis, PerISP: make(map[inet.ASN]*ISPResult)}

@@ -1,6 +1,7 @@
 package coloc
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/mlab"
 	"offnetrisk/internal/optics"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/stats"
 	"offnetrisk/internal/traffic"
 )
@@ -17,13 +19,31 @@ import (
 func fullPipeline(t *testing.T, seed int64) (*hypergiant.Deployment, *mlab.Campaign, *Analysis) {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mlab.Measure(d, mlab.Sites(163, seed), mlab.DefaultConfig(seed))
-	a := Analyze(w, c, []float64{0.1, 0.9})
+	ctx := context.Background()
+	c, err := mlab.MeasureContext(ctx, d, mlab.Sites(163, seed), mlab.ConfigFromScenario(scenario.Default(), seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := AnalyzeMixContext(ctx, w, c, []float64{0.1, 0.9}, 1, traffic.DefaultMix())
+	if err != nil {
+		t.Fatal(err)
+	}
 	return d, c, a
+}
+
+// distanceMatrix builds a one-worker distance matrix at the paper's
+// discrepancy exclusion, failing the test on error.
+func distanceMatrix(t *testing.T, ms []*mlab.Measurement, sites []int) *DistMatrix {
+	t.Helper()
+	m, err := DistanceMatrixContext(context.Background(), ms, sites, DiscrepancyExclusion, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestPairDistance(t *testing.T) {
@@ -56,7 +76,7 @@ func TestDistanceMatrixSymmetricZeroDiag(t *testing.T) {
 		if len(ms) < 2 {
 			continue
 		}
-		dm := DistanceMatrix(ms, c.GoodSites[as], DiscrepancyExclusion)
+		dm := distanceMatrix(t, ms, c.GoodSites[as])
 		if dm.N() != len(ms) {
 			t.Fatalf("N = %d, want %d", dm.N(), len(ms))
 		}
@@ -456,7 +476,7 @@ func TestBusiestReachMatchesStandaloneRun(t *testing.T) {
 		}
 	}
 	ms := c.ByISP[busiest]
-	want := optics.Run(len(ms), DistanceMatrix(ms, c.GoodSites[busiest], DiscrepancyExclusion).At, 2, math.Inf(1)).Reach
+	want := optics.Run(len(ms), distanceMatrix(t, ms, c.GoodSites[busiest]).At, 2, math.Inf(1)).Reach
 	if len(want) < 2 || fmt.Sprint(a.BusiestReach) != fmt.Sprint(want) {
 		t.Fatalf("BusiestReach (%d values) differs from the standalone run over ISP %d (%d values)",
 			len(a.BusiestReach), busiest, len(want))

@@ -207,17 +207,11 @@ func (m *DistMatrix) At(i, j int) float64 {
 // the flat triangle are balanced to within one block regardless of n.
 const pairBlock = 2048
 
-// DistanceMatrix builds the pairwise distance matrix for an ISP's
-// measurements.
-func DistanceMatrix(ms []*mlab.Measurement, sites []int, exclude float64) *DistMatrix {
-	m, _ := DistanceMatrixContext(context.Background(), ms, sites, exclude, 1)
-	return m
-}
-
-// DistanceMatrixContext is DistanceMatrix fanned out in balanced pair-blocks
-// across workers: each task fills a disjoint contiguous range of the flat
-// triangle, so any worker count fills the same cells. Distances are pure
-// functions of the inputs — no RNG to thread.
+// DistanceMatrixContext builds the pairwise distance matrix for an ISP's
+// measurements, fanned out in balanced pair-blocks across workers: each
+// task fills a disjoint contiguous range of the flat triangle, so any
+// worker count fills the same cells. Distances are pure functions of the
+// inputs — no RNG to thread.
 func DistanceMatrixContext(ctx context.Context, ms []*mlab.Measurement, sites []int, exclude float64, workers int) (*DistMatrix, error) {
 	m := NewDistMatrix(len(ms))
 	if err := DistanceMatrixInto(ctx, m, ms, sites, exclude, workers); err != nil {

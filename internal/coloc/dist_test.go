@@ -138,7 +138,7 @@ func syntheticMeasurements(seed int64, n, sites int) ([]*mlab.Measurement, []int
 // one 2048-cell block).
 func TestDistanceMatrixBlocksMatchPairDistance(t *testing.T) {
 	ms, sites := syntheticMeasurements(3, 70, 60)
-	want := DistanceMatrix(ms, sites, DiscrepancyExclusion)
+	want := distanceMatrix(t, ms, sites)
 	for _, workers := range []int{1, 3, 8} {
 		dm, err := DistanceMatrixContext(context.Background(), ms, sites, DiscrepancyExclusion, workers)
 		if err != nil {
@@ -176,7 +176,7 @@ func TestDistanceMatrixIntoReuse(t *testing.T) {
 	if err := DistanceMatrixInto(ctx, &m, small, sitesSmall, DiscrepancyExclusion, 1); err != nil {
 		t.Fatal(err)
 	}
-	fresh := DistanceMatrix(small, sitesSmall, DiscrepancyExclusion)
+	fresh := distanceMatrix(t, small, sitesSmall)
 	if m.N() != fresh.N() {
 		t.Fatalf("reused N = %d, want %d", m.N(), fresh.N())
 	}

@@ -44,17 +44,6 @@ type DeployConfig struct {
 	Profiles map[traffic.HG]Profile
 }
 
-// DefaultDeployConfig returns the configuration used by the experiments.
-func DefaultDeployConfig(seed int64) DeployConfig {
-	return DeployConfig{
-		Seed:                 seed,
-		PeakMbpsPerUser:      0.3,
-		ColocationPropensity: 0.86,
-		ResponsiveFraction:   0.955,
-		AnycastFraction:      0.007,
-	}
-}
-
 func (c DeployConfig) sanitized() DeployConfig {
 	if c.PeakMbpsPerUser <= 0 {
 		c.PeakMbpsPerUser = 0.3

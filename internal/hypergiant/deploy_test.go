@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
 func deployTiny(t *testing.T, epoch Epoch, seed int64) *Deployment {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := Deploy(w, epoch, DefaultDeployConfig(seed))
+	d, err := Deploy(w, epoch, DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestPNICapacityMixture(t *testing.T) {
 	// §4.2.2: a meaningful fraction of PNIs must be under-provisioned, and
 	// ≈10% severely (demand ≈ 2× capacity).
 	d := deployTiny(t, Epoch2023, 1)
-	cfg := DefaultDeployConfig(1)
+	cfg := DeployConfigFromScenario(scenario.Default(), 1)
 	var under, severe, total int
 	for _, p := range d.Peerings {
 		if p.Kind != PeerPNI {
@@ -346,7 +347,7 @@ func TestPNICapacityMixture(t *testing.T) {
 
 func TestDeployRejectsBadEpoch(t *testing.T) {
 	w := inet.Generate(inet.TinyConfig(1))
-	if _, err := Deploy(w, Epoch(1999), DefaultDeployConfig(1)); err == nil {
+	if _, err := Deploy(w, Epoch(1999), DeployConfigFromScenario(scenario.Default(), 1)); err == nil {
 		t.Error("unknown epoch should error")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 )
 
 // Failure-injection tests: the deployment and measurement layers must
@@ -16,7 +17,7 @@ func TestDeployOnMinimalWorld(t *testing.T) {
 		TotalUsers: 1e6, ZipfExponent: 1, UsersPerSlash24: 8000,
 	}
 	w := inet.Generate(cfg)
-	d, err := Deploy(w, Epoch2023, DefaultDeployConfig(1))
+	d, err := Deploy(w, Epoch2023, DeployConfigFromScenario(scenario.Default(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestHostAddressSpacePressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, err := Deploy(w, Epoch2023, DefaultDeployConfig(4))
+	d, err := Deploy(w, Epoch2023, DeployConfigFromScenario(scenario.Default(), 4))
 	if err != nil {
 		t.Fatalf("deployment failed under address pressure: %v", err)
 	}

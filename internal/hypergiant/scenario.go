@@ -27,9 +27,7 @@ func ProfilesFromScenario(sp *scenario.Spec) map[traffic.HG]Profile {
 }
 
 // DeployConfigFromScenario builds the deployment configuration a resolved
-// spec declares. With the default scenario it equals
-// DefaultDeployConfig(seed) after sanitizing, so defaulted pipelines are
-// byte-identical to the constant-based path.
+// spec declares.
 func DeployConfigFromScenario(sp *scenario.Spec, seed int64) DeployConfig {
 	return DeployConfig{
 		Seed:                 seed,

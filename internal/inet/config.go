@@ -43,69 +43,6 @@ type Config struct {
 	GenWorkers int
 }
 
-// DefaultConfig returns the world used by the command-line tools: large
-// enough for stable statistics, small enough to run in seconds.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:            seed,
-		AccessISPs:      900,
-		TransitISPs:     48,
-		Backbones:       8,
-		IXPs:            36,
-		TotalUsers:      3.0e9,
-		ZipfExponent:    1.05,
-		UsersPerSlash24: 8000,
-	}
-}
-
-// LargeConfig returns a world sized closer to the paper's datasets (still
-// laptop-feasible: the colocation pipeline takes on the order of a minute).
-func LargeConfig(seed int64) Config {
-	return Config{
-		Seed:            seed,
-		AccessISPs:      2400,
-		TransitISPs:     96,
-		Backbones:       10,
-		IXPs:            60,
-		TotalUsers:      4.2e9,
-		ZipfExponent:    1.05,
-		UsersPerSlash24: 8000,
-	}
-}
-
-// HugeConfig returns the `huge` scale tier: 50x+ the default entity counts,
-// with the biggest access ISPs weighing in at hundreds of millions of users,
-// generated by the sharded builder. Worlds this size are meant to be
-// generated once, spilled to a snapshot (WriteWorldFile), and streamed back
-// by campaigns instead of re-synthesized.
-func HugeConfig(seed int64) Config {
-	return Config{
-		Seed:            seed,
-		AccessISPs:      48000,
-		TransitISPs:     2400,
-		Backbones:       64,
-		IXPs:            720,
-		TotalUsers:      5.0e9,
-		ZipfExponent:    1.05,
-		UsersPerSlash24: 8000,
-		Sharded:         true,
-	}
-}
-
-// TinyConfig returns a miniature world for unit tests.
-func TinyConfig(seed int64) Config {
-	return Config{
-		Seed:            seed,
-		AccessISPs:      60,
-		TransitISPs:     10,
-		Backbones:       3,
-		IXPs:            8,
-		TotalUsers:      2.0e8,
-		ZipfExponent:    1.0,
-		UsersPerSlash24: 8000,
-	}
-}
-
 // sanitized fills zero or nonsense fields with the TinyConfig values, so a
 // zero-valued Config and the tiny world agree field for field.
 func (c Config) sanitized() Config {

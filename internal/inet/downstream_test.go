@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"offnetrisk/internal/scenario"
 )
 
 // scanDownstreamUsers is the per-call scan DownstreamUsers replaced: every
@@ -55,7 +57,7 @@ func TestDownstreamUsersMatchesScan(t *testing.T) {
 	}{
 		{"tiny", TinyConfig(42)},
 		{"tiny-sharded", sharded},
-		{"default", DefaultConfig(42)},
+		{"default", ConfigFromScenario(scenario.Default(), 42)},
 	} {
 		w := Generate(tc.cfg)
 		assertDownstreamMatchesScan(t, tc.name, w)

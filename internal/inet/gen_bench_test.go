@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"offnetrisk/internal/scenario"
 )
 
 // BenchmarkWorldGenerate measures world synthesis at the default-world
@@ -15,7 +17,7 @@ import (
 // multi-core ones).
 func BenchmarkWorldGenerate(b *testing.B) {
 	b.Run("legacy", func(b *testing.B) {
-		cfg := DefaultConfig(42)
+		cfg := ConfigFromScenario(scenario.Default(), 42)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -28,7 +30,7 @@ func BenchmarkWorldGenerate(b *testing.B) {
 	}
 	for _, sh := range shardCounts {
 		b.Run(fmt.Sprintf("sharded/shards=%d", sh), func(b *testing.B) {
-			cfg := DefaultConfig(42)
+			cfg := ConfigFromScenario(scenario.Default(), 42)
 			cfg.Sharded = true
 			cfg.Shards = sh
 			cfg.GenWorkers = sh

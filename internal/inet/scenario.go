@@ -3,8 +3,7 @@ package inet
 import "offnetrisk/internal/scenario"
 
 // ConfigFromScenario builds the generation config a resolved spec's topology
-// section declares. With the registry's default/tiny/large/huge scenarios it
-// equals DefaultConfig/TinyConfig/LargeConfig/HugeConfig field for field.
+// section declares.
 func ConfigFromScenario(sp *scenario.Spec, seed int64) Config {
 	t := sp.Topology
 	return Config{
@@ -18,4 +17,10 @@ func ConfigFromScenario(sp *scenario.Spec, seed int64) Config {
 		UsersPerSlash24: t.UsersPerSlash24,
 		Sharded:         t.Sharded,
 	}
+}
+
+// TinyConfig returns the registry's `tiny` topology: a miniature world for
+// unit tests and the world behind -tiny.
+func TinyConfig(seed int64) Config {
+	return ConfigFromScenario(scenario.MustLookup("tiny"), seed)
 }

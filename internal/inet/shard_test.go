@@ -2,24 +2,24 @@ package inet
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"runtime"
 	"testing"
 
 	"offnetrisk/internal/netaddr"
 	"offnetrisk/internal/rngutil"
+	"offnetrisk/internal/scenario"
 )
 
-// worldHash returns the SHA-256 of the world's canonical JSON snapshot —
-// the same bytes runsdiff hashes, so two equal hashes mean byte-identical
-// worlds by the repo's drift contract.
+// worldHash returns the SHA-256 of the world's binary snapshot. The
+// snapshot omits Shards and GenWorkers, so worlds built under different
+// shardings hash equal exactly when their contents are byte-identical.
 func worldHash(t testing.TB, cfg Config) [32]byte {
 	t.Helper()
-	b, err := json.Marshal(Generate(cfg))
-	if err != nil {
+	h := sha256.New()
+	if err := WriteWorld(h, Generate(cfg), cfg, ""); err != nil {
 		t.Fatal(err)
 	}
-	return sha256.Sum256(b)
+	return [32]byte(h.Sum(nil))
 }
 
 // TestShardCompositionDeterminism is the sharded builder's core contract:
@@ -56,7 +56,7 @@ func TestShardCompositionDeterminismHuge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("huge-tier composition sweep skipped in -short mode")
 	}
-	cfg := HugeConfig(42)
+	cfg := ConfigFromScenario(scenario.MustLookup("huge"), 42)
 	cfg.Shards, cfg.GenWorkers = 1, 4
 	ref := worldHash(t, cfg)
 	for _, sh := range []int{7, defaultShards} {

@@ -469,6 +469,15 @@ func ReadWorld(rd io.Reader, want Config, scenarioHash string) (*World, error) {
 	return w, nil
 }
 
+// restoredPool returns a pool over base whose cursor is past lastUsed.
+func restoredPool(base string, lastUsed netaddr.Addr) *netaddr.Pool {
+	pool := netaddr.NewPool(netaddr.MustPrefix(base))
+	if lastUsed != 0 {
+		pool.AdvancePast(lastUsed)
+	}
+	return pool
+}
+
 // ReadWorldFile loads a snapshot written by WriteWorldFile.
 func ReadWorldFile(path string, want Config, scenarioHash string) (*World, error) {
 	f, err := os.Open(path)

@@ -2,8 +2,8 @@ package mlab
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"math"
 	"runtime"
 	"testing"
 
@@ -11,6 +11,7 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/obs"
+	"offnetrisk/internal/scenario"
 )
 
 func chaosInjector(t *testing.T, profile string, seed int64) *chaos.Injector {
@@ -22,52 +23,98 @@ func chaosInjector(t *testing.T, profile string, seed int64) *chaos.Injector {
 	return chaos.New(prof, seed)
 }
 
+// chaosWorlds are the tiny seed-7 worlds of both builders. Under heavy
+// chaos the sharded world's kept measurements hold NaN RTTs at failed
+// sites; the legacy world's happen to hold none.
+var chaosWorlds = []struct {
+	name    string
+	sharded bool
+}{{"legacy", false}, {"sharded", true}}
+
+func chaosDeployment(t *testing.T, sharded bool) *hypergiant.Deployment {
+	t.Helper()
+	cfg := inet.TinyConfig(7)
+	cfg.Sharded = sharded
+	d, err := hypergiant.Deploy(inet.Generate(cfg), hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// nanSafeMeasurement is a Measurement whose RTTs are IEEE-754 bit patterns:
+// a kept measurement may hold NaN at a site that failed (GoodSites leaves
+// the site out), and encoding/json rejects NaN.
+type nanSafeMeasurement struct {
+	Target  *hypergiant.Server
+	RTTBits []uint64
+}
+
+// campaignState wraps a campaign for byte-exact comparison, with every RTT
+// encoded NaN-safely.
+func campaignState(c *Campaign) any {
+	byISP := make(map[inet.ASN][]nanSafeMeasurement, len(c.ByISP))
+	for as, ms := range c.ByISP {
+		for _, m := range ms {
+			bits := make([]uint64, len(m.RTTms))
+			for i, v := range m.RTTms {
+				bits[i] = math.Float64bits(v)
+			}
+			byISP[as] = append(byISP[as], nanSafeMeasurement{m.Target, bits})
+		}
+	}
+	rest := *c
+	rest.ByISP = nil
+	return struct {
+		Campaign Campaign
+		ByISP    map[inet.ASN][]nanSafeMeasurement
+	}{rest, byISP}
+}
+
 // TestCampaignChaosDeterministicAcrossWorkers extends the clean worker-sweep
 // guard to fault injection: chaos decisions are pure per-item hashes, so the
 // campaign accounting and the full funnel/metric state must stay
 // byte-identical at any worker count.
 func TestCampaignChaosDeterministicAcrossWorkers(t *testing.T) {
-	w := inet.Generate(inet.TinyConfig(7))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := Sites(163, 7)
+	for _, world := range chaosWorlds {
+		t.Run(world.name, func(t *testing.T) {
+			d := chaosDeployment(t, world.sharded)
+			sites := Sites(163, 7)
 
-	state := func(workers int) []byte {
-		obs.Default.Reset()
-		cfg := DefaultConfig(7)
-		cfg.Workers = workers
-		cfg.Chaos = chaosInjector(t, "heavy", 11)
-		c, err := MeasureContext(context.Background(), d, sites, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Histogram float sums are excluded: parallel float accumulation is
-		// order-sensitive in the last ulp (runsdiff treats it as
-		// informational); counters and funnels must match exactly.
-		counters := make(map[string]obs.MetricValue)
-		for name, v := range obs.Default.Snapshot() {
-			if v.Type == "counter" {
-				counters[name] = v
+			state := func(workers int) []byte {
+				obs.Default.Reset()
+				cfg := ConfigFromScenario(scenario.Default(), 7)
+				cfg.Workers = workers
+				cfg.Chaos = chaosInjector(t, "heavy", 11)
+				c := measure(t, d, sites, cfg)
+				// Histogram float sums are excluded: parallel float
+				// accumulation is order-sensitive in the last ulp (runsdiff
+				// treats it as informational); counters and funnels must
+				// match exactly.
+				counters := make(map[string]obs.MetricValue)
+				for name, v := range obs.Default.Snapshot() {
+					if v.Type == "counter" {
+						counters[name] = v
+					}
+				}
+				blob, err := json.Marshal(struct {
+					Campaign any
+					Funnels  []obs.FunnelSnapshot
+					Counters map[string]obs.MetricValue
+				}{campaignState(c), obs.Default.FunnelSnapshots(), counters})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return blob
 			}
-		}
-		blob, err := json.Marshal(struct {
-			Campaign *Campaign
-			Funnels  []obs.FunnelSnapshot
-			Counters map[string]obs.MetricValue
-		}{c, obs.Default.FunnelSnapshots(), counters})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
 
-	ref := state(1)
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		if got := state(workers); !bytes.Equal(ref, got) {
-			t.Fatalf("chaos campaign state diverged between workers=1 and workers=%d", workers)
-		}
+			ref := state(1)
+			for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+				if got := state(workers); !bytes.Equal(ref, got) {
+					t.Fatalf("chaos campaign state diverged between workers=1 and workers=%d", workers)
+				}
+			}
+		})
 	}
 }
 
@@ -78,7 +125,7 @@ func TestCampaignChaosDeterministicAcrossWorkers(t *testing.T) {
 func TestCampaignChaosRetrySingleCount(t *testing.T) {
 	obs.Default.Reset()
 	w := inet.Generate(inet.TinyConfig(7))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(7))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +133,9 @@ func TestCampaignChaosRetrySingleCount(t *testing.T) {
 		Name: "retry", TransientProb: 0.4, BlackoutProb: 0.05,
 		Retry: chaos.RetryPolicy{MaxAttempts: 3}, // zero backoff: no sleeping
 	}, 11)
-	cfg := DefaultConfig(7)
+	cfg := ConfigFromScenario(scenario.Default(), 7)
 	cfg.Chaos = inj
-	c := Measure(d, Sites(163, 7), cfg)
+	c := measure(t, d, Sites(163, 7), cfg)
 
 	var filter obs.FunnelSnapshot
 	for _, s := range obs.Default.FunnelSnapshots() {
@@ -124,30 +171,28 @@ func TestCampaignChaosRetrySingleCount(t *testing.T) {
 // campaign byte-identical to one measured with the zero Config — the
 // chaos-off acceptance criterion at the package level.
 func TestCampaignChaosOffUnchanged(t *testing.T) {
-	w := inet.Generate(inet.TinyConfig(7))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := Sites(163, 7)
-
-	run := func(inj *chaos.Injector) []byte {
-		obs.Default.Reset()
-		cfg := DefaultConfig(7)
-		cfg.Chaos = inj
-		c := Measure(d, sites, cfg)
-		blob, err := json.Marshal(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	clean := run(nil)
 	off, err := chaos.ParseProfile("off")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(clean, run(chaos.New(off, 99))) {
-		t.Fatal("chaos-off campaign differs from a clean campaign")
+	for _, world := range chaosWorlds {
+		t.Run(world.name, func(t *testing.T) {
+			d := chaosDeployment(t, world.sharded)
+			sites := Sites(163, 7)
+
+			run := func(inj *chaos.Injector) []byte {
+				obs.Default.Reset()
+				cfg := ConfigFromScenario(scenario.Default(), 7)
+				cfg.Chaos = inj
+				blob, err := json.Marshal(campaignState(measure(t, d, sites, cfg)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return blob
+			}
+			if !bytes.Equal(run(nil), run(chaos.New(off, 99))) {
+				t.Fatal("chaos-off campaign differs from a clean campaign")
+			}
+		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/obs"
+	"offnetrisk/internal/scenario"
 )
 
 // funnelState serializes the shared registry's funnel accounting;
@@ -28,7 +29,7 @@ func funnelState(t *testing.T) []byte {
 // be byte-identical at any worker count.
 func TestCampaignFunnelDeterministicAcrossWorkers(t *testing.T) {
 	w := inet.Generate(inet.TinyConfig(7))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(7))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestCampaignFunnelDeterministicAcrossWorkers(t *testing.T) {
 	refWorkers := 0
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		obs.Default.Reset()
-		cfg := DefaultConfig(7)
+		cfg := ConfigFromScenario(scenario.Default(), 7)
 		cfg.Workers = workers
 		if _, err := MeasureContext(context.Background(), d, sites, cfg); err != nil {
 			t.Fatal(err)

@@ -123,11 +123,6 @@ type Config struct {
 	Chaos *chaos.Injector
 }
 
-// DefaultConfig mirrors Appendix A with 163 sites assumed.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, Probes: 8, ProbeLoss: 0.01, MinSites: 100}
-}
-
 func (c Config) sanitized() Config {
 	if c.Probes <= 0 {
 		c.Probes = 8
@@ -173,16 +168,11 @@ type Campaign struct {
 	ChaosGatedISPs int
 }
 
-// Measure runs the campaign against every offnet server in the deployment.
-func Measure(d *hypergiant.Deployment, sites []Site, cfg Config) *Campaign {
-	c, _ := MeasureContext(context.Background(), d, sites, cfg)
-	return c
-}
-
-// MeasureContext is Measure with cancellation: the campaign fans out across
-// targets on cfg.Workers goroutines and aborts early (returning a non-nil
-// error and no campaign) when the context is cancelled. Results are merged
-// in deployment order, so they are byte-identical at any worker count.
+// MeasureContext runs the campaign against every offnet server in the
+// deployment. The campaign fans out across targets on cfg.Workers
+// goroutines and aborts early (returning a non-nil error and no campaign)
+// when the context is cancelled. Results are merged in deployment order, so
+// they are byte-identical at any worker count.
 func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site, cfg Config) (*Campaign, error) {
 	cfg = cfg.sanitized()
 	c := &Campaign{

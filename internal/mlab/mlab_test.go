@@ -1,24 +1,36 @@
 package mlab
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"offnetrisk/internal/geo"
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
 func campaign(t *testing.T, seed int64) (*hypergiant.Deployment, *Campaign) {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sites := Sites(163, seed)
-	return d, Measure(d, sites, DefaultConfig(seed))
+	return d, measure(t, d, sites, ConfigFromScenario(scenario.Default(), seed))
+}
+
+// measure runs MeasureContext, failing the test on error.
+func measure(t *testing.T, d *hypergiant.Deployment, sites []Site, cfg Config) *Campaign {
+	t.Helper()
+	c, err := MeasureContext(context.Background(), d, sites, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestSitesGeneration(t *testing.T) {
@@ -63,7 +75,7 @@ func TestCampaignBasics(t *testing.T) {
 	}
 	for as, ms := range c.ByISP {
 		good := c.GoodSites[as]
-		if len(good) < DefaultConfig(1).MinSites {
+		if len(good) < ConfigFromScenario(scenario.Default(), 1).MinSites {
 			t.Errorf("ISP %d passed gate with %d sites", as, len(good))
 		}
 		for _, m := range ms {
@@ -222,14 +234,14 @@ func TestCampaignDeterministic(t *testing.T) {
 
 func TestMinSitesGate(t *testing.T) {
 	w := inet.Generate(inet.TinyConfig(3))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(3))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sites := Sites(50, 3) // fewer sites than the gate
-	cfg := DefaultConfig(3)
+	cfg := ConfigFromScenario(scenario.Default(), 3)
 	cfg.MinSites = 100
-	c := Measure(d, sites, cfg)
+	c := measure(t, d, sites, cfg)
 	if c.MeasuredISPs != 0 {
 		t.Errorf("no ISP can have ≥100 good sites out of 50; got %d", c.MeasuredISPs)
 	}
@@ -245,7 +257,7 @@ func TestMeasureEmptyDeployment(t *testing.T) {
 		ContentAS: map[traffic.HG]inet.ASN{},
 	}
 	d.Reindex()
-	c := Measure(d, Sites(10, 3), DefaultConfig(3))
+	c := measure(t, d, Sites(10, 3), ConfigFromScenario(scenario.Default(), 3))
 	if c.TotalMeasured != 0 || c.MeasuredISPs != 0 {
 		t.Errorf("empty deployment produced measurements: %+v", c)
 	}

@@ -11,16 +11,17 @@ import (
 	"offnetrisk/internal/netaddr"
 	"offnetrisk/internal/obs"
 	"offnetrisk/internal/scan"
+	"offnetrisk/internal/scenario"
 )
 
 func chaosScan(t *testing.T) (*inet.World, []scan.Record) {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(7))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(7))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := scan.Simulate(d, scan.DefaultConfig(7))
+	recs, err := scan.Simulate(d, scan.ConfigFromScenario(scenario.Default(), 7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/scan"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
@@ -14,11 +15,11 @@ import (
 func pipeline(t *testing.T, epoch hypergiant.Epoch, seed int64, rules []Rule) (*hypergiant.Deployment, *Result) {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, epoch, hypergiant.DefaultDeployConfig(seed))
+	d, err := hypergiant.Deploy(w, epoch, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := scan.Simulate(d, scan.DefaultConfig(seed))
+	recs, err := scan.Simulate(d, scan.ConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestRuleMatching(t *testing.T) {
 
 func TestInferSkipsUnroutedAndOnnet(t *testing.T) {
 	w := inet.Generate(inet.TinyConfig(5))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(5))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"offnetrisk/internal/netaddr"
 	"offnetrisk/internal/obs"
 	"offnetrisk/internal/rngutil"
+	"offnetrisk/internal/scenario"
 )
 
 // lnMetro is the lineage stage name of the geohint extraction (DESIGN.md §13).
@@ -47,11 +48,6 @@ type Config struct {
 	StaleFraction float64
 }
 
-// DefaultConfig mirrors the sparse coverage the paper reports.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, CoverageFraction: 0.45, GeoHintFraction: 0.55, StaleFraction: 0.01}
-}
-
 // PTRTable maps addresses to hostnames.
 type PTRTable map[netaddr.Addr]string
 
@@ -60,7 +56,7 @@ type PTRTable map[netaddr.Addr]string
 // code as the location token (e.g. cache-google-03.lhr2.as10014.example.net).
 func Synthesize(d *hypergiant.Deployment, cfg Config) PTRTable {
 	if cfg.CoverageFraction <= 0 {
-		cfg = DefaultConfig(cfg.Seed)
+		cfg = ConfigFromScenario(scenario.Default(), cfg.Seed)
 	}
 	r := rngutil.New(cfg.Seed ^ 0x9d45)
 	out := make(PTRTable)

@@ -1,6 +1,7 @@
 package rdns
 
 import (
+	"context"
 	"testing"
 
 	"offnetrisk/internal/coloc"
@@ -9,6 +10,8 @@ import (
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/mlab"
 	"offnetrisk/internal/netaddr"
+	"offnetrisk/internal/scenario"
+	"offnetrisk/internal/traffic"
 )
 
 func TestExtractMetro(t *testing.T) {
@@ -85,11 +88,11 @@ func TestConsistencyStrings(t *testing.T) {
 
 func TestSynthesizeCoverage(t *testing.T) {
 	w := inet.Generate(inet.TinyConfig(1))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(1))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(1)
+	cfg := ConfigFromScenario(scenario.Default(), 1)
 	ptrs := Synthesize(d, cfg)
 	frac := float64(len(ptrs)) / float64(len(d.Servers))
 	if frac < cfg.CoverageFraction-0.1 || frac > cfg.CoverageFraction+0.1 {
@@ -114,13 +117,20 @@ func TestEndToEndValidationMatchesPaperShape(t *testing.T) {
 	// The paper finds the overwhelming majority of evaluated clusters are
 	// single-city (55/60 at ξ=0.1 plus 3 same-metro ⇒ ~97% consistent).
 	w := inet.Generate(inet.TinyConfig(1))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(1))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mlab.Measure(d, mlab.Sites(163, 1), mlab.DefaultConfig(1))
-	a := coloc.Analyze(w, c, []float64{0.1, 0.9})
-	ptrs := Synthesize(d, DefaultConfig(1))
+	ctx := context.Background()
+	c, err := mlab.MeasureContext(ctx, d, mlab.Sites(163, 1), mlab.ConfigFromScenario(scenario.Default(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := coloc.AnalyzeMixContext(ctx, w, c, []float64{0.1, 0.9}, 1, traffic.DefaultMix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptrs := Synthesize(d, ConfigFromScenario(scenario.Default(), 1))
 
 	for _, xi := range []float64{0.1, 0.9} {
 		clusters := make(map[string][][]netaddr.Addr)
@@ -163,7 +173,7 @@ func TestAccuracyEmpty(t *testing.T) {
 func deployForRDNS(t *testing.T, seed int64) *hypergiant.Deployment {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,7 @@ package rdns
 import "offnetrisk/internal/scenario"
 
 // ConfigFromScenario builds the PTR-synthesis configuration a resolved
-// spec's measurement section declares. With the default scenario it equals
-// DefaultConfig(seed).
+// spec's measurement section declares.
 func ConfigFromScenario(sp *scenario.Spec, seed int64) Config {
 	return Config{
 		Seed:             seed,

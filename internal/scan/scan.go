@@ -43,11 +43,6 @@ type Config struct {
 	OnnetPerHG int
 }
 
-// DefaultConfig returns the scan configuration used by experiments.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, BackgroundPerISP: 2.5, OnnetPerHG: 20}
-}
-
 // Simulate scans the deployed world: every offnet server, every hypergiant
 // onnet server, and a population of background TLS hosts. Records are
 // returned in ascending address order, as an Internet-wide scan would

@@ -6,16 +6,17 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/rngutil"
+	"offnetrisk/internal/scenario"
 )
 
 func simTiny(t *testing.T, seed int64) (*hypergiant.Deployment, []Record) {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Simulate(d, DefaultConfig(seed))
+	recs, err := Simulate(d, ConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,9 @@ import (
 // DefaultName is the scenario used when nothing is requested.
 const DefaultName = "default"
 
-// defaultSpec returns the world the reproduction has always built: the
-// constants previously spread across inet.DefaultConfig,
-// hypergiant.DefaultDeployConfig, hypergiant.Profiles, internal/traffic and
-// the measurement packages, in one declarative document.
+// defaultSpec returns the world the reproduction has always built, in one
+// declarative document. A layer's default configuration is its
+// ConfigFromScenario applied to this spec (Default).
 func defaultSpec() *Spec {
 	return &Spec{
 		Version:     Version,

@@ -237,7 +237,6 @@ func (s *Spec) Validate() error {
 	if len(tr.Shares) != len(traffic.All) || len(tr.OffnetFractions) != len(traffic.All) {
 		return bad("traffic.shares and traffic.offnet_fractions must cover all %d hypergiants", len(traffic.All))
 	}
-	var shareSum float64
 	for name, v := range tr.Shares {
 		if _, ok := traffic.ParseHG(name); !ok {
 			return bad("unknown hypergiant %q in traffic.shares", name)
@@ -245,7 +244,12 @@ func (s *Spec) Validate() error {
 		if v <= 0 || v >= 1 {
 			return bad("traffic share for %s must be in (0,1), got %g", name, v)
 		}
-		shareSum += v
+	}
+	// The keys are now exactly the four hypergiants; sum them in
+	// traffic.All order, so the total is the same on every run.
+	var shareSum float64
+	for _, h := range traffic.All {
+		shareSum += tr.Shares[h.Key()]
 	}
 	if shareSum >= 1 {
 		return bad("traffic shares sum to %g; the four hypergiants cannot exceed all Internet traffic", shareSum)

@@ -4,9 +4,7 @@ import "offnetrisk/internal/scenario"
 
 // ConfigFromScenario builds the session-simulation configuration a resolved
 // spec declares. The congestion RTT penalty stays a modeling constant (it
-// calibrates bufferbloat behaviour, not the world). With the default
-// scenario the result equals DefaultConfig(seed) plus the equivalent
-// default mix.
+// calibrates bufferbloat behaviour, not the world).
 func ConfigFromScenario(sp *scenario.Spec, seed int64) Config {
 	return Config{
 		Seed:                  seed,

@@ -93,22 +93,11 @@ type Config struct {
 	Mix traffic.Mix
 }
 
-// DefaultConfig returns the simulation defaults.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, PerISP: 40, CongestedRTTPenaltyMs: 80}
-}
-
-// Run simulates sessions for every access ISP hosting offnets, under the
-// serving split and link state of a cascade report (use a no-failure
-// scenario for the baseline).
-func Run(m *capacity.Model, d *hypergiant.Deployment, rep *cascade.Report, cfg Config) []Session {
-	out, _ := RunContext(context.Background(), m, d, rep, cfg)
-	return out
-}
-
-// RunContext is Run with cancellation, simulating each host ISP's sessions
-// as one task on cfg.Workers goroutines and concatenating the per-ISP
-// session batches in ascending-ASN order.
+// RunContext simulates sessions for every access ISP hosting offnets, under
+// the serving split and link state of a cascade report (use a no-failure
+// scenario for the baseline). Each host ISP's sessions are one task on
+// cfg.Workers goroutines, and the per-ISP session batches concatenate in
+// ascending-ASN order.
 func RunContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment, rep *cascade.Report, cfg Config) ([]Session, error) {
 	if cfg.PerISP <= 0 {
 		cfg.PerISP = 40

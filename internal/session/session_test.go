@@ -1,29 +1,42 @@
 package session
 
 import (
+	"context"
 	"testing"
 
 	"offnetrisk/internal/capacity"
 	"offnetrisk/internal/cascade"
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
 func setup(t *testing.T, seed int64) (*hypergiant.Deployment, *capacity.Model) {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, capacity.Build(d, capacity.DefaultConfig(seed))
+	return d, capacity.Build(d, capacity.ConfigFromScenario(scenario.Default(), seed))
+}
+
+// run simulates the default scenario's sessions under rep, failing the test
+// on error.
+func run(t *testing.T, m *capacity.Model, d *hypergiant.Deployment, rep *cascade.Report, seed int64) []Session {
+	t.Helper()
+	out, err := RunContext(context.Background(), m, d, rep, ConfigFromScenario(scenario.Default(), seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestBaselineQoEHealthy(t *testing.T) {
 	d, m := setup(t, 1)
 	rep := cascade.Simulate(m, d, cascade.DefaultScenario())
-	sessions := Run(m, d, rep, DefaultConfig(1))
+	sessions := run(t, m, d, rep, 1)
 	if len(sessions) == 0 {
 		t.Fatal("no sessions")
 	}
@@ -55,7 +68,7 @@ func TestFailureDegradesQoE(t *testing.T) {
 	// facilities must raise latency and drop sessions relative to baseline.
 	d, m := setup(t, 1)
 	base := cascade.Simulate(m, d, cascade.DefaultScenario())
-	baseQ := Score(Run(m, d, base, DefaultConfig(1)))
+	baseQ := Score(run(t, m, d, base, 1))
 
 	sc := cascade.DefaultScenario()
 	sc.SharedHeadroom = 1.05
@@ -70,7 +83,7 @@ func TestFailureDegradesQoE(t *testing.T) {
 		}
 	}
 	rep := cascade.Simulate(m, d, sc)
-	failQ := Score(Run(m, d, rep, DefaultConfig(1)))
+	failQ := Score(run(t, m, d, rep, 1))
 
 	if failQ.OffnetShare >= baseQ.OffnetShare {
 		t.Errorf("offnet share did not fall: %.2f → %.2f", baseQ.OffnetShare, failQ.OffnetShare)
@@ -89,8 +102,8 @@ func TestFailureDegradesQoE(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	d, m := setup(t, 3)
 	rep := cascade.Simulate(m, d, cascade.DefaultScenario())
-	a := Run(m, d, rep, DefaultConfig(3))
-	b := Run(m, d, rep, DefaultConfig(3))
+	a := run(t, m, d, rep, 3)
+	b := run(t, m, d, rep, 3)
 	if len(a) != len(b) {
 		t.Fatal("session counts differ")
 	}

@@ -7,13 +7,14 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/netaddr"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
 func deployTiny(t *testing.T, seed int64) *hypergiant.Deployment {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,14 @@
 // and records how the paper's headline quantities respond — the sensitivity
 // analysis behind the calibration choices in DESIGN.md. Each sweep rebuilds
 // the affected pipeline per point, deterministically.
+//
+// Every sweep runs the default scenario's deployments and capacity
+// calibration on the registry's tiny world, whatever scenario and scale the
+// caller runs: the directions under test are scale-independent.
 package sweep
 
 import (
+	"context"
 	"fmt"
 
 	"offnetrisk/internal/capacity"
@@ -12,6 +17,7 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/obs"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
@@ -101,14 +107,14 @@ func sortedKeys(m map[string]float64) []string {
 // story.
 func ColocationPropensity(seed int64, values []float64) (Result, error) {
 	res := Result{Name: "colocation-propensity", Param: "propensity"}
+	sp := scenario.Default()
 	tr := obs.NewTracer()
 	for _, v := range values {
 		point := Point{Param: v}
 		err := timePoint(tr, fmt.Sprintf("propensity=%g", v), &point, func() error {
-			w := inet.Generate(inet.TinyConfig(seed))
-			cfg := hypergiant.DefaultDeployConfig(seed)
+			cfg := hypergiant.DeployConfigFromScenario(sp, seed)
 			cfg.ColocationPropensity = v
-			d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, cfg)
+			d, m, err := tinyWorld(sp, cfg)
 			if err != nil {
 				return fmt.Errorf("sweep: propensity %v: %w", v, err)
 			}
@@ -127,9 +133,10 @@ func ColocationPropensity(seed int64, values []float64) (Result, error) {
 					allAtTop++
 				}
 			}
-			m := capacity.Build(d, capacity.DefaultConfig(seed))
-			st := cascade.Sweep(m, d, d.HostingISPs())
-
+			st, err := cascade.SweepContext(context.Background(), m, d, d.HostingISPs(), 1)
+			if err != nil {
+				return fmt.Errorf("sweep: propensity %v: %w", v, err)
+			}
 			point.Metrics = map[string]float64{
 				"all-at-top-frac": frac(allAtTop, multi),
 				"hg-per-failure":  st.MeanHGsPerFailure,
@@ -149,12 +156,11 @@ func ColocationPropensity(seed int64, values []float64) (Result, error) {
 // that headroom, not topology, decides whether spillover cascades.
 func SharedHeadroom(seed int64, values []float64) (Result, error) {
 	res := Result{Name: "shared-headroom", Param: "headroom"}
-	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	sp := scenario.Default()
+	d, m, err := tinyWorld(sp, hypergiant.DeployConfigFromScenario(sp, seed))
 	if err != nil {
 		return res, err
 	}
-	m := capacity.Build(d, capacity.DefaultConfig(seed))
 	hosts := d.HostingISPs()
 	tr := obs.NewTracer()
 	for _, v := range values {
@@ -193,12 +199,11 @@ func SharedHeadroom(seed int64, values []float64) (Result, error) {
 // observation.
 func DemandSpike(seed int64, values []float64) (Result, error) {
 	res := Result{Name: "demand-spike", Param: "multiplier"}
-	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	sp := scenario.Default()
+	_, m, err := tinyWorld(sp, hypergiant.DeployConfigFromScenario(sp, seed))
 	if err != nil {
 		return res, err
 	}
-	m := capacity.Build(d, capacity.DefaultConfig(seed))
 	tr := obs.NewTracer()
 	for _, v := range values {
 		point := Point{Param: v}
@@ -213,6 +218,17 @@ func DemandSpike(seed int64, values []float64) (Result, error) {
 		res.Points = append(res.Points, point)
 	}
 	return res, nil
+}
+
+// tinyWorld deploys cfg's 2023 hypergiants on the tiny world of cfg's seed
+// and builds the deployment's capacity model under sp's calibration.
+func tinyWorld(sp *scenario.Spec, cfg hypergiant.DeployConfig) (*hypergiant.Deployment, *capacity.Model, error) {
+	w := inet.Generate(inet.TinyConfig(cfg.Seed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d, capacity.Build(d, capacity.ConfigFromScenario(sp, cfg.Seed)), nil
 }
 
 func frac(n, d int) float64 {

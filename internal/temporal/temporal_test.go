@@ -21,11 +21,11 @@ import (
 func buildWorld(t testing.TB, seed int64) (*hypergiant.Deployment, *capacity.Model) {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, capacity.Build(d, capacity.DefaultConfig(seed))
+	return d, capacity.Build(d, capacity.ConfigFromScenario(scenario.Default(), seed))
 }
 
 func mustRun(t testing.TB, m *capacity.Model, d *hypergiant.Deployment, sched *scenario.Schedule, cfg Config) *Trajectory {

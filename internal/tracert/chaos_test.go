@@ -12,13 +12,14 @@ import (
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/netaddr"
 	"offnetrisk/internal/obs"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
 func chaosWorld(t *testing.T) (*inet.World, *hypergiant.Deployment) {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(7))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(7))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestSurveyChaosDeterministicAcrossWorkers(t *testing.T) {
 
 	state := func(workers int) []byte {
 		obs.Default.Reset()
-		cfg := DefaultConfig(7)
+		cfg := ConfigFromScenario(scenario.Default(), 7)
 		cfg.VMs = 8
 		cfg.TargetsPerISP = 2
 		cfg.Workers = workers
@@ -77,11 +78,14 @@ func TestSurveyChaosAccounting(t *testing.T) {
 	obs.Default.Reset()
 	w, d := chaosWorld(t)
 	inj := heavyInjector(t, 11)
-	cfg := DefaultConfig(7)
+	cfg := ConfigFromScenario(scenario.Default(), 7)
 	cfg.VMs = 8
 	cfg.TargetsPerISP = 2
 	cfg.Chaos = inj
-	traces := Survey(d, traffic.Google, cfg)
+	traces, err := SurveyContext(context.Background(), d, traffic.Google, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	Infer(w, traffic.Google, d.ContentAS[traffic.Google], traces)
 
 	var issued int64
@@ -137,11 +141,15 @@ func TestSurveyChaosOffUnchanged(t *testing.T) {
 	_, d := chaosWorld(t)
 	run := func(inj *chaos.Injector) []byte {
 		obs.Default.Reset()
-		cfg := DefaultConfig(7)
+		cfg := ConfigFromScenario(scenario.Default(), 7)
 		cfg.VMs = 8
 		cfg.TargetsPerISP = 2
 		cfg.Chaos = inj
-		blob, err := json.Marshal(Survey(d, traffic.Google, cfg))
+		traces, err := SurveyContext(context.Background(), d, traffic.Google, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(traces)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,11 +90,6 @@ type Config struct {
 	Chaos *chaos.Injector
 }
 
-// DefaultConfig mirrors the paper's scale knobs.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, VMs: 112, TargetsPerISP: 4, SilentRouterFraction: 0.15}
-}
-
 func (c Config) sanitized() Config {
 	if c.VMs <= 0 {
 		c.VMs = 112
@@ -108,22 +103,16 @@ func (c Config) sanitized() Config {
 	return c
 }
 
-// Survey issues traceroutes from the hypergiant's cloud toward every ISP
-// and returns them grouped by destination ISP. Probes follow the AS paths
+// SurveyContext issues traceroutes from the hypergiant's cloud toward every
+// ISP and returns them grouped by destination ISP. Probes follow the AS paths
 // the Gao-Rexford routing substrate computes over the relationship graph
 // (valley-free, customer > peer > provider), so a peered ISP really is one
 // AS-level hop from the hypergiant and everything else is reached through
-// the transit hierarchy.
-func Survey(d *hypergiant.Deployment, hg traffic.HG, cfg Config) map[inet.ASN][]Trace {
-	out, _ := SurveyContext(context.Background(), d, hg, cfg)
-	return out
-}
-
-// SurveyContext is Survey with cancellation, fanned out one destination ISP
-// per task on cfg.Workers goroutines. Every task runs its own BGP path
-// computation over the shared (read-only) relationship graph and emits that
-// ISP's traces; per-ISP trace slices are merged in ascending-ASN order, so
-// the survey is byte-identical at any worker count.
+// the transit hierarchy. The survey fans out one destination ISP per task
+// on cfg.Workers goroutines. Every task runs its own BGP path computation
+// over the shared (read-only) relationship graph and emits that ISP's
+// traces; per-ISP trace slices are merged in ascending-ASN order, so the
+// survey is byte-identical at any worker count.
 func SurveyContext(ctx context.Context, d *hypergiant.Deployment, hg traffic.HG, cfg Config) (map[inet.ASN][]Trace, error) {
 	cfg = cfg.sanitized()
 	w := d.World

@@ -1,23 +1,28 @@
 package tracert
 
 import (
+	"context"
 	"testing"
 
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
 func surveyTiny(t *testing.T, seed int64) (*hypergiant.Deployment, map[inet.ASN][]Trace, map[inet.ASN]ISPInference) {
 	t.Helper()
 	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(seed)
+	cfg := ConfigFromScenario(scenario.Default(), seed)
 	cfg.VMs = 24 // keep the tiny survey fast; coverage is still dense
-	traces := Survey(d, traffic.Google, cfg)
+	traces, err := SurveyContext(context.Background(), d, traffic.Google, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inf := Infer(w, traffic.Google, d.ContentAS[traffic.Google], traces)
 	return d, traces, inf
 }

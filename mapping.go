@@ -30,16 +30,10 @@ type MappingResult struct {
 	Era2023 []MappingRow
 }
 
-// MappingStudy runs the Calder-2013 ECS mapping technique against both
-// steering eras on the 2023 deployment.
-func (p *Pipeline) MappingStudy() (*MappingResult, error) {
-	return p.MappingStudyContext(context.Background())
-}
-
-// MappingStudyContext is MappingStudy with cancellation (the ECS probes are
-// cheap and serial, so the context only gates entry). The result is
-// computed once per pipeline; later calls return it unchanged and must not
-// modify it.
+// MappingStudyContext runs the Calder-2013 ECS mapping technique against
+// both steering eras on the 2023 deployment. The ECS probes are cheap and
+// serial, so the context only gates entry. The result is computed once per
+// pipeline; later calls return it unchanged and must not modify it.
 func (p *Pipeline) MappingStudyContext(ctx context.Context) (*MappingResult, error) {
 	return cached(&p.memo, memoKey{"mapping-study", 0}, func() (*MappingResult, error) { return p.mappingStudy(ctx) })
 }
@@ -108,15 +102,10 @@ type MitigationResult struct {
 	FullyNeutralizedPct    float64
 }
 
-// MitigationStudy sweeps top-facility failures under both regimes.
-func (p *Pipeline) MitigationStudy() (*MitigationResult, error) {
-	return p.MitigationStudyContext(context.Background())
-}
-
-// MitigationStudyContext is MitigationStudy with cancellation; the
-// shared-vs-isolated sweep fans out across p.Workers goroutines. The result
-// is computed once per pipeline; later calls return it unchanged and must
-// not modify it.
+// MitigationStudyContext sweeps top-facility failures under both regimes.
+// The shared-vs-isolated sweep fans out across p.Workers goroutines. The
+// result is computed once per pipeline; later calls return it unchanged and
+// must not modify it.
 func (p *Pipeline) MitigationStudyContext(ctx context.Context) (*MitigationResult, error) {
 	return cached(&p.memo, memoKey{"mitigation-study", 0}, func() (*MitigationResult, error) { return p.mitigationStudy(ctx) })
 }

@@ -79,7 +79,7 @@ func TestMemoRepeatedCallSharesResult(t *testing.T) {
 // TestConformanceScoresCachedResults: the suite run after the experiments
 // renders as on a cold pipeline, and runs no measurement campaign again.
 func TestConformanceScoresCachedResults(t *testing.T) {
-	cold, err := NewPipeline(42, ScaleTiny).Conformance()
+	cold, err := NewPipeline(42, ScaleTiny).ConformanceContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestConformanceScoresCachedResults(t *testing.T) {
 	for _, f := range funnels {
 		before[f] = funnelIn(f)
 	}
-	warm, err := p.Conformance()
+	warm, err := p.ConformanceContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestReportFunnelsCountOneCampaign(t *testing.T) {
 	obs.Default.Reset()
 	p := NewPipeline(42, ScaleTiny)
 	runAll(t, p)
-	if _, err := p.Conformance(); err != nil {
+	if _, err := p.ConformanceContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	_, d, err := p.World2023()

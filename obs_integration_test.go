@@ -1,6 +1,7 @@
 package offnetrisk
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,37 +15,37 @@ import (
 func runAll(t *testing.T, p *Pipeline) string {
 	t.Helper()
 	var b strings.Builder
-	t1, err := p.Table1()
+	t1, err := p.Table1Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(t1.String())
-	col, err := p.Colocation()
+	col, err := p.ColocationContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(col.String())
-	ps, err := p.PeeringSurvey()
+	ps, err := p.PeeringSurveyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(ps.String())
-	cs, err := p.CapacityStudy()
+	cs, err := p.CapacityStudyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(cs.String())
-	cas, err := p.CascadeStudy()
+	cas, err := p.CascadeStudyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(cas.String())
-	mp, err := p.MappingStudy()
+	mp, err := p.MappingStudyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(mp.String())
-	mit, err := p.MitigationStudy()
+	mit, err := p.MitigationStudyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestConformanceWorkerDeterminism(t *testing.T) {
 		p := NewPipeline(42, ScaleTiny)
 		p.Workers = workers
 		p.Instrument(obs.NewTracer())
-		suite, err := p.Conformance()
+		suite, err := p.ConformanceContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,11 +10,11 @@
 // the experiment corresponding to each table and figure of the paper.
 //
 //	p := offnetrisk.NewPipeline(42, offnetrisk.ScaleDefault)
-//	t1, err := p.Table1()           // §2.2, Table 1
-//	col, err := p.Colocation()      // §3.2, Table 2 + Figures 1–2
-//	ps, err := p.PeeringSurvey()    // §4.2.1
-//	cap, err := p.CapacityStudy()   // §4.1 + §4.2.2
-//	cas, err := p.CascadeStudy()    // §3.3 + §4.3
+//	t1, err := p.Table1Context(ctx)          // §2.2, Table 1
+//	col, err := p.ColocationContext(ctx)     // §3.2, Table 2 + Figures 1–2
+//	ps, err := p.PeeringSurveyContext(ctx)   // §4.2.1
+//	cap, err := p.CapacityStudyContext(ctx)  // §4.1 + §4.2.2
+//	cas, err := p.CascadeStudyContext(ctx)   // §3.3 + §4.3
 //
 // All randomness derives from the pipeline seed; equal seeds reproduce
 // identical results bit for bit.
@@ -92,7 +92,7 @@ type Pipeline struct {
 	// Spec is the resolved scenario the pipeline builds its world from; nil
 	// means the registry's default scenario (the paper's hard-coded world).
 	// At ScaleTiny/ScaleLarge the spec's topology section is overridden by
-	// the literal tiny/large topology, so `-scenario X -tiny` means
+	// the registry's tiny/large topology, so `-scenario X -tiny` means
 	// "scenario X's deployments, traffic and measurements at test scale" —
 	// the combination the golden-gated scenario matrix runs.
 	Spec *scenario.Spec
@@ -176,18 +176,17 @@ func (s Scale) String() string {
 }
 
 // worldConfig resolves the topology: explicit tiny/large scales override
-// the spec's topology section with the literal test/large worlds, so every
-// scenario can run golden-gated at test scale.
+// the spec's topology section with the registry's tiny/large worlds, so
+// every scenario can run golden-gated at test scale.
 func (p *Pipeline) worldConfig() inet.Config {
-	var cfg inet.Config
+	sp := p.spec()
 	switch p.Scale {
 	case ScaleTiny:
-		cfg = inet.TinyConfig(p.Seed)
+		sp = scenario.MustLookup("tiny")
 	case ScaleLarge:
-		cfg = inet.LargeConfig(p.Seed)
-	default:
-		cfg = inet.ConfigFromScenario(p.spec(), p.Seed)
+		sp = scenario.MustLookup("large")
 	}
+	cfg := inet.ConfigFromScenario(sp, p.Seed)
 	// Parallelism knobs only — neither changes the world's bytes.
 	cfg.Shards = p.Shards
 	cfg.GenWorkers = p.Workers

@@ -1,6 +1,7 @@
 package offnetrisk
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ func tinyPipeline(seed int64) *Pipeline { return NewPipeline(seed, ScaleTiny) }
 
 func TestPipelineTable1(t *testing.T) {
 	p := tinyPipeline(1)
-	res, err := p.Table1()
+	res, err := p.Table1Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestPipelineTable1(t *testing.T) {
 
 func TestPipelineColocation(t *testing.T) {
 	p := tinyPipeline(1)
-	res, err := p.Colocation()
+	res, err := p.ColocationContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestPipelineColocation(t *testing.T) {
 
 func TestPipelinePeeringSurvey(t *testing.T) {
 	p := tinyPipeline(1)
-	res, err := p.PeeringSurvey()
+	res, err := p.PeeringSurveyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestPipelinePeeringSurvey(t *testing.T) {
 		t.Error("String() missing header")
 	}
 	// The simulation can do what the paper could not: survey other HGs.
-	n, err := p.PeeringSurveyFor(traffic.Netflix)
+	n, err := p.PeeringSurveyForContext(context.Background(), traffic.Netflix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestPipelinePeeringSurvey(t *testing.T) {
 
 func TestPipelineCapacityStudy(t *testing.T) {
 	p := tinyPipeline(1)
-	res, err := p.CapacityStudy()
+	res, err := p.CapacityStudyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestPipelineCapacityStudy(t *testing.T) {
 
 func TestPipelineCascadeStudy(t *testing.T) {
 	p := tinyPipeline(1)
-	res, err := p.CascadeStudy()
+	res, err := p.CascadeStudyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestPipelineCascadeStudy(t *testing.T) {
 
 func TestPipelinePerfectStorm(t *testing.T) {
 	p := tinyPipeline(1)
-	sc, err := p.PerfectStorm(8, 1.5)
+	sc, err := p.PerfectStormContext(context.Background(), 8, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +206,11 @@ func TestPipelineCachesDeployments(t *testing.T) {
 }
 
 func TestPipelineDeterministic(t *testing.T) {
-	a, err := tinyPipeline(9).Table1()
+	a, err := tinyPipeline(9).Table1Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tinyPipeline(9).Table1()
+	b, err := tinyPipeline(9).Table1Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestPipelineDeterministic(t *testing.T) {
 
 func TestPipelineMappingStudy(t *testing.T) {
 	p := tinyPipeline(1)
-	res, err := p.MappingStudy()
+	res, err := p.MappingStudyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestPipelineMappingStudy(t *testing.T) {
 
 func TestPipelineMitigationStudy(t *testing.T) {
 	p := tinyPipeline(1)
-	res, err := p.MitigationStudy()
+	res, err := p.MitigationStudyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestPipelineMitigationStudy(t *testing.T) {
 
 func TestPipelineConformance(t *testing.T) {
 	p := tinyPipeline(1)
-	suite, err := p.Conformance()
+	suite, err := p.ConformanceContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,28 +45,18 @@ func pct(n, d int) float64 {
 	return 100 * float64(n) / float64(d)
 }
 
-// PeeringSurvey runs the §4.2.1 traceroute campaign and inference for
-// Google.
-func (p *Pipeline) PeeringSurvey() (*PeeringSurveyResult, error) {
-	return p.PeeringSurveyContext(context.Background())
-}
-
-// PeeringSurveyContext is PeeringSurvey with cancellation.
+// PeeringSurveyContext runs the §4.2.1 traceroute campaign and inference
+// for Google.
 func (p *Pipeline) PeeringSurveyContext(ctx context.Context) (*PeeringSurveyResult, error) {
 	return p.PeeringSurveyForContext(ctx, traffic.Google)
 }
 
-// PeeringSurveyFor runs the survey for any hypergiant — something the paper
-// could not do ("We cannot run measurements from Meta, Netflix, or Akamai")
-// but the simulation can.
-func (p *Pipeline) PeeringSurveyFor(hg traffic.HG) (*PeeringSurveyResult, error) {
-	return p.PeeringSurveyForContext(context.Background(), hg)
-}
-
-// PeeringSurveyForContext is PeeringSurveyFor with cancellation; the
-// traceroute campaign fans out one destination ISP per task across
-// p.Workers goroutines. Each hypergiant's survey is computed once per
-// pipeline; later calls return it unchanged and must not modify it.
+// PeeringSurveyForContext runs the survey for any hypergiant — something
+// the paper could not do ("We cannot run measurements from Meta, Netflix,
+// or Akamai") but the simulation can. The traceroute campaign fans out one
+// destination ISP per task across p.Workers goroutines. Each hypergiant's
+// survey is computed once per pipeline; later calls return it unchanged and
+// must not modify it.
 func (p *Pipeline) PeeringSurveyForContext(ctx context.Context, hg traffic.HG) (*PeeringSurveyResult, error) {
 	return cached(&p.memo, memoKey{"peering-survey", int(hg)}, func() (*PeeringSurveyResult, error) {
 		return p.peeringSurvey(ctx, hg)

@@ -1,6 +1,7 @@
 package offnetrisk
 
 import (
+	"context"
 	"testing"
 
 	"offnetrisk/internal/stats"
@@ -19,7 +20,7 @@ func TestShapeInvariantsAcrossSeeds(t *testing.T) {
 			p := NewPipeline(seed, ScaleTiny)
 
 			// Table 1: growth ordering Netflix > Google > Meta > Akamai=0.
-			t1, err := p.Table1()
+			t1, err := p.Table1Context(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +43,7 @@ func TestShapeInvariantsAcrossSeeds(t *testing.T) {
 
 			// Colocation: the ξ=0.9 full-colocation bucket dominates ξ=0.1
 			// in aggregate, and most multi-HG hosts colocate something.
-			col, err := p.Colocation()
+			col, err := p.ColocationContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +63,7 @@ func TestShapeInvariantsAcrossSeeds(t *testing.T) {
 			}
 
 			// Capacity: lockdown shape for every hypergiant.
-			cs, err := p.CapacityStudy()
+			cs, err := p.CapacityStudyContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +78,7 @@ func TestShapeInvariantsAcrossSeeds(t *testing.T) {
 			}
 
 			// Cascades: colocation correlates failures.
-			cas, err := p.CascadeStudy()
+			cas, err := p.CascadeStudyContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package offnetrisk
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,14 +18,14 @@ func TestPipelineSnapshotStreaming(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tiny.ofnw")
 
 	mem := tinyPipeline(7)
-	memRes, err := mem.Table1()
+	memRes, err := mem.Table1Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	snap := tinyPipeline(7)
 	snap.SnapshotPath = path
-	snapRes, err := snap.Table1()
+	snapRes, err := snap.Table1Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestPipelineSnapshotStreaming(t *testing.T) {
 	// still agrees — the consuming-campaign half of the contract.
 	replay := tinyPipeline(7)
 	replay.SnapshotPath = path
-	replayRes, err := replay.Table1()
+	replayRes, err := replay.Table1Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +56,13 @@ func TestPipelineSnapshotMismatchIsFatal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tiny.ofnw")
 	first := tinyPipeline(7)
 	first.SnapshotPath = path
-	if _, err := first.Table1(); err != nil {
+	if _, err := first.Table1Context(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	other := tinyPipeline(8) // different seed => different world config
 	other.SnapshotPath = path
-	if _, err := other.Table1(); err == nil {
+	if _, err := other.Table1Context(context.Background()); err == nil {
 		t.Fatal("seed-8 run accepted a seed-7 snapshot")
 	} else if !strings.Contains(err.Error(), "snapshot") {
 		t.Fatalf("unexpected error: %v", err)

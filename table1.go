@@ -37,17 +37,13 @@ type Table1Result struct {
 	StaleRuleISPs2023 map[string]int
 }
 
-// Table1 runs the full §2.2 pipeline at both epochs: simulate the TLS scan,
-// apply the epoch-appropriate inference rules, and assemble the table. The
-// 2021 epoch uses the original rules; the 2023 epoch uses this paper's
-// updated rules; the stale-rule ablation applies 2021 rules to 2023 data.
-func (p *Pipeline) Table1() (*Table1Result, error) {
-	return p.Table1Context(context.Background())
-}
-
-// Table1Context is Table1 with cancellation (the scan simulation streams
-// serially, so the context only gates entry). The result is computed once
-// per pipeline; later calls return it unchanged and must not modify it.
+// Table1Context runs the full §2.2 pipeline at both epochs: simulate the
+// TLS scan, apply the epoch-appropriate inference rules, and assemble the
+// table. The 2021 epoch uses the original rules; the 2023 epoch uses this
+// paper's updated rules; the stale-rule ablation applies 2021 rules to 2023
+// data. The scan simulation streams serially, so the context only gates
+// entry. The result is computed once per pipeline; later calls return it
+// unchanged and must not modify it.
 func (p *Pipeline) Table1Context(ctx context.Context) (*Table1Result, error) {
 	return cached(&p.memo, memoKey{"table1", 0}, func() (*Table1Result, error) { return p.table1(ctx) })
 }

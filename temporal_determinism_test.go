@@ -96,11 +96,11 @@ func TestTrajectoryDigestShardedBuilder(t *testing.T) {
 		cfg.Sharded = true
 		cfg.Shards = shards
 		w := inet.Generate(cfg)
-		d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(42))
+		d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 42))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := capacity.Build(d, capacity.DefaultConfig(42))
+		m := capacity.Build(d, capacity.ConfigFromScenario(scenario.Default(), 42))
 		eng, err := temporal.New(m, d, sched, temporal.Config{Hours: 24})
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +154,7 @@ func TestScheduleFreeRunLeavesManifestClean(t *testing.T) {
 func TestTemporalReplayTransparency(t *testing.T) {
 	obs.Default.Reset()
 	plain := tinyPipeline(42)
-	a, err := plain.Table1()
+	a, err := plain.Table1Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestTemporalReplayTransparency(t *testing.T) {
 	if _, err := withReplay.TemporalReplayContext(context.Background(), 24, flashCrowdSchedule(t), nil); err != nil {
 		t.Fatal(err)
 	}
-	b, err := withReplay.Table1()
+	b, err := withReplay.Table1Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
