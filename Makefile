@@ -82,7 +82,7 @@ report:
 
 # Determinism gate: reproduce at the golden seed/scale and diff the manifest
 # against the checked-in reference. Fails (exit 1) on any counter, histogram
-# bucket, funnel, or stage-sequence drift; wall times and gauges are
+# bucket or sum, funnel, or stage-sequence drift; wall times and gauges are
 # informational.
 runs-diff:
 	$(GO) run ./cmd/reproduce -tiny -seed 42 -out /tmp/runsdiff-out -manifest /tmp/runsdiff-out/manifest.json
@@ -147,10 +147,11 @@ check-shards:
 	$(GO) run ./cmd/offnetgen -scenario huge -seed 42 -gen-only -snapshot /tmp/huge-smoke.ofnw
 
 # Lineage determinism gate: reproduce at the golden seed/scale with the
-# provenance recorder on, diff the manifest (lineage_digest + per-stage
-# decision counts included) against the checked-in lineage reference, and
-# smoke-query the capture with cmd/explain — a populated Table 1 cell must
-# come back with its evidence chain (explain exits 1 on no match).
+# provenance recorder on, diff the manifest (lineage_digest and the funnels
+# that hold each stage's counts included) against the checked-in lineage
+# reference, and smoke-query the capture with cmd/explain — a populated
+# Table 1 cell must come back with its evidence chain (explain exits 1 on no
+# match).
 check-lineage:
 	$(GO) run ./cmd/reproduce -tiny -seed 42 -out /tmp/lineage-out \
 		-manifest /tmp/lineage-out/manifest.json -lineage /tmp/lineage-out/lineage.jsonl

@@ -3,7 +3,7 @@
 // the schema, record count and digest — and prints the evidence chain behind
 // the queried slice of the pipeline: every sampled decision whose group,
 // subject or evidence mentions the queried ISP, hypergiant or address, in
-// pipeline-stage order, with the per-stage accounting underneath.
+// pipeline-stage order, with each involved stage's funnel underneath.
 //
 //	explain -lineage run.lineage.jsonl -isp 4444 -hg Google
 //	explain -lineage run.lineage.jsonl -addr 10.3.7.12
@@ -53,7 +53,7 @@ func main() {
 	hg := flag.String("hg", "", "filter to decisions about this hypergiant (e.g. Google)")
 	addr := flag.String("addr", "", "filter to decisions about this server address")
 	stage := flag.String("stage", "", "filter to one lineage stage (e.g. offnetmap.classify)")
-	list := flag.Bool("list", false, "print the capture's stages and counts, then exit")
+	list := flag.Bool("list", false, "print the run's funnels, then exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: explain -lineage <file.jsonl> [-isp <asn>] [-hg <name>] [-addr <ip>] [-stage <name>] [-list]\n")
@@ -73,7 +73,7 @@ func main() {
 	fmt.Printf("lineage: %s — %d records, digest %s\n", *lineagePath, f.Summary.Records, f.Summary.Digest)
 
 	if *list || (*isp == 0 && *hg == "" && *addr == "" && *stage == "") {
-		printStages(f)
+		printFunnels(f.Summary.Funnels)
 		if !*list {
 			fmt.Println("\n(no query given — pass -isp/-hg/-addr/-stage to print evidence chains)")
 		}
@@ -92,13 +92,14 @@ func main() {
 	if *addr == "" {
 		matched = widenByAddr(f.Records, matched, *stage)
 	}
-	printChains(matched, f.Summary.Stages)
+	printChains(matched, f.Summary.Funnels)
 }
 
-// printStages renders the capture's per-stage accounting.
-func printStages(f *obs.LineageFile) {
+// printFunnels renders the run's funnels: each lineage stage's counts are
+// the funnel of the same name.
+func printFunnels(funnels []obs.FunnelSnapshot) {
 	fmt.Printf("\n%-22s %10s %10s %10s  drop breakdown\n", "stage", "in", "kept", "dropped")
-	for _, s := range f.Summary.Stages {
+	for _, s := range funnels {
 		var reasons []string
 		for _, d := range s.Drops {
 			reasons = append(reasons, fmt.Sprintf("%s=%d", d.Reason, d.N))
@@ -107,7 +108,7 @@ func printStages(f *obs.LineageFile) {
 		if breakdown == "" {
 			breakdown = "—"
 		}
-		fmt.Printf("%-22s %10d %10d %10d  %s\n", s.Stage, s.In, s.Kept, s.Dropped(), breakdown)
+		fmt.Printf("%-22s %10d %10d %10d  %s\n", s.Name, s.In, s.Out, s.Dropped(), breakdown)
 	}
 }
 
@@ -239,8 +240,9 @@ func key(r obs.LineageDecision) string {
 }
 
 // printChains renders the matched records grouped by stage in pipeline
-// order, each with its evidence, followed by the involved stages' totals.
-func printChains(recs []obs.LineageDecision, stages []obs.LineageStageCount) {
+// order, each with its evidence, followed by the involved stages' funnel
+// totals.
+func printChains(recs []obs.LineageDecision, funnels []obs.FunnelSnapshot) {
 	sort.SliceStable(recs, func(i, j int) bool {
 		ri, rj := stageRank(recs[i].Stage), stageRank(recs[j].Stage)
 		if ri != rj {
@@ -278,9 +280,9 @@ func printChains(recs []obs.LineageDecision, stages []obs.LineageStageCount) {
 	}
 
 	fmt.Printf("\n%d matching records across %d stages\n", len(recs), len(involved))
-	for _, s := range stages {
-		if involved[s.Stage] {
-			fmt.Printf("  %s: in=%d kept=%d dropped=%d\n", s.Stage, s.In, s.Kept, s.Dropped())
+	for _, f := range funnels {
+		if involved[f.Name] {
+			fmt.Printf("  %s: in=%d kept=%d dropped=%d\n", f.Name, f.In, f.Out, f.Dropped())
 		}
 	}
 }

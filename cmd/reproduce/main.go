@@ -337,15 +337,16 @@ func main() {
 		return nil
 	})
 
-	// Evidence appendix: per-stage decision accounting plus sampled evidence
-	// chains from the lineage recorder. Lineage-off runs skip the section
-	// entirely, keeping REPORT.md byte-identical to a build without -lineage.
+	// Evidence appendix: sampled evidence chains from the lineage recorder;
+	// each stage's counts are its row of the data funnel above. Lineage-off
+	// runs skip the section entirely, keeping REPORT.md byte-identical to a
+	// build without -lineage.
 	run("evidence-appendix", func() error {
 		lr := obs.ActiveLineage()
 		if lr == nil {
 			return nil
 		}
-		fmt.Fprintf(&md, "\n## Evidence appendix (lineage)\n\nPer-decision provenance sampled by the lineage recorder (digest `%s`).\nEach stage shows its decision accounting and a deterministic sample of\nevidence chains; query the full capture with cmd/explain.\n\n%s",
+		fmt.Fprintf(&md, "\n## Evidence appendix (lineage)\n\nPer-decision provenance sampled by the lineage recorder (digest `%s`).\nEach stage's counts are its row of the data funnel table above; below is\na deterministic sample of its evidence chains. Query the full capture\nwith cmd/explain.\n%s",
 			lr.Digest(), obs.LineageMarkdown(lr, 2))
 		return nil
 	})

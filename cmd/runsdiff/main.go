@@ -1,9 +1,9 @@
 // Command runsdiff compares two run manifests (cmd/reproduce -manifest) and
 // classifies every difference: determinism-relevant drift (counter deltas,
-// histogram count/bucket deltas, funnel accounting drift, stage-sequence
-// changes), quality warnings (per-stage wall-time regressions, unbalanced
-// funnels), and expected run-to-run variation (environment, wall clock,
-// gauges, in-tolerance histogram sums).
+// histogram count/bucket/sum deltas, funnel accounting drift, stage-sequence
+// changes), quality warnings (per-stage wall-time regressions past 2x,
+// unbalanced funnels), and expected run-to-run variation (environment, wall
+// clock, gauges).
 //
 //	runsdiff golden_manifest.json manifest.json
 //
@@ -22,10 +22,6 @@ import (
 )
 
 func main() {
-	sumTol := flag.Float64("sum-tol", 1e-9,
-		"relative tolerance for histogram sums (CAS float accumulation is scheduling-order dependent)")
-	maxRegress := flag.Float64("max-wall-regress", 2.0,
-		"warn when a stage's wall time grows by more than this factor")
 	quiet := flag.Bool("q", false, "print drift only (suppress warnings and info)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
@@ -49,10 +45,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	res := obs.CompareManifests(ref, cand, obs.DiffOptions{
-		SumTol:         *sumTol,
-		MaxWallRegress: *maxRegress,
-	})
+	res := obs.CompareManifests(ref, cand)
 
 	for _, d := range res.Drift {
 		fmt.Println("drift:", d)

@@ -12,15 +12,9 @@ import (
 	"offnetrisk/internal/traffic"
 )
 
-// lnMitigation is the lineage stage name of the §4.3/§6 isolation sweep
-// (DESIGN.md §13).
-const lnMitigation = "cascade.mitigation"
-
-// fMitigation accounts the isolation sweep: ISPs attempted vs. scenarios
-// whose collateral the capacity slices fully neutralized. Lazily registered
-// and fed only under lineage, so lineage-off runs keep golden manifests
-// byte-identical.
-var fMitigation = obs.NewLazyFunnel("cascade.mitigation",
+// fMitigation accounts the §4.3/§6 isolation sweep: ISPs attempted vs.
+// scenarios whose collateral the capacity slices fully neutralized.
+var fMitigation = obs.NewFunnel("cascade.mitigation",
 	"isolation-sweep ISPs attempted vs. collateral fully neutralized")
 
 // §6 sketches mitigations: "isolation mechanisms deployed in colocation
@@ -185,21 +179,17 @@ func MitigationSweepContext(ctx context.Context, m *capacity.Model, d *hypergian
 		neutralized      bool
 	}
 	lr := obs.ActiveLineage()
-	var f *obs.Funnel
-	if lr != nil {
-		// Lazily registered and fed only under lineage (golden protection).
-		f = fMitigation.Get()
-	}
-	// mitigationDrop accounts and samples one dropped sweep scenario. Counts
-	// are commutative atomic adds and each ISP is exactly one task, so the
-	// accounting and the sample are identical at any worker count.
+	// mitigationDrop counts one dropped sweep scenario and, under lineage,
+	// samples it. Counts are commutative atomic adds and each ISP is exactly
+	// one task, so the accounting and the sample are identical at any worker
+	// count.
 	mitigationDrop := func(as inet.ASN, reason string, build func() []obs.LineageKV) {
-		f.In(1)
-		f.Drop(reason, 1)
-		lr.CountIn(lnMitigation, 1)
-		lr.CountDrop(lnMitigation, reason, 1)
-		lr.Record(lnMitigation, "reason="+reason, fmt.Sprintf("isp=%d", as),
-			obs.LineageDropped, reason, build)
+		fMitigation.In(1)
+		fMitigation.Drop(reason, 1)
+		if lr != nil {
+			lr.Record(fMitigation.Name(), "reason="+reason, fmt.Sprintf("isp=%d", as),
+				obs.LineageDropped, reason, build)
+		}
 	}
 	b := NewBaseline(m, d, DefaultScenario().DemandMult)
 	outs, err := par.Map(ctx, len(isps), par.Options{Workers: workers, Name: "mitigation-sweep"},
@@ -207,9 +197,7 @@ func MitigationSweepContext(ctx context.Context, m *capacity.Model, d *hypergian
 			as := isps[i]
 			fid, nHGs := TopFacility(d, as)
 			if nHGs <= 0 {
-				if lr != nil {
-					mitigationDrop(as, "no_shared_facility", nil)
-				}
+				mitigationDrop(as, "no_shared_facility", nil)
 				return outcome{}, nil
 			}
 			sc := DefaultScenario()
@@ -222,8 +210,9 @@ func MitigationSweepContext(ctx context.Context, m *capacity.Model, d *hypergian
 				isolated:    float64(len(rep.IsolatedCollateralISPs)),
 				neutralized: len(rep.CollateralISPs) > 0 && len(rep.IsolatedCollateralISPs) == 0,
 			}
+			var evidence func() []obs.LineageKV
 			if lr != nil {
-				evidence := func() []obs.LineageKV {
+				evidence = func() []obs.LineageKV {
 					kvs := []obs.LineageKV{
 						{K: "failed_facility", V: fmt.Sprint(fid)},
 						{K: "hgs_at_facility", V: fmt.Sprint(nHGs)},
@@ -235,19 +224,19 @@ func MitigationSweepContext(ctx context.Context, m *capacity.Model, d *hypergian
 					}
 					return kvs
 				}
-				switch {
-				case o.neutralized:
-					f.In(1)
-					f.Out(1)
-					lr.CountIn(lnMitigation, 1)
-					lr.CountKept(lnMitigation, 1)
-					lr.Record(lnMitigation, "", fmt.Sprintf("isp=%d", as),
+			}
+			switch {
+			case o.neutralized:
+				fMitigation.In(1)
+				fMitigation.Out(1)
+				if lr != nil {
+					lr.Record(fMitigation.Name(), "", fmt.Sprintf("isp=%d", as),
 						obs.LineageKept, "neutralized", evidence)
-				case o.shared == 0:
-					mitigationDrop(as, "no_collateral", evidence)
-				default:
-					mitigationDrop(as, "residual_collateral", evidence)
 				}
+			case o.shared == 0:
+				mitigationDrop(as, "no_collateral", evidence)
+			default:
+				mitigationDrop(as, "residual_collateral", evidence)
 			}
 			return o, nil
 		})

@@ -324,7 +324,7 @@ func (c *Common) Observability(ctx context.Context, tr *obs.Tracer, logger *slog
 				}
 			}
 			if lr := obs.ActiveLineage(); c.Lineage != "" && lr != nil {
-				if err := obs.WriteLineageFile(c.Lineage, lr); err != nil {
+				if err := obs.WriteLineageFile(c.Lineage, lr, obs.Default.FunnelSnapshots()); err != nil {
 					logger.Warn("lineage export failed", "path", c.Lineage, "err", err)
 				} else {
 					logger.Info("lineage written", "path", c.Lineage,

@@ -39,19 +39,12 @@ var (
 	fPairsDiscrepant = fPairs.Reason("discrepant_20pct")
 )
 
-// Lineage stage names (DESIGN.md §13).
-const (
-	lnPairs   = "coloc.pairs"
-	lnCluster = "coloc.cluster"
+// fCluster accounts OPTICS cluster membership per ξ: servers entering label
+// extraction vs. assigned to a cluster (noise = "not colocated").
+var (
+	fCluster      = obs.NewFunnel("coloc.cluster", "offnet servers entering OPTICS label extraction vs. assigned to a cluster")
+	fClusterNoise = fCluster.Reason("noise")
 )
-
-// fCluster accounts OPTICS cluster membership: servers entering label
-// extraction vs. assigned to a cluster (noise = "not colocated"). It is
-// lazily registered and fed only when lineage recording is on — the funnel
-// exists for provenance, and eager registration would drift every committed
-// golden manifest.
-var fCluster = obs.NewLazyFunnel("coloc.cluster",
-	"offnet servers entering OPTICS label extraction vs. assigned to a cluster")
 
 // MeanTrafficHHI returns the user-weighted mean facility-traffic
 // concentration index at the given ξ, summed in ascending-ASN order.
@@ -175,7 +168,7 @@ func AnalyzeMixContext(ctx context.Context, w *inet.World, c *mlab.Campaign, xis
 			for _, xi := range xis {
 				labels := ord.Labels(ord.ExtractXi(xi, 2))
 				res.PerXi[xi] = summarize(ms, labels, mix)
-				recordClusterLineage(as, xi, ms, labels)
+				accountClusters(as, xi, ms, labels)
 			}
 			return res, nil
 		})
@@ -188,27 +181,34 @@ func AnalyzeMixContext(ctx context.Context, w *inet.World, c *mlab.Campaign, xis
 	return a, nil
 }
 
-// recordClusterLineage accounts cluster membership for one ISP at one ξ —
-// only when lineage is on, so lineage-off runs keep every committed golden
-// manifest byte-identical. Each (ISP, ξ) is handled by exactly one worker
-// task, so no two workers ever offer the same decision identity.
-func recordClusterLineage(as inet.ASN, xi float64, ms []*mlab.Measurement, labels []int) {
+// accountClusters feeds the coloc.cluster funnel for one ISP at one ξ and,
+// under lineage, samples each member's decision. Each (ISP, ξ) is handled by
+// exactly one worker task, so no two workers ever offer the same decision
+// identity.
+func accountClusters(as inet.ASN, xi float64, ms []*mlab.Measurement, labels []int) {
+	var kept int64
+	for i := range ms {
+		if labels[i] >= 0 {
+			kept++
+		}
+	}
+	n := int64(len(ms))
+	fCluster.In(n)
+	fCluster.Out(kept)
+	fClusterNoise.Add(n - kept)
+
 	lr := obs.ActiveLineage()
 	if lr == nil {
 		return
 	}
-	f := fCluster.Get()
 	group := fmt.Sprintf("isp=%d|xi=%g", as, xi)
-	var kept int64
 	for i, m := range ms {
 		l, m := labels[i], m
 		outcome, reason := obs.LineageKept, "clustered"
 		if l < 0 {
 			outcome, reason = obs.LineageDropped, "noise"
-		} else {
-			kept++
 		}
-		lr.Record(lnCluster, group, m.Target.Addr.String(), outcome, reason,
+		lr.Record(fCluster.Name(), group, m.Target.Addr.String(), outcome, reason,
 			func() []obs.LineageKV {
 				return []obs.LineageKV{
 					{K: "xi", V: fmt.Sprintf("%g", xi)},
@@ -216,17 +216,6 @@ func recordClusterLineage(as inet.ASN, xi float64, ms []*mlab.Measurement, label
 					{K: "hg", V: m.Target.HG.String()},
 				}
 			})
-	}
-	n := int64(len(ms))
-	f.In(n)
-	f.Out(kept)
-	if n > kept {
-		f.Drop("noise", n-kept)
-	}
-	lr.CountIn(lnCluster, n)
-	lr.CountKept(lnCluster, kept)
-	if n > kept {
-		lr.CountDrop(lnCluster, "noise", n-kept)
 	}
 }
 

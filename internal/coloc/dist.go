@@ -55,12 +55,6 @@ func (s *PairScratch) FlushFunnel() {
 	fPairs.Out(s.fOut)
 	fPairsNaN.Add(s.fNaN)
 	fPairsDiscrepant.Add(s.fExcl)
-	if lr := obs.ActiveLineage(); lr != nil {
-		lr.CountIn(lnPairs, s.fIn)
-		lr.CountKept(lnPairs, s.fOut)
-		lr.CountDrop(lnPairs, "nan_rtt", s.fNaN)
-		lr.CountDrop(lnPairs, "discrepant_20pct", s.fExcl)
-	}
 	s.fIn, s.fNaN, s.fExcl, s.fOut = 0, 0, 0, 0
 }
 
@@ -256,7 +250,7 @@ func DistanceMatrixInto(ctx context.Context, m *DistMatrix, ms []*mlab.Measureme
 					// workers ever offer the same identity — the sample is
 					// deterministic at any worker count.
 					a, b, d := ms[i].Target, ms[j].Target, m.cells[k]
-					lr.Record(lnPairs, fmt.Sprintf("isp=%d", a.ISP),
+					lr.Record(fPairs.Name(), fmt.Sprintf("isp=%d", a.ISP),
 						a.Addr.String()+"|"+b.Addr.String(),
 						obs.LineageKept, "distance", func() []obs.LineageKV {
 							return []obs.LineageKV{

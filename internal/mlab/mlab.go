@@ -261,14 +261,13 @@ func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site,
 		cGateLost = fISPGate.Reason("chaos_lost_offnets")
 	}
 	lr := obs.ActiveLineage()
-	// filterDrop mirrors one filter-funnel drop into the lineage recorder.
-	// Targets group by hosting ISP so every ISP's losses keep sampled
-	// evidence; evidence is pure per (target, config), so duplicate decisions
-	// from re-measured deployments dedupe byte-identically.
+	// filterDrop samples one filter-funnel drop's evidence. Targets group by
+	// hosting ISP so every ISP's losses keep sampled evidence; evidence is
+	// pure per (target, config), so duplicate decisions from re-measured
+	// deployments dedupe byte-identically.
 	filterDrop := func(s *hypergiant.Server, reason string) {
-		lr.CountDrop(lnFilter, reason, 1)
 		if lr != nil {
-			lr.Record(lnFilter, fmt.Sprintf("isp=%d|reason=%s", s.ISP, reason),
+			lr.Record(fFilter.Name(), fmt.Sprintf("isp=%d|reason=%s", s.ISP, reason),
 				s.Addr.String(), obs.LineageDropped, reason, func() []obs.LineageKV {
 					return []obs.LineageKV{
 						{K: "hg", V: s.HG.String()},
@@ -279,7 +278,6 @@ func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site,
 		}
 	}
 	fFilter.In(int64(len(outcomes)))
-	lr.CountIn(lnFilter, int64(len(outcomes)))
 	perISP := make(map[inet.ASN][]*Measurement)
 	lost := make(map[inet.ASN]int)
 	for i, o := range outcomes {
@@ -308,10 +306,9 @@ func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site,
 			perISP[s.ISP] = append(perISP[s.ISP], o.m)
 			c.TotalMeasured++
 			fFilter.Out(1)
-			lr.CountKept(lnFilter, 1)
 			if lr != nil {
 				m := o.m
-				lr.Record(lnFilter, fmt.Sprintf("isp=%d", s.ISP), s.Addr.String(),
+				lr.Record(fFilter.Name(), fmt.Sprintf("isp=%d", s.ISP), s.Addr.String(),
 					obs.LineageKept, "measured", func() []obs.LineageKV {
 						sitesOK := 0
 						for _, rtt := range m.RTTms {
@@ -337,15 +334,13 @@ func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site,
 	// streams are untouched — this rule makes the usable-ISP set shrink
 	// monotonically with the fault rate (prop_test.go asserts it).
 	fISPGate.In(int64(len(perISP)))
-	lr.CountIn(lnISPGate, int64(len(perISP)))
 	for as, ms := range perISP {
 		if lost[as] > 0 {
 			c.ChaosGatedISPs++
 			cGateLost.Inc()
-			lr.CountDrop(lnISPGate, "chaos_lost_offnets", 1)
 			if lr != nil {
 				as, nLost, nMs := as, lost[as], len(ms)
-				lr.Record(lnISPGate, fmt.Sprintf("isp=%d", as), fmt.Sprintf("isp=%d", as),
+				lr.Record(fISPGate.Name(), fmt.Sprintf("isp=%d", as), fmt.Sprintf("isp=%d", as),
 					obs.LineageDropped, "chaos_lost_offnets", func() []obs.LineageKV {
 						return []obs.LineageKV{
 							{K: "offnets_lost", V: fmt.Sprint(nLost)},
@@ -372,10 +367,9 @@ func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site,
 			c.GatedISPs++
 			mISPsGated.Inc()
 			fGateLT100.Inc()
-			lr.CountDrop(lnISPGate, "lt_100_vps", 1)
 			if lr != nil {
 				as, nGood, nMs := as, len(good), len(ms)
-				lr.Record(lnISPGate, fmt.Sprintf("isp=%d", as), fmt.Sprintf("isp=%d", as),
+				lr.Record(fISPGate.Name(), fmt.Sprintf("isp=%d", as), fmt.Sprintf("isp=%d", as),
 					obs.LineageDropped, "lt_100_vps", func() []obs.LineageKV {
 						return []obs.LineageKV{
 							{K: "good_sites", V: fmt.Sprint(nGood)},
@@ -390,10 +384,9 @@ func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site,
 		c.GoodSites[as] = good
 		c.MeasuredISPs++
 		fISPGate.Out(1)
-		lr.CountKept(lnISPGate, 1)
 		if lr != nil {
 			as, nGood, nMs := as, len(good), len(ms)
-			lr.Record(lnISPGate, fmt.Sprintf("isp=%d", as), fmt.Sprintf("isp=%d", as),
+			lr.Record(fISPGate.Name(), fmt.Sprintf("isp=%d", as), fmt.Sprintf("isp=%d", as),
 				obs.LineageKept, "usable", func() []obs.LineageKV {
 					return []obs.LineageKV{
 						{K: "good_sites", V: fmt.Sprint(nGood)},
@@ -405,12 +398,6 @@ func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site,
 	}
 	return c, nil
 }
-
-// Lineage stage names mirror the funnels above.
-const (
-	lnFilter  = "ping.filter"
-	lnISPGate = "ping.isp_gate"
-)
 
 // facilityBase precomputes, per site, the stable RTT floor toward a
 // facility: fiber propagation plus the route detour. Shared by every server

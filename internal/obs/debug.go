@@ -125,32 +125,16 @@ td,th{padding:2px 10px;text-align:left;border-bottom:1px solid #ddd}
 	fmt.Fprint(w, "<p><a href='/debug/pprof/'>pprof</a> · <a href='/debug/vars'>expvar</a> · <a href='/metrics'>prometheus</a></p>")
 }
 
-// writeLineageSection renders the active lineage recorder: per-stage decision
-// counts and the sampled evidence records. Subjects, reasons, and evidence
-// values are caller-supplied strings — escape everything.
+// writeLineageSection renders the active lineage recorder's sampled
+// evidence records; their stages' counts are the funnel table above.
+// Subjects, reasons, and evidence values are caller-supplied strings —
+// escape everything.
 func writeLineageSection(w http.ResponseWriter, lr *LineageRecorder) {
-	counts := lr.StageCounts()
-	if len(counts) == 0 {
+	recs := lr.Records()
+	if len(recs) == 0 {
 		return
 	}
-	fmt.Fprint(w, "<h2>lineage</h2><table><tr><th>stage</th><th>in</th><th>kept</th><th>dropped</th><th>drop breakdown</th></tr>")
-	for _, s := range counts {
-		breakdown := "—"
-		if len(s.Drops) > 0 {
-			breakdown = ""
-			for i, d := range s.Drops {
-				if i > 0 {
-					breakdown += ", "
-				}
-				breakdown += fmt.Sprintf("%s=%d", html.EscapeString(d.Reason), d.N)
-			}
-		}
-		fmt.Fprintf(w, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td></tr>",
-			html.EscapeString(s.Stage), s.In, s.Kept, s.Dropped(), breakdown)
-	}
-	fmt.Fprint(w, "</table>")
-
-	recs := lr.Records()
+	fmt.Fprint(w, "<h2>lineage</h2>")
 	fmt.Fprintf(w, "<h3>sampled decisions (%d) — digest %s</h3>", len(recs), html.EscapeString(lr.Digest()))
 	fmt.Fprint(w, "<table><tr><th>stage</th><th>group</th><th>subject</th><th>outcome</th><th>reason</th><th>evidence</th></tr>")
 	for _, d := range recs {

@@ -2,40 +2,19 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
 // Manifest comparison: the engine behind cmd/runsdiff and the CI golden-run
 // gate. Two manifests from the same (tool, seed, scale) must agree on every
-// deterministic quantity — counters, histogram counts and buckets, funnel
-// accounting, root stage names — and may differ on run-varying ones (wall
-// times, allocations, Go version, gauges written last-write-wins from
-// parallel code, histogram sums whose float accumulation order depends on
-// scheduling). The comparison classifies every difference accordingly.
+// deterministic quantity — counters, histogram counts, buckets and sums,
+// funnel accounting, root stage names — and may differ on run-varying ones
+// (wall times, allocations, Go version, gauges written last-write-wins from
+// parallel code). The comparison classifies every difference accordingly.
 
-// DiffOptions tunes the comparison.
-type DiffOptions struct {
-	// SumTol is the relative tolerance for histogram sums. The sums are
-	// CAS-accumulated floats, so the addition order — and therefore the
-	// rounding — depends on goroutine scheduling; equal runs agree to ~1e-12
-	// relative. Zero means the 1e-9 default.
-	SumTol float64
-	// MaxWallRegress flags a stage whose wall time grew by more than this
-	// factor (new > old*factor) as a regression warning. Zero means the
-	// default 2.0. Stages faster than minWallMS are never flagged.
-	MaxWallRegress float64
-}
-
-func (o DiffOptions) sanitized() DiffOptions {
-	if o.SumTol <= 0 {
-		o.SumTol = 1e-9
-	}
-	if o.MaxWallRegress <= 1 {
-		o.MaxWallRegress = 2.0
-	}
-	return o
-}
+// maxWallRegress flags a stage whose wall time grew by more than this
+// factor (new > old*factor) as a regression warning.
+const maxWallRegress = 2.0
 
 // minWallMS is the floor below which stage wall times are considered noise.
 const minWallMS = 50
@@ -49,7 +28,7 @@ type DiffResult struct {
 	// per-stage wall-time regressions, unbalanced funnels.
 	Warnings []string
 	// Infos lists expected run-to-run variation: environment, wall clock,
-	// gauges, in-tolerance sum differences.
+	// gauges.
 	Infos []string
 }
 
@@ -70,8 +49,7 @@ func (r *DiffResult) infof(format string, args ...any) {
 
 // CompareManifests diffs two manifests, a as the reference (golden) run and
 // b as the candidate.
-func CompareManifests(a, b *Manifest, opts DiffOptions) *DiffResult {
-	opts = opts.sanitized()
+func CompareManifests(a, b *Manifest) *DiffResult {
 	r := &DiffResult{}
 
 	if a.Tool != b.Tool {
@@ -142,59 +120,14 @@ func CompareManifests(a, b *Manifest, opts DiffOptions) *DiffResult {
 	if a.LineageDigest != b.LineageDigest {
 		r.driftf("lineage digest: %q vs %q", a.LineageDigest, b.LineageDigest)
 	}
-	compareLineage(a.Lineage, b.Lineage, r)
 
-	compareMetrics(a.Metrics, b.Metrics, opts, r)
+	compareMetrics(a.Metrics, b.Metrics, r)
 	compareFunnels(a.Funnels, b.Funnels, r)
-	compareStages(a.Stages, b.Stages, opts, r)
+	compareStages(a.Stages, b.Stages, r)
 	return r
 }
 
-// compareLineage diffs per-stage lineage decision counts: deterministic at
-// any worker count, so any difference is drift.
-func compareLineage(a, b []LineageStageCount, r *DiffResult) {
-	am := make(map[string]LineageStageCount, len(a))
-	for _, s := range a {
-		am[s.Stage] = s
-	}
-	bm := make(map[string]LineageStageCount, len(b))
-	for _, s := range b {
-		bm[s.Stage] = s
-	}
-	for _, name := range sortedKeys(am) {
-		as := am[name]
-		bs, ok := bm[name]
-		if !ok {
-			r.driftf("lineage %s: missing from candidate", name)
-			continue
-		}
-		if as.In != bs.In {
-			r.driftf("lineage %s: in %d vs %d", name, as.In, bs.In)
-		}
-		if as.Kept != bs.Kept {
-			r.driftf("lineage %s: kept %d vs %d", name, as.Kept, bs.Kept)
-		}
-		reasons := map[string]bool{}
-		for _, d := range as.Drops {
-			reasons[d.Reason] = true
-		}
-		for _, d := range bs.Drops {
-			reasons[d.Reason] = true
-		}
-		for _, reason := range sortedKeys(reasons) {
-			if an, bn := as.DropN(reason), bs.DropN(reason); an != bn {
-				r.driftf("lineage %s: drop %s %d vs %d", name, reason, an, bn)
-			}
-		}
-	}
-	for _, name := range sortedKeys(bm) {
-		if _, ok := am[name]; !ok {
-			r.driftf("lineage %s: missing from reference", name)
-		}
-	}
-}
-
-func compareMetrics(a, b map[string]MetricValue, opts DiffOptions, r *DiffResult) {
+func compareMetrics(a, b map[string]MetricValue, r *DiffResult) {
 	for _, name := range sortedKeys(a) {
 		av := a[name]
 		bv, ok := b[name]
@@ -231,14 +164,10 @@ func compareMetrics(a, b map[string]MetricValue, opts DiffOptions, r *DiffResult
 					}
 				}
 			}
-			// Sums are scheduling-order-dependent float accumulations:
-			// compare with relative tolerance.
-			if d := relDiff(av.Value, bv.Value); d > opts.SumTol {
-				r.driftf("histogram %s: sum %.9g vs %.9g (rel Δ %.2e > tol %.0e)",
-					name, av.Value, bv.Value, d, opts.SumTol)
-			} else if av.Value != bv.Value {
-				r.infof("histogram %s: sum differs within tolerance (rel Δ %.2e)",
-					name, relDiff(av.Value, bv.Value))
+			// Sums accumulate as fixed-point integers (Histogram.Observe),
+			// so they are order-free and compare exactly.
+			if av.Value != bv.Value {
+				r.driftf("histogram %s: sum %v vs %v", name, av.Value, bv.Value)
 			}
 		}
 	}
@@ -292,7 +221,7 @@ func compareFunnels(a, b []FunnelSnapshot, r *DiffResult) {
 // order (the run executed the same stages) — and flags wall-time regressions.
 // Child spans are ignored: worker spans make subtree shapes
 // scheduling-dependent by design.
-func compareStages(a, b []SpanSnapshot, opts DiffOptions, r *DiffResult) {
+func compareStages(a, b []SpanSnapshot, r *DiffResult) {
 	if len(a) != len(b) {
 		r.driftf("stages: %d root stages vs %d", len(a), len(b))
 	}
@@ -305,9 +234,9 @@ func compareStages(a, b []SpanSnapshot, opts DiffOptions, r *DiffResult) {
 			r.driftf("stage[%d]: %q vs %q", i, a[i].Name, b[i].Name)
 			continue
 		}
-		if a[i].DurMS >= minWallMS && b[i].DurMS > a[i].DurMS*opts.MaxWallRegress {
+		if a[i].DurMS >= minWallMS && b[i].DurMS > a[i].DurMS*maxWallRegress {
 			r.warnf("stage %s: wall %.0fms vs %.0fms (> %.1fx regression)",
-				a[i].Name, a[i].DurMS, b[i].DurMS, opts.MaxWallRegress)
+				a[i].Name, a[i].DurMS, b[i].DurMS, maxWallRegress)
 		}
 	}
 }
@@ -322,18 +251,6 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// relDiff returns |a-b| / max(|a|, |b|), 0 when both are 0.
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	den := math.Max(math.Abs(a), math.Abs(b))
-	if den == 0 {
-		return 0
-	}
-	return math.Abs(a-b) / den
 }
 
 func funnelsByName(snaps []FunnelSnapshot) map[string]FunnelSnapshot {

@@ -41,7 +41,7 @@ func hasEntry(entries []string, substr string) bool {
 }
 
 func TestCompareManifestsIdentical(t *testing.T) {
-	r := CompareManifests(testManifest(), testManifest(), DiffOptions{})
+	r := CompareManifests(testManifest(), testManifest())
 	if r.HasDrift() {
 		t.Fatalf("identical manifests drifted: %v", r.Drift)
 	}
@@ -53,7 +53,7 @@ func TestCompareManifestsIdentical(t *testing.T) {
 func TestCompareManifestsCounterDrift(t *testing.T) {
 	b := testManifest()
 	b.Metrics["ping.rtts_measured"] = MetricValue{Type: "counter", Value: 5001}
-	r := CompareManifests(testManifest(), b, DiffOptions{})
+	r := CompareManifests(testManifest(), b)
 	if !r.HasDrift() || !hasEntry(r.Drift, "ping.rtts_measured") {
 		t.Fatalf("counter delta not drift: %v", r.Drift)
 	}
@@ -62,7 +62,7 @@ func TestCompareManifestsCounterDrift(t *testing.T) {
 func TestCompareManifestsGaugeIsInformational(t *testing.T) {
 	b := testManifest()
 	b.Metrics["capacity.sites_tracked"] = MetricValue{Type: "gauge", Value: 13}
-	r := CompareManifests(testManifest(), b, DiffOptions{})
+	r := CompareManifests(testManifest(), b)
 	if r.HasDrift() {
 		t.Fatalf("gauge difference must not be drift: %v", r.Drift)
 	}
@@ -71,23 +71,17 @@ func TestCompareManifestsGaugeIsInformational(t *testing.T) {
 	}
 }
 
-func TestCompareManifestsHistogramSumTolerance(t *testing.T) {
+// TestCompareManifestsHistogramSumExact: histogram sums are fixed-point and
+// order-free, so any sum difference — however small — is drift, printed in
+// full rather than rounded to look equal.
+func TestCompareManifestsHistogramSumExact(t *testing.T) {
 	b := testManifest()
 	m := b.Metrics["ping.rtt_ms"]
-	m.Value += 1e-10 // within default 1e-9 relative tolerance
+	m.Value = 123.456001
 	b.Metrics["ping.rtt_ms"] = m
-	r := CompareManifests(testManifest(), b, DiffOptions{})
-	if r.HasDrift() {
-		t.Fatalf("in-tolerance sum flagged as drift: %v", r.Drift)
-	}
-	if !hasEntry(r.Infos, "within tolerance") {
-		t.Fatalf("in-tolerance sum not reported: %v", r.Infos)
-	}
-
-	m.Value += 1 // way out of tolerance
-	b.Metrics["ping.rtt_ms"] = m
-	if r := CompareManifests(testManifest(), b, DiffOptions{}); !r.HasDrift() {
-		t.Fatal("out-of-tolerance sum not drift")
+	r := CompareManifests(testManifest(), b)
+	if !hasEntry(r.Drift, "histogram ping.rtt_ms: sum 123.456 vs 123.456001") {
+		t.Fatalf("sum difference not drift: %v", r.Drift)
 	}
 }
 
@@ -98,7 +92,7 @@ func TestCompareManifestsBucketAndFunnelDrift(t *testing.T) {
 	b.Metrics["ping.rtt_ms"] = m
 	b.Funnels[0].Out = 89
 	b.Funnels[0].Drops[0].N = 11
-	r := CompareManifests(testManifest(), b, DiffOptions{})
+	r := CompareManifests(testManifest(), b)
 	if !hasEntry(r.Drift, "bucket[0]") {
 		t.Fatalf("bucket shift not drift: %v", r.Drift)
 	}
@@ -114,7 +108,7 @@ func TestCompareManifestsMissingSeries(t *testing.T) {
 	b := testManifest()
 	delete(b.Metrics, "ping.rtts_measured")
 	b.Funnels = nil
-	r := CompareManifests(testManifest(), b, DiffOptions{})
+	r := CompareManifests(testManifest(), b)
 	if !hasEntry(r.Drift, "metric ping.rtts_measured: missing from candidate") {
 		t.Fatalf("missing metric not drift: %v", r.Drift)
 	}
@@ -130,7 +124,7 @@ func TestCompareManifestsSeedAndStageDrift(t *testing.T) {
 		{Name: "table1", DurMS: 200, Ended: true},
 		{Name: "capacity", DurMS: 700, Ended: true},
 	}
-	r := CompareManifests(testManifest(), b, DiffOptions{})
+	r := CompareManifests(testManifest(), b)
 	if !hasEntry(r.Drift, "seed: 42 vs 43") {
 		t.Fatalf("seed mismatch not drift: %v", r.Drift)
 	}
@@ -142,7 +136,7 @@ func TestCompareManifestsSeedAndStageDrift(t *testing.T) {
 func TestCompareManifestsWallRegressionWarns(t *testing.T) {
 	b := testManifest()
 	b.Stages[1].DurMS = 2000 // 700 → 2000 is past the 2x default
-	r := CompareManifests(testManifest(), b, DiffOptions{})
+	r := CompareManifests(testManifest(), b)
 	if r.HasDrift() {
 		t.Fatalf("wall regression must not be drift: %v", r.Drift)
 	}
@@ -154,7 +148,7 @@ func TestCompareManifestsWallRegressionWarns(t *testing.T) {
 	c.Stages[0].DurMS = 5
 	d := testManifest()
 	d.Stages[0].DurMS = 45
-	if r := CompareManifests(c, d, DiffOptions{}); len(r.Warnings) != 0 {
+	if r := CompareManifests(c, d); len(r.Warnings) != 0 {
 		t.Fatalf("noise-floor stage warned: %v", r.Warnings)
 	}
 }
@@ -162,7 +156,7 @@ func TestCompareManifestsWallRegressionWarns(t *testing.T) {
 func TestCompareManifestsUnbalancedFunnelWarns(t *testing.T) {
 	b := testManifest()
 	b.Funnels[0].In = 101 // 101 != 90 + 10
-	r := CompareManifests(testManifest(), b, DiffOptions{})
+	r := CompareManifests(testManifest(), b)
 	if !hasEntry(r.Warnings, "unbalanced") {
 		t.Fatalf("unbalanced funnel not warned: %v", r.Warnings)
 	}
@@ -175,7 +169,7 @@ func TestCompareManifestsChaosDrift(t *testing.T) {
 	a.DegradedStages = []string{"ping.filter"}
 	b.ChaosProfile, b.ChaosSeed, b.Degraded = "heavy", 7, true
 	b.DegradedStages = []string{"ping.filter"}
-	if r := CompareManifests(a, b, DiffOptions{}); r.HasDrift() {
+	if r := CompareManifests(a, b); r.HasDrift() {
 		t.Fatalf("equal chaos manifests drifted: %v", r.Drift)
 	}
 
@@ -192,14 +186,14 @@ func TestCompareManifestsChaosDrift(t *testing.T) {
 		c.ChaosProfile, c.ChaosSeed, c.Degraded = "heavy", 7, true
 		c.DegradedStages = []string{"ping.filter"}
 		f(c)
-		r := CompareManifests(a, c, DiffOptions{})
+		r := CompareManifests(a, c)
 		if !r.HasDrift() || !hasEntry(r.Drift, want[i]) {
 			t.Fatalf("mutation %d: no %q drift in %v", i, want[i], r.Drift)
 		}
 	}
 
 	// Chaos vs clean: profile and degraded flag both drift.
-	r := CompareManifests(a, testManifest(), DiffOptions{})
+	r := CompareManifests(a, testManifest())
 	if !hasEntry(r.Drift, "chaos profile") || !hasEntry(r.Drift, "degraded") {
 		t.Fatalf("chaos-vs-clean comparison missed drift: %v", r.Drift)
 	}
@@ -217,30 +211,30 @@ func TestCompareManifestsTemporalDrift(t *testing.T) {
 		m.TemporalSchedule = "ios-flash-crowd"
 		return m
 	}
-	if r := CompareManifests(base(), base(), DiffOptions{}); r.HasDrift() {
+	if r := CompareManifests(base(), base()); r.HasDrift() {
 		t.Fatalf("identical temporal manifests drifted: %v", r.Drift)
 	}
 
 	b := base()
 	b.TrajectoryDigest = "sha256:bbbb"
-	if r := CompareManifests(base(), b, DiffOptions{}); !r.HasDrift() || !hasEntry(r.Drift, "trajectory digest") {
+	if r := CompareManifests(base(), b); !r.HasDrift() || !hasEntry(r.Drift, "trajectory digest") {
 		t.Fatalf("trajectory digest change not drift: %v", r.Drift)
 	}
 
 	b = base()
 	b.TemporalHours = 48
-	if r := CompareManifests(base(), b, DiffOptions{}); !r.HasDrift() || !hasEntry(r.Drift, "temporal hours") {
+	if r := CompareManifests(base(), b); !r.HasDrift() || !hasEntry(r.Drift, "temporal hours") {
 		t.Fatalf("temporal hours change not drift: %v", r.Drift)
 	}
 
 	b = base()
 	b.TemporalSchedule = "other"
-	if r := CompareManifests(base(), b, DiffOptions{}); !r.HasDrift() || !hasEntry(r.Drift, "temporal schedule") {
+	if r := CompareManifests(base(), b); !r.HasDrift() || !hasEntry(r.Drift, "temporal schedule") {
 		t.Fatalf("temporal schedule change not drift: %v", r.Drift)
 	}
 
 	// Replay on one side only: all three fields differ from their zero values.
-	if r := CompareManifests(testManifest(), base(), DiffOptions{}); !r.HasDrift() || !hasEntry(r.Drift, "trajectory digest") {
+	if r := CompareManifests(testManifest(), base()); !r.HasDrift() || !hasEntry(r.Drift, "trajectory digest") {
 		t.Fatalf("replay-vs-no-replay not drift: %v", r.Drift)
 	}
 }

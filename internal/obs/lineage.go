@@ -20,23 +20,19 @@ import (
 // every recorder method is nil-safe, and a disabled run costs one atomic
 // load + nil check per call site.
 //
-// Two concerns are deliberately decoupled:
+// The recorder holds records only. A stage's counts are its funnel, fed the
+// same way whether or not lineage is on, and a site names its records'
+// stage after that funnel (Funnel.Name), so the two cannot drift apart.
 //
-//   - Counts. CountIn/CountKept/CountDrop mirror the funnel feeds exactly
-//     (same stage names, same reason codes), so per-stage lineage counts
-//     reconcile against funnel accounting: in == kept + Σ drops, and any
-//     site that drops data without recording why fails the guard.
-//
-//   - Records. Full evidence records are sampled: per (stage, group) the
-//     recorder keeps the cap records whose admission key — a pure hash of
-//     the record's identity, never a sequential RNG draw — is smallest.
-//     A bounded min-set over a multiset is arrival-order independent, so
-//     the retained sample (and hence the digest) is byte-identical at any
-//     -workers/-shards. Sites must uphold one invariant for this to hold:
-//     a record's evidence is a pure function of its identity
-//     (stage, group, subject, outcome, reason) and the run configuration,
-//     so identically keyed duplicates are byte-identical and deduplication
-//     is safe.
+// Records are sampled: per (stage, group) the recorder keeps the
+// DefaultLineageCap records whose admission key — a pure hash of the
+// record's identity, never a sequential RNG draw — is smallest. A bounded
+// min-set over a multiset is arrival-order independent, so the retained
+// sample (and hence the digest) is byte-identical at any -workers/-shards.
+// Sites must uphold one invariant for this to hold: a record's evidence is a
+// pure function of its identity (stage, group, subject, outcome, reason) and
+// the run configuration, so identically keyed duplicates are byte-identical
+// and deduplication is safe.
 //
 // Group keys choose the sampling granularity. Table 1 classification groups
 // by (hypergiant, ISP, pass) so every populated cell retains at least one
@@ -45,7 +41,6 @@ import (
 type LineageRecorder struct {
 	mu     sync.RWMutex
 	stages map[string]*lineageStage
-	caps   map[string]int
 }
 
 // LineageKV is one evidence key/value pair on a decision record.
@@ -73,48 +68,11 @@ const (
 	LineageDropped = "dropped"
 )
 
-// LineageStageCount is one stage's decision accounting as exported to the
-// manifest and the lineage file summary. It reconciles against the stage's
-// funnel: In == Kept + Σ Drops.
-type LineageStageCount struct {
-	Stage string       `json:"stage"`
-	In    int64        `json:"in"`
-	Kept  int64        `json:"kept"`
-	Drops []FunnelDrop `json:"drops,omitempty"`
-}
-
-// Dropped returns the total decisions dropped across reasons.
-func (s LineageStageCount) Dropped() int64 {
-	var n int64
-	for _, d := range s.Drops {
-		n += d.N
-	}
-	return n
-}
-
-// Balanced reports whether the accounting reconciles: In == Kept + Σ drops.
-func (s LineageStageCount) Balanced() bool { return s.In == s.Kept+s.Dropped() }
-
-// DropN returns the count recorded for the reason (0 when absent).
-func (s LineageStageCount) DropN(reason string) int64 {
-	for _, d := range s.Drops {
-		if d.Reason == reason {
-			return d.N
-		}
-	}
-	return 0
-}
-
 // DefaultLineageCap is the per-(stage, group) sampled-record cap.
 const DefaultLineageCap = 2
 
 type lineageStage struct {
-	in   atomic.Int64
-	kept atomic.Int64
-	cap  int
-
 	mu     sync.Mutex
-	drops  map[string]int64
 	groups map[string]*lineageGroup
 }
 
@@ -128,23 +86,9 @@ type lineageAdmitted struct {
 	dec LineageDecision
 }
 
-// NewLineageRecorder returns an empty recorder with the default sampling cap.
+// NewLineageRecorder returns an empty recorder.
 func NewLineageRecorder() *LineageRecorder {
-	return &LineageRecorder{
-		stages: make(map[string]*lineageStage),
-		caps:   make(map[string]int),
-	}
-}
-
-// SetCap overrides the per-(stage, group) record cap for one stage. Call
-// before the stage records anything; a cap set after is ignored.
-func (r *LineageRecorder) SetCap(stage string, cap int) {
-	if r == nil || cap <= 0 {
-		return
-	}
-	r.mu.Lock()
-	r.caps[stage] = cap
-	r.mu.Unlock()
+	return &LineageRecorder{stages: make(map[string]*lineageStage)}
 }
 
 func (r *LineageRecorder) stage(name string) *lineageStage {
@@ -159,43 +103,9 @@ func (r *LineageRecorder) stage(name string) *lineageStage {
 	if s = r.stages[name]; s != nil {
 		return s
 	}
-	k := r.caps[name]
-	if k <= 0 {
-		k = DefaultLineageCap
-	}
-	s = &lineageStage{
-		cap:    k,
-		drops:  make(map[string]int64),
-		groups: make(map[string]*lineageGroup),
-	}
+	s = &lineageStage{groups: make(map[string]*lineageGroup)}
 	r.stages[name] = s
 	return s
-}
-
-// CountIn records n decisions entering the stage. Safe on a nil receiver.
-func (r *LineageRecorder) CountIn(stage string, n int64) {
-	if r != nil {
-		r.stage(stage).in.Add(n)
-	}
-}
-
-// CountKept records n decisions kept by the stage. Safe on a nil receiver.
-func (r *LineageRecorder) CountKept(stage string, n int64) {
-	if r != nil {
-		r.stage(stage).kept.Add(n)
-	}
-}
-
-// CountDrop records n decisions dropped by the stage for the reason (the
-// funnel's drop-reason tag, verbatim). Safe on a nil receiver.
-func (r *LineageRecorder) CountDrop(stage, reason string, n int64) {
-	if r == nil || n == 0 {
-		return
-	}
-	s := r.stage(stage)
-	s.mu.Lock()
-	s.drops[reason] += n
-	s.mu.Unlock()
 }
 
 // lineageKey derives the hash admission key for a record identity. FNV-1a
@@ -222,8 +132,7 @@ func admitBefore(key uint64, id string, than lineageAdmitted) bool {
 
 // Record offers one decision for sampling. The evidence builder runs only if
 // the record is admitted, so call sites pay nothing for decisions the sample
-// rejects. Safe on a nil receiver. Record does not touch the stage counts;
-// call CountIn/CountKept/CountDrop alongside, mirroring the funnel feeds.
+// rejects. Safe on a nil receiver.
 func (r *LineageRecorder) Record(stage, group, subject, outcome, reason string, build func() []LineageKV) {
 	if r == nil {
 		return
@@ -247,7 +156,7 @@ func (r *LineageRecorder) Record(stage, group, subject, outcome, reason string, 
 		}
 	}
 	slot := -1
-	if len(g.recs) < s.cap {
+	if len(g.recs) < DefaultLineageCap {
 		g.recs = append(g.recs, lineageAdmitted{})
 		slot = len(g.recs) - 1
 	} else {
@@ -273,40 +182,6 @@ func (r *LineageRecorder) Record(stage, group, subject, outcome, reason string, 
 		dec.Evidence = build()
 	}
 	g.recs[slot] = lineageAdmitted{key: key, id: id, dec: dec}
-}
-
-// StageCounts returns every stage's decision accounting, stages sorted by
-// name and drops sorted by reason — the deterministic order used by the
-// manifest and the lineage file summary.
-func (r *LineageRecorder) StageCounts() []LineageStageCount {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	names := make([]string, 0, len(r.stages))
-	for n := range r.stages {
-		names = append(names, n)
-	}
-	stages := make(map[string]*lineageStage, len(r.stages))
-	for n, s := range r.stages {
-		stages[n] = s
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-
-	out := make([]LineageStageCount, 0, len(names))
-	for _, n := range names {
-		s := stages[n]
-		sc := LineageStageCount{Stage: n, In: s.in.Load(), Kept: s.kept.Load()}
-		s.mu.Lock()
-		for reason, cnt := range s.drops {
-			sc.Drops = append(sc.Drops, FunnelDrop{Reason: reason, N: cnt})
-		}
-		s.mu.Unlock()
-		sort.Slice(sc.Drops, func(i, j int) bool { return sc.Drops[i].Reason < sc.Drops[j].Reason })
-		out = append(out, sc)
-	}
-	return out
 }
 
 // lineageLess is the canonical record order: records sort by
@@ -396,40 +271,20 @@ var activeLineage atomic.Pointer[LineageRecorder]
 func SetLineage(r *LineageRecorder) { activeLineage.Store(r) }
 
 // ActiveLineage returns the active recorder, or nil when lineage is off.
-// Recorder methods are nil-safe, so call sites chain directly:
-//
-//	obs.ActiveLineage().CountIn("ping.filter", 1)
+// Recorder methods are nil-safe, but sites gate on the nil check anyway so
+// a lineage-off run builds no group key, subject string or evidence closure.
 func ActiveLineage() *LineageRecorder { return activeLineage.Load() }
 
-// LineageEnabled reports whether a recorder is active. Sites use it to gate
-// work with no lineage-off equivalent (registering lineage-only funnels,
-// building group keys).
-func LineageEnabled() bool { return activeLineage.Load() != nil }
-
-// LineageMarkdown renders the recorder's state as the report's "Evidence
-// appendix": the per-stage decision accounting, then up to maxPerStage
-// sampled evidence chains per stage. The output is a pure function of the
-// canonical record set, so — like every experiment section — it is
-// byte-identical at any worker or shard count.
+// LineageMarkdown renders the recorder's sampled records as the report's
+// "Evidence appendix": up to maxPerStage evidence chains per stage. The
+// stages' counts are their funnels, rendered by FunnelTable. The output is a
+// pure function of the canonical record set, so — like every experiment
+// section — it is byte-identical at any worker or shard count.
 func LineageMarkdown(r *LineageRecorder, maxPerStage int) string {
 	if r == nil {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "| stage | in | kept | dropped | drop breakdown |\n")
-	fmt.Fprintf(&b, "|---|---|---|---|---|\n")
-	for _, s := range r.StageCounts() {
-		var reasons []string
-		for _, d := range s.Drops {
-			reasons = append(reasons, fmt.Sprintf("%s=%d", d.Reason, d.N))
-		}
-		breakdown := strings.Join(reasons, ", ")
-		if breakdown == "" {
-			breakdown = "—"
-		}
-		fmt.Fprintf(&b, "| %s | %d | %d | %d | %s |\n", s.Stage, s.In, s.Kept, s.Dropped(), breakdown)
-	}
-
 	perStage := 0
 	last := ""
 	for _, rec := range r.Records() {

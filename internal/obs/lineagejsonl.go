@@ -12,23 +12,26 @@ import (
 // Lineage file format: one canonical JSON record line per sampled decision
 // (sorted, stable field order — the same bytes Digest hashes), terminated by
 // a single summary line carrying the schema version, record count, digest,
-// and per-stage decision counts. The digest covers the record lines only, so
-// a reader can re-hash what it read and detect truncation or tampering.
+// and the run's funnels — each stage's counts are the funnel of the same
+// name. The digest covers the record lines only, so a reader can re-hash
+// what it read and detect truncation or tampering.
 
-// LineageSchemaVersion is the current lineage file schema.
-const LineageSchemaVersion = 1
+// LineageSchemaVersion is the current lineage file schema. Version 2
+// replaced the summary's per-stage lineage counts with the run's funnels.
+const LineageSchemaVersion = 2
 
 // LineageSummary is the trailing line of a lineage file.
 type LineageSummary struct {
-	Type    string              `json:"type"` // always "summary"
-	Schema  int                 `json:"schema"`
-	Records int                 `json:"records"`
-	Digest  string              `json:"digest"`
-	Stages  []LineageStageCount `json:"stages,omitempty"`
+	Type    string           `json:"type"` // always "summary"
+	Schema  int              `json:"schema"`
+	Records int              `json:"records"`
+	Digest  string           `json:"digest"`
+	Funnels []FunnelSnapshot `json:"funnels,omitempty"`
 }
 
-// WriteLineageFile spills the recorder's sampled decisions to path as JSONL.
-func WriteLineageFile(path string, r *LineageRecorder) error {
+// WriteLineageFile spills the recorder's sampled decisions to path as JSONL,
+// with the run's funnel snapshots on the summary line.
+func WriteLineageFile(path string, r *LineageRecorder, funnels []FunnelSnapshot) error {
 	if r == nil {
 		return fmt.Errorf("obs: write lineage %s: no active recorder", path)
 	}
@@ -49,7 +52,7 @@ func WriteLineageFile(path string, r *LineageRecorder) error {
 		Schema:  LineageSchemaVersion,
 		Records: len(lines),
 		Digest:  r.Digest(),
-		Stages:  r.StageCounts(),
+		Funnels: funnels,
 	}
 	b, err := json.Marshal(sum)
 	if err != nil {

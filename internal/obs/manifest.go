@@ -46,11 +46,9 @@ type Manifest struct {
 	// comparisons (runsdiff reports it as informational only).
 	Profile *Profile `json:"profile,omitempty"`
 	// Lineage provenance (-lineage): the canonical SHA-256 of the sampled
-	// per-decision records plus per-stage decision counts. Both omitted when
-	// lineage is off, so lineage-off manifests stay byte-identical to
-	// pre-lineage ones (the recorder and its funnels register lazily).
-	LineageDigest string              `json:"lineage_digest,omitempty"`
-	Lineage       []LineageStageCount `json:"lineage,omitempty"`
+	// per-decision records, omitted when lineage is off. Each lineage
+	// stage's counts are the Funnels entry of the same name.
+	LineageDigest string `json:"lineage_digest,omitempty"`
 	// Temporal provenance (internal/temporal): the canonical SHA-256 of the
 	// replayed trajectory's event stream, with the horizon and schedule that
 	// produced it. All omitted when the run had no -hours/-schedule replay,
@@ -88,7 +86,6 @@ func BuildManifest(tool string, seed int64, scale string, tr *Tracer, start time
 	}
 	if lr := ActiveLineage(); lr != nil {
 		m.LineageDigest = lr.Digest()
-		m.Lineage = lr.StageCounts()
 	}
 	if !start.IsZero() {
 		m.StartedAt = start.UTC().Format(time.RFC3339)

@@ -134,13 +134,21 @@ func (g *Gauge) Help() string {
 // Histogram counts observations into fixed buckets. An observation lands in
 // the first bucket whose upper bound is >= the value; values above the last
 // bound land in the implicit overflow bucket.
+//
+// The sum is fixed-point: each observation adds round(v·histSumScale) to an
+// int64, so the total is exact and independent of the order concurrent
+// observers arrive in (a float accumulator's rounding is not). The int64
+// holds |Σ v| up to ~9.2e12.
 type Histogram struct {
 	help   string
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1, last is overflow
-	sum    atomic.Uint64  // float64 bits, CAS-accumulated
+	sum    atomic.Int64   // Σ round(v·histSumScale)
 	n      atomic.Int64
 }
+
+// histSumScale is the histogram sum's fixed-point resolution: 1e-6 units.
+const histSumScale = 1e6
 
 // Observe records one value. Safe on a nil receiver.
 func (h *Histogram) Observe(v float64) {
@@ -150,13 +158,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.n.Add(1)
-	for {
-		old := h.sum.Load()
-		new := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, new) {
-			return
-		}
-	}
+	h.sum.Add(int64(math.Round(v * histSumScale)))
 }
 
 // Count returns the total number of observations.
@@ -175,12 +177,12 @@ func (h *Histogram) Help() string {
 	return h.help
 }
 
-// Sum returns the sum of observed values.
+// Sum returns the sum of observed values, each rounded to 1e-6.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return math.Float64frombits(h.sum.Load())
+	return float64(h.sum.Load()) / histSumScale
 }
 
 // Buckets returns the upper bounds and per-bucket counts (the final count is

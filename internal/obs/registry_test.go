@@ -81,10 +81,9 @@ func TestSnapshotIncludesHelp(t *testing.T) {
 	}
 }
 
-// TestConcurrentHistogramSum drives Observe from many goroutines with
-// integer-valued observations, whose float sums are exact in any order — so
-// under -race this both exercises the CAS loop for data races and proves no
-// observation is lost to a failed swap.
+// TestConcurrentHistogramSum drives Observe from many goroutines, so under
+// -race it both exercises the sum's atomic add for data races and proves no
+// observation is lost.
 func TestConcurrentHistogramSum(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("test.cas_sum", "", []float64{100, 1000})
@@ -111,7 +110,7 @@ func TestConcurrentHistogramSum(t *testing.T) {
 		wantPerWorker += float64(i%7 + 1)
 	}
 	if want := wantPerWorker * workers; h.Sum() != want {
-		t.Fatalf("CAS sum = %v, want %v (lost updates)", h.Sum(), want)
+		t.Fatalf("sum = %v, want %v (lost updates)", h.Sum(), want)
 	}
 	_, counts := h.Buckets()
 	var total int64
@@ -120,6 +119,28 @@ func TestConcurrentHistogramSum(t *testing.T) {
 	}
 	if total != workers*per {
 		t.Fatalf("bucket total = %d, want %d", total, workers*per)
+	}
+}
+
+// TestHistogramSumOrderFree: the sum is a function of the observed values,
+// not of the order observers arrive in — the property runsdiff's exact sum
+// comparison rests on. A float accumulator fails it: a running total near
+// 1e9 drops the low digits of the small terms, differently per order.
+func TestHistogramSumOrderFree(t *testing.T) {
+	vals := []float64{0.1, 1e9, 0.2, -1e9, 0.3, 123.456789}
+	sum := func(order []int) float64 {
+		h := NewRegistry().NewHistogram("test.order_sum", "", []float64{1})
+		for _, i := range order {
+			h.Observe(vals[i])
+		}
+		return h.Sum()
+	}
+	fwd, rev := sum([]int{0, 1, 2, 3, 4, 5}), sum([]int{5, 4, 3, 2, 1, 0})
+	if fwd != rev {
+		t.Fatalf("sum depends on observation order: %v vs %v", fwd, rev)
+	}
+	if want := 124.056789; fwd != want {
+		t.Fatalf("sum = %v, want %v", fwd, want)
 	}
 }
 

@@ -250,9 +250,6 @@ func InferChaos(w *inet.World, records []scan.Record, rules []Rule, inj *chaos.I
 	return InferLineage(w, records, rules, inj, "")
 }
 
-// lnClassify is the lineage stage name mirroring the classify funnel.
-const lnClassify = "offnetmap.classify"
-
 // InferLineage is InferChaos with a pass label for provenance: Table 1 runs
 // the same scan through three rule passes ("2021", "2023", "stale-2021"), and
 // the label keeps their lineage records apart. Kept decisions group by
@@ -274,14 +271,12 @@ func InferLineage(w *inet.World, records []scan.Record, rules []Rule, inj *chaos
 		}
 	}
 	fClassify.In(int64(len(records)))
-	lr.CountIn(lnClassify, int64(len(records)))
 	for _, rec := range records {
 		if inj.CertFetchFailed(int64(rec.Addr)) {
 			cFetchFail.Inc()
 			inj.CertsFailed.Inc()
-			lr.CountDrop(lnClassify, "chaos_fetch_failed", 1)
 			if lr != nil {
-				lr.Record(lnClassify, dropGroup("chaos_fetch_failed"), rec.Addr.String(),
+				lr.Record(fClassify.Name(), dropGroup("chaos_fetch_failed"), rec.Addr.String(),
 					obs.LineageDropped, "chaos_fetch_failed", func() []obs.LineageKV {
 						return []obs.LineageKV{{K: "pass", V: pass}}
 					})
@@ -291,9 +286,8 @@ func InferLineage(w *inet.World, records []scan.Record, rules []Rule, inj *chaos
 		if inj.CertMangled(int64(rec.Addr)) {
 			cMangled.Inc()
 			inj.CertsMangled.Inc()
-			lr.CountDrop(lnClassify, "chaos_malformed", 1)
 			if lr != nil {
-				lr.Record(lnClassify, dropGroup("chaos_malformed"), rec.Addr.String(),
+				lr.Record(fClassify.Name(), dropGroup("chaos_malformed"), rec.Addr.String(),
 					obs.LineageDropped, "chaos_malformed", func() []obs.LineageKV {
 						return []obs.LineageKV{{K: "pass", V: pass}}
 					})
@@ -303,9 +297,8 @@ func InferLineage(w *inet.World, records []scan.Record, rules []Rule, inj *chaos
 		as, ok := w.OwnerOf(rec.Addr)
 		if !ok {
 			fClassifyUnrouted.Inc()
-			lr.CountDrop(lnClassify, "unrouted", 1)
 			if lr != nil {
-				lr.Record(lnClassify, dropGroup("unrouted"), rec.Addr.String(),
+				lr.Record(fClassify.Name(), dropGroup("unrouted"), rec.Addr.String(),
 					obs.LineageDropped, "unrouted", func() []obs.LineageKV {
 						return []obs.LineageKV{
 							{K: "pass", V: pass},
@@ -319,9 +312,8 @@ func InferLineage(w *inet.World, records []scan.Record, rules []Rule, inj *chaos
 		if !ok || owner.Tier == inet.TierContent {
 			// Hypergiant-announced space: onnet, not offnet.
 			fClassifyOnnet.Inc()
-			lr.CountDrop(lnClassify, "onnet_space", 1)
 			if lr != nil {
-				lr.Record(lnClassify, dropGroup("onnet_space"), rec.Addr.String(),
+				lr.Record(fClassify.Name(), dropGroup("onnet_space"), rec.Addr.String(),
 					obs.LineageDropped, "onnet_space", func() []obs.LineageKV {
 						return []obs.LineageKV{
 							{K: "pass", V: pass},
@@ -343,7 +335,7 @@ func InferLineage(w *inet.World, records []scan.Record, rules []Rule, inj *chaos
 			matched = true
 			if lr != nil {
 				hg, asn := rule.HG, as
-				lr.Record(lnClassify,
+				lr.Record(fClassify.Name(),
 					fmt.Sprintf("hg=%s|isp=%d|pass=%s", hg, asn, pass),
 					rec.Addr.String(), obs.LineageKept, "offnet", func() []obs.LineageKV {
 						ev := []obs.LineageKV{
@@ -365,12 +357,10 @@ func InferLineage(w *inet.World, records []scan.Record, rules []Rule, inj *chaos
 		}
 		if matched {
 			fClassify.Out(1)
-			lr.CountKept(lnClassify, 1)
 		} else {
 			fClassifyNoMatch.Inc()
-			lr.CountDrop(lnClassify, "no_cert_match", 1)
 			if lr != nil {
-				lr.Record(lnClassify, dropGroup("no_cert_match"), rec.Addr.String(),
+				lr.Record(fClassify.Name(), dropGroup("no_cert_match"), rec.Addr.String(),
 					obs.LineageDropped, "no_cert_match", func() []obs.LineageKV {
 						return []obs.LineageKV{
 							{K: "pass", V: pass},

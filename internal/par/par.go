@@ -72,9 +72,9 @@ func (e *panicError) Error() string {
 // Map runs fn(ctx, i) for every i in [0, n) across a bounded worker pool
 // and returns the results in input order. The first failure (lowest task
 // index, so the choice is deterministic even when several tasks fail
-// concurrently) cancels the remaining tasks and is returned; a task panic
-// is captured as an error rather than crashing the process. When the
-// parent context is cancelled mid-flight, Map stops claiming tasks and
+// concurrently) stops the pool claiming higher indices and is returned; a
+// task panic is captured as an error rather than crashing the process. When
+// the parent context is cancelled mid-flight, Map stops claiming tasks and
 // returns the context's error.
 //
 // When opts.Name is set and ctx carries a span (obs.ContextWithSpan), each
@@ -129,19 +129,21 @@ func MapLocal[S, R any](ctx context.Context, n int, opts Options, newState func(
 	// Workers claim indices from an atomic cursor; each task writes only
 	// its own slot, so the interleaving never matters. workers==1 runs the
 	// same loop on the calling goroutine — the serial case is not special.
-	pctx := ctx
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// A failure records its index in lowFailed, and workers stop claiming
+	// past the lowest failed index. Every claimed index below it still runs
+	// to completion (no internal cancellation reaches it), so the error
+	// returned is the lowest-index failure on every run.
 	var next atomic.Int64
-	var failed atomic.Bool
+	var lowFailed atomic.Int64
+	lowFailed.Store(int64(n))
 	work := func(w int) {
-		wctx := cctx
+		wctx := ctx
 		var ws *obs.Span
 		var queueWait time.Duration
 		if timed {
 			ws = parent.Child(fmt.Sprintf("%s/worker-%d", opts.Name, w))
 			ws.SetAttr("worker", w)
-			wctx = obs.ContextWithSpan(cctx, ws)
+			wctx = obs.ContextWithSpan(ctx, ws)
 			// Startup delay: how long after the region opened this worker
 			// got scheduled and reached the claim loop.
 			queueWait = time.Since(regionStart)
@@ -150,8 +152,8 @@ func MapLocal[S, R any](ctx context.Context, n int, opts Options, newState func(
 		tasks := 0
 		var busy time.Duration
 		for {
-			i := int(next.Add(1) - 1)
-			if i >= n || cctx.Err() != nil {
+			i := next.Add(1) - 1
+			if i >= lowFailed.Load() || ctx.Err() != nil {
 				break
 			}
 			tasks++
@@ -159,14 +161,13 @@ func MapLocal[S, R any](ctx context.Context, n int, opts Options, newState func(
 			if timed {
 				t0 = time.Now()
 			}
-			err := runTask(wctx, i, state, fn, results)
+			err := runTask(wctx, int(i), state, fn, results)
 			if timed {
 				busy += time.Since(t0)
 			}
 			if err != nil {
 				errs[i] = err
-				failed.Store(true)
-				cancel() // stop claiming; finished slots stay valid
+				storeMin(&lowFailed, i)
 				break
 			}
 		}
@@ -214,21 +215,24 @@ func MapLocal[S, R any](ctx context.Context, n int, opts Options, newState func(
 			workers, totalTasks.Load(), ms(time.Duration(totalBusyNS.Load())), ms(wall), 100*eff))
 	}
 
-	if failed.Load() {
-		// Deterministic error selection: the lowest-index failure, however
-		// the workers happened to interleave.
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	if low := lowFailed.Load(); low < int64(n) {
+		return nil, errs[low]
 	}
-	if err := pctx.Err(); err != nil {
-		// Cancelled from outside mid-flight (we only cancel cctx ourselves
-		// on task failure, which returned above).
+	if err := ctx.Err(); err != nil {
+		// Cancelled from outside mid-flight.
 		return nil, err
 	}
 	return results, nil
+}
+
+// storeMin lowers v to x unless v already holds a value <= x.
+func storeMin(v *atomic.Int64, x int64) {
+	for {
+		old := v.Load()
+		if x >= old || v.CompareAndSwap(old, x) {
+			return
+		}
+	}
 }
 
 // ms renders a duration as float milliseconds for span attributes.

@@ -24,14 +24,9 @@ import (
 	"offnetrisk/internal/scenario"
 )
 
-// lnMetro is the lineage stage name of the geohint extraction (DESIGN.md §13).
-const lnMetro = "rdns.metro"
-
 // fMetro accounts PTR geohint extraction during cluster validation: cluster
-// members considered vs. located. Lazily registered — the funnel exists for
-// provenance and is fed only when lineage recording is on, so lineage-off
-// runs leave golden manifests untouched.
-var fMetro = obs.NewLazyFunnel("rdns.metro",
+// members considered vs. located to a metro.
+var fMetro = obs.NewFunnel("rdns.metro",
 	"cluster members entering PTR geohint extraction vs. located to a metro")
 
 // Config controls PTR synthesis.
@@ -204,48 +199,39 @@ type ValidationReport struct {
 // servers for each ISP (the shape the coloc analysis provides).
 func Validate(ptrs PTRTable, clusters map[string][][]netaddr.Addr, xi float64) ValidationReport {
 	lr := obs.ActiveLineage()
-	var f *obs.Funnel
-	if lr != nil {
-		// Lazily registered and fed only under lineage so lineage-off runs
-		// keep every committed golden manifest byte-identical.
-		f = fMetro.Get()
-	}
 	rep := ValidationReport{Xi: xi}
 	for ispKey, ispClusters := range clusters {
-		group := fmt.Sprintf("isp=%s|xi=%g", ispKey, xi)
+		var group string
+		if lr != nil {
+			group = fmt.Sprintf("isp=%s|xi=%g", ispKey, xi)
+		}
 		for _, members := range ispClusters {
 			var located []geo.Metro
 			for _, addr := range members {
 				addr := addr
 				host, ok := ptrs[addr]
-				if lr != nil {
-					f.In(1)
-					lr.CountIn(lnMetro, 1)
-				}
+				fMetro.In(1)
 				if !ok {
+					fMetro.Drop("no_ptr", 1)
 					if lr != nil {
-						f.Drop("no_ptr", 1)
-						lr.CountDrop(lnMetro, "no_ptr", 1)
-						lr.Record(lnMetro, group, addr.String(), obs.LineageDropped, "no_ptr", nil)
+						lr.Record(fMetro.Name(), group, addr.String(), obs.LineageDropped, "no_ptr", nil)
 					}
 					continue
 				}
 				m, reason, ok := extractMetroDetail(host)
 				if !ok {
+					fMetro.Drop(reason, 1)
 					if lr != nil {
-						f.Drop(reason, 1)
-						lr.CountDrop(lnMetro, reason, 1)
-						lr.Record(lnMetro, group, addr.String(), obs.LineageDropped, reason,
+						lr.Record(fMetro.Name(), group, addr.String(), obs.LineageDropped, reason,
 							func() []obs.LineageKV {
 								return []obs.LineageKV{{K: "hostname", V: host}}
 							})
 					}
 					continue
 				}
+				fMetro.Out(1)
 				if lr != nil {
-					f.Out(1)
-					lr.CountKept(lnMetro, 1)
-					lr.Record(lnMetro, group, addr.String(), obs.LineageKept, "located",
+					lr.Record(fMetro.Name(), group, addr.String(), obs.LineageKept, "located",
 						func() []obs.LineageKV {
 							return []obs.LineageKV{
 								{K: "hostname", V: host},

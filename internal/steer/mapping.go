@@ -10,15 +10,12 @@ import (
 	"offnetrisk/internal/traffic"
 )
 
-// lnMapping is the lineage stage name of the §5 user-mapping probe
-// (DESIGN.md §13).
-const lnMapping = "steer.mapping"
-
-// fMapping accounts the ECS mapping technique: client /24s probed vs. mapped
-// to an offnet. Lazily registered and fed only under lineage, so lineage-off
-// runs keep golden manifests byte-identical.
-var fMapping = obs.NewLazyFunnel("steer.mapping",
-	"client /24s probed with ECS queries vs. mapped to an offnet address")
+// fMapping accounts the §5 ECS mapping technique: client /24s probed vs.
+// mapped to an offnet.
+var (
+	fMapping          = obs.NewFunnel("steer.mapping", "client /24s probed with ECS queries vs. mapped to an offnet address")
+	fMappingNoSteered = fMapping.Reason("no_offnet_steering")
+)
 
 // MappingResult is the outcome of attempting the 2013 DNS-based
 // user→offnet mapping technique against one hypergiant.
@@ -108,11 +105,6 @@ func MapUsers(d *hypergiant.Deployment, modes map[traffic.HG]Mode, resolvers []R
 	}
 
 	lr := obs.ActiveLineage()
-	var f *obs.Funnel
-	if lr != nil {
-		// Lazily registered and fed only under lineage (golden protection).
-		f = fMapping.Get()
-	}
 	var out []MappingResult
 	for _, hg := range traffic.All {
 		dir := dirs[hg]
@@ -135,15 +127,11 @@ func MapUsers(d *hypergiant.Deployment, modes map[traffic.HG]Mode, resolvers []R
 					break
 				}
 			}
-			if lr != nil {
-				f.In(1)
-				lr.CountIn(lnMapping, 1)
-			}
+			fMapping.In(1)
 			if !found {
+				fMappingNoSteered.Inc()
 				if lr != nil {
-					f.Drop("no_offnet_steering", 1)
-					lr.CountDrop(lnMapping, "no_offnet_steering", 1)
-					lr.Record(lnMapping, group, s24.String(), obs.LineageDropped,
+					lr.Record(fMapping.Name(), group, s24.String(), obs.LineageDropped,
 						"no_offnet_steering", func() []obs.LineageKV {
 							return []obs.LineageKV{
 								{K: "mode", V: mode.String()},
@@ -160,10 +148,9 @@ func MapUsers(d *hypergiant.Deployment, modes map[traffic.HG]Mode, resolvers []R
 				res.Correct++
 				correct = true
 			}
+			fMapping.Out(1)
 			if lr != nil {
-				f.Out(1)
-				lr.CountKept(lnMapping, 1)
-				lr.Record(lnMapping, group, s24.String(), obs.LineageKept, "offnet_mapped",
+				lr.Record(fMapping.Name(), group, s24.String(), obs.LineageKept, "offnet_mapped",
 					func() []obs.LineageKV {
 						return []obs.LineageKV{
 							{K: "mode", V: mode.String()},

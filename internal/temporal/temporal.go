@@ -36,15 +36,12 @@ import (
 	"offnetrisk/internal/traffic"
 )
 
-// Lazily registered so runs without a temporal replay keep the committed
-// golden manifests byte-identical (the registry only sees these names when
-// an engine actually runs).
 var (
-	mSteps = obs.NewLazyCounter("temporal.steps_total",
+	mSteps = obs.NewCounter("temporal.steps_total",
 		"clock steps evaluated by the discrete-event engine")
-	mEvents = obs.NewLazyCounter("temporal.events_total",
+	mEvents = obs.NewCounter("temporal.events_total",
 		"events appended to temporal trajectories")
-	mOnsets = obs.NewLazyCounter("temporal.congestion_onsets_total",
+	mOnsets = obs.NewCounter("temporal.congestion_onsets_total",
 		"congestion-onset events observed on shared links")
 )
 
@@ -268,8 +265,6 @@ func (e *Engine) Run(ctx context.Context) (*Trajectory, error) {
 	var first *cascade.Baseline
 	prevCongIXP := make(map[inet.IXPID]bool)
 	prevCongTr := make(map[inet.ASN]bool)
-	stepCounter := mSteps.Get()
-	onsetCounter := mOnsets.Get()
 
 	for h.Len() > 0 {
 		if err := ctx.Err(); err != nil {
@@ -335,15 +330,15 @@ func (e *Engine) Run(ctx context.Context) (*Trajectory, error) {
 		}
 
 		onsets := e.emitCongestionEdges(traj, at, rep, prevCongIXP, prevCongTr)
-		onsetCounter.Add(int64(onsets))
+		mOnsets.Add(int64(onsets))
 
 		step := buildStep(at, hour, burst, st.isolated, flows, rep, iso)
 		traj.Steps = append(traj.Steps, step)
 		agg := step.Agg
 		traj.append(e.cfg.Sink, Event{AtHours: at, Kind: "flows", Hour: hour, Agg: &agg})
-		stepCounter.Inc()
+		mSteps.Inc()
 	}
-	mEvents.Get().Add(int64(len(traj.Events)))
+	mEvents.Add(int64(len(traj.Events)))
 	return traj, nil
 }
 

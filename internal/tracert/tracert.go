@@ -40,13 +40,11 @@ var (
 	fHopsUnmapped     = fHops.Reason("unmapped")
 )
 
-// fTraces exists only on chaos runs: it is registered through the shared
-// lazy helper on first use, so clean manifests carry no tracert.traces row.
-var fTraces = obs.NewLazyFunnel("tracert.traces",
-	"traceroutes attempted vs. issued under fault injection")
-
-// lnHops is the lineage stage mirroring the hops funnel.
-const lnHops = "tracert.hops"
+// fTraces accounts the survey's traceroutes: attempted vs. issued (Out
+// reconciles with tracert.traces_run). Only fault injection drops any, as
+// chaos_transient, a reason bound on chaos runs only.
+var fTraces = obs.NewFunnel("tracert.traces",
+	"traceroutes attempted vs. issued")
 
 // Hop is one traceroute hop. Unresponsive hops appear with Responded=false
 // and no address (the '*' lines of a real traceroute).
@@ -141,9 +139,9 @@ func SurveyContext(ctx context.Context, d *hypergiant.Deployment, hg traffic.HG,
 			isps = append(isps, isp)
 		}
 	}
-	// Per-ISP task result: the traces plus the chaos attempt accounting,
-	// merged serially below so the traces funnel is fed in ascending-ASN
-	// order regardless of worker schedule.
+	// Per-ISP task result: the traces plus the attempt accounting, merged
+	// serially below so the traces funnel is fed in ascending-ASN order
+	// regardless of worker schedule.
 	type ispTraces struct {
 		list                       []Trace
 		attempted, lost, truncated int64
@@ -190,11 +188,10 @@ func SurveyContext(ctx context.Context, d *hypergiant.Deployment, hg traffic.HG,
 		lost += res.lost
 		truncated += res.truncated
 	}
+	fTraces.In(attempted)
+	fTraces.Out(attempted - lost)
 	if cfg.Chaos.Enabled() {
-		f := fTraces.Get()
-		f.In(attempted)
-		f.Out(attempted - lost)
-		f.Reason("chaos_transient").Add(lost)
+		fTraces.Reason("chaos_transient").Add(lost)
 		cfg.Chaos.TracesTruncated.Add(truncated)
 		// Hop perturbations are counted over the kept hops only, so the
 		// counters equal the chaos_silent / chaos_unmapped funnel reasons
@@ -383,8 +380,8 @@ func Infer(w *inet.World, hg traffic.HG, contentAS inet.ASN, traces map[inet.ASN
 }
 
 // accountHops feeds the tracert.hops funnel and the hops_mapped counter for
-// one trace, batched into single atomic adds per trace. Lineage counts mirror
-// the funnel feed; sampled hop records group by the trace's destination ISP.
+// one trace, batched into single atomic adds per trace. Sampled hop records
+// group by the trace's destination ISP.
 // Hop responsiveness, chaos perturbation, and network mapping are all stable
 // per address, so a hop's decision record is pure per (address, config) no
 // matter which trace it appears in.
@@ -395,7 +392,7 @@ func accountHops(w *inet.World, dst inet.ASN, tr Trace) {
 		if outcome == obs.LineageDropped {
 			group += "|reason=" + reason
 		}
-		lr.Record(lnHops, group, h.Addr.String(), outcome, reason, build)
+		lr.Record(fHops.Name(), group, h.Addr.String(), outcome, reason, build)
 	}
 	var unresp, unmapped, mapped, chaosSilent, chaosNoise int64
 	for _, h := range tr.Hops {
@@ -442,19 +439,13 @@ func accountHops(w *inet.World, dst inet.ASN, tr Trace) {
 	fHops.Out(mapped)
 	fHopsUnresponsive.Add(unresp)
 	fHopsUnmapped.Add(unmapped)
-	lr.CountIn(lnHops, int64(len(tr.Hops)))
-	lr.CountKept(lnHops, mapped)
-	lr.CountDrop(lnHops, "unresponsive", unresp)
-	lr.CountDrop(lnHops, "unmapped", unmapped)
 	// Chaos reasons are bound lazily — only traces carrying perturbed hops
 	// register them, so clean snapshots have no chaos_* rows.
 	if chaosSilent > 0 {
 		fHops.Reason("chaos_silent").Add(chaosSilent)
-		lr.CountDrop(lnHops, "chaos_silent", chaosSilent)
 	}
 	if chaosNoise > 0 {
 		fHops.Reason("chaos_unmapped").Add(chaosNoise)
-		lr.CountDrop(lnHops, "chaos_unmapped", chaosNoise)
 	}
 	mHopsMapped.Add(mapped)
 }

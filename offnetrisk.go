@@ -32,9 +32,7 @@ import (
 	"offnetrisk/internal/scenario"
 )
 
-// mSnapshotLoads is registered lazily so snapshot-free runs keep their
-// manifest metric set — and therefore the committed goldens — byte-identical.
-var mSnapshotLoads = obs.NewLazyCounter("world.snapshot_loads",
+var mSnapshotLoads = obs.NewCounter("world.snapshot_loads",
 	"worlds streamed from a binary snapshot instead of re-synthesized")
 
 // Scale selects how large a synthetic Internet the pipeline builds.
@@ -201,7 +199,7 @@ func (p *Pipeline) buildWorld() (*inet.World, error) {
 		return nil, fmt.Errorf("offnetrisk: build world: %w", err)
 	}
 	if fromDisk {
-		mSnapshotLoads.Get().Inc()
+		mSnapshotLoads.Inc()
 	}
 	return w, nil
 }
