@@ -76,8 +76,8 @@ func main() {
 
 	var md strings.Builder
 	fmt.Fprintf(&md, "# offnetrisk reproduction report\n\nseed %d, scale %v\n\n", common.Seed, scale)
-	// Scenario provenance appears only when -scenario was passed: plain runs
-	// keep the exact pre-scenario header, so their golden diffs stay clean.
+	// Scenario provenance appears only when -scenario was passed, as in the
+	// manifest.
 	if common.Scenario != "" {
 		sp := p.Scenario()
 		fmt.Fprintf(&md, "scenario `%s` (spec sha256 `%s`)\n\n", sp.Name, sp.Hash())
@@ -265,9 +265,7 @@ func main() {
 		return nil
 	})
 
-	// Temporal replay runs only when -hours/-schedule requested it, so
-	// replay-free runs keep REPORT.md and the manifest byte-identical to
-	// pre-temporal ones.
+	// Temporal replay runs only when -hours/-schedule requested it.
 	var traj *temporal.Trajectory
 	if hours > 0 {
 		run("temporal-replay", func() error {
@@ -306,64 +304,54 @@ func main() {
 		return nil
 	})
 
-	// Last content stage, so the table covers every pipeline the run executed
-	// and matches the manifest's funnel snapshot.
-	run("data-funnel", func() error {
-		snaps := obs.Default.FunnelSnapshots()
-		if len(snaps) == 0 {
-			return nil
-		}
-		fmt.Fprintf(&md, "\n## Data funnel (Appendix A accounting)\n\nPer filtering stage: items in, items kept, and the drop breakdown. Every\nrow satisfies in == kept + dropped; these are the denominators behind the\ntables above.\n\n%s", obs.FunnelTable(snaps))
-		return nil
-	})
+	// The run's one manifest, built after the last experiment stage: the
+	// closing sections render from it, and -manifest writes it.
+	m := obs.BuildManifest("reproduce", common.Seed, scale.String(), tr, start)
+	if common.Scenario != "" {
+		m.Scenario = p.Scenario().Name
+		m.ScenarioHash = p.Scenario().Hash()
+	}
+	m.Snapshot = common.Snapshot
+	if traj != nil {
+		m.TrajectoryDigest = traj.Digest()
+		m.TemporalHours = traj.Hours
+		m.TemporalSchedule = traj.ScheduleName
+	}
+	chaos.Annotate(m, p.Chaos, chaos.DefaultThresholds())
+
+	if len(m.Funnels) > 0 {
+		fmt.Fprintf(&md, "\n## Data funnel (Appendix A accounting)\n\nPer filtering stage: items in, items kept, and the drop breakdown. Every\nrow satisfies in == kept + dropped; these are the denominators behind the\ntables above.\n\n%s", obs.FunnelTable(m.Funnels))
+	}
 
 	// Degradation verdict: under chaos, a stage losing more than its
 	// threshold to injected faults marks the run degraded — reported, not
-	// failed. Clean runs skip the section entirely, keeping REPORT.md
-	// byte-identical to a build without fault injection.
-	run("chaos-degradation", func() error {
-		if !p.Chaos.Enabled() {
-			return nil
-		}
-		stages := chaos.DegradedStages(obs.Default.FunnelSnapshots(), chaos.DefaultThresholds())
+	// failed. Clean runs skip the section entirely.
+	if p.Chaos.Enabled() {
 		fmt.Fprintf(&md, "\n## Fault injection (chaos)\n\nProfile `%s`, chaos-seed %d. Injected faults are accounted in the\nchaos.* counters and the chaos_* drop reasons of the funnel table above.\n\n",
-			p.Chaos.ProfileName(), p.Chaos.Seed())
-		if len(stages) == 0 {
+			m.ChaosProfile, m.ChaosSeed)
+		if len(m.DegradedStages) == 0 {
 			fmt.Fprintf(&md, "No stage exceeded its degradation threshold: the run is **not degraded**.\n")
 		} else {
 			fmt.Fprintf(&md, "**Run degraded** — stages over their chaos-loss threshold: %s.\n",
-				strings.Join(stages, ", "))
+				strings.Join(m.DegradedStages, ", "))
 		}
-		return nil
-	})
+	}
 
 	// Evidence appendix: sampled evidence chains from the lineage recorder;
 	// each stage's counts are its row of the data funnel above. Lineage-off
-	// runs skip the section entirely, keeping REPORT.md byte-identical to a
-	// build without -lineage.
-	run("evidence-appendix", func() error {
-		lr := obs.ActiveLineage()
-		if lr == nil {
-			return nil
-		}
+	// runs skip the section entirely.
+	if lr := obs.ActiveLineage(); lr != nil {
 		fmt.Fprintf(&md, "\n## Evidence appendix (lineage)\n\nPer-decision provenance sampled by the lineage recorder (digest `%s`).\nEach stage's counts are its row of the data funnel table above; below is\na deterministic sample of its evidence chains. Query the full capture\nwith cmd/explain.\n%s",
-			lr.Digest(), obs.LineageMarkdown(lr, 2))
-		return nil
-	})
+			m.LineageDigest, obs.LineageMarkdown(lr, 2))
+	}
 
 	// Timeline analysis of the run itself: critical path, exclusive
 	// self-times, worker utilization. Wall-clock numbers, so the section —
 	// like the manifest's profile block — varies run to run and is excluded
 	// from determinism comparisons; the experiment sections above are not.
-	run("performance-profile", func() error {
-		stages := tr.Snapshot(start)
-		if len(stages) == 0 {
-			return nil
-		}
-		prof := obs.BuildProfile(stages, 10)
-		fmt.Fprintf(&md, "\n## Performance profile\n\n%s", prof.Markdown())
-		return nil
-	})
+	if m.Profile != nil {
+		fmt.Fprintf(&md, "\n## Performance profile\n\n%s", m.Profile.Markdown())
+	}
 
 	run("report", func() error {
 		return writeFile("REPORT.md", md.String())
@@ -371,18 +359,6 @@ func main() {
 
 	if *manifestPath != "" {
 		run("manifest", func() error {
-			m := obs.BuildManifest("reproduce", common.Seed, scale.String(), tr, start)
-			if common.Scenario != "" {
-				m.Scenario = p.Scenario().Name
-				m.ScenarioHash = p.Scenario().Hash()
-			}
-			m.Snapshot = common.Snapshot
-			if traj != nil {
-				m.TrajectoryDigest = traj.Digest()
-				m.TemporalHours = traj.Hours
-				m.TemporalSchedule = traj.ScheduleName
-			}
-			chaos.Annotate(m, p.Chaos, chaos.DefaultThresholds())
 			if err := m.WriteFile(*manifestPath); err != nil {
 				return err
 			}

@@ -3,14 +3,16 @@
 // histogram count/bucket/sum deltas, funnel accounting drift, stage-sequence
 // changes), quality warnings (per-stage wall-time regressions past 2x,
 // unbalanced funnels), and expected run-to-run variation (environment, wall
-// clock, gauges).
+// clock).
 //
-//	runsdiff golden_manifest.json manifest.json
+//	runsdiff cmd/reproduce/testdata/golden-plain.json manifest.json
 //
 // Exit status: 0 when the runs agree on everything deterministic, 1 on
-// drift, 2 on usage or unreadable manifests. CI runs it against a checked-in
-// golden manifest, so a same-seed reproduction that stops being byte-stable
-// fails the build with the exact stage and reason in the log.
+// drift, 2 on usage or unreadable manifests. CI does not run it: the golden
+// gate is cmd/reproduce's TestGoldenRuns, which makes the same
+// obs.CompareManifests comparison in `go test`. It compares any two
+// manifests, the compact goldens in cmd/reproduce/testdata included, so a
+// golden drift can be read by hand.
 package main
 
 import (

@@ -25,8 +25,6 @@ var (
 		"capacity models derived from deployments")
 	mFlowsServed = obs.NewCounter("capacity.flows_served",
 		"per-(hypergiant,ISP) flows resolved by the serving model")
-	mSitesTracked = obs.NewGauge("capacity.sites_tracked",
-		"offnet sites in the most recently built capacity model")
 )
 
 // Config tunes the capacity model.
@@ -167,11 +165,6 @@ func Build(d *hypergiant.Deployment, cfg Config) *Model {
 	}
 	m.plan = m.compile()
 	mModelsBuilt.Inc()
-	sites := 0
-	for _, hg := range traffic.All {
-		sites += len(m.Sites[hg]) + len(m.Upstream[hg])
-	}
-	mSitesTracked.Set(float64(sites))
 	return m
 }
 

@@ -175,19 +175,9 @@ func (c *Common) Logger(cmd string) *slog.Logger {
 	return obs.SetupCLI(cmd, c.Verbose)
 }
 
-// Injector resolves -chaos/-chaos-seed to a fault injector (nil when off);
-// the error reports an unknown profile name. Prefer InjectorFromSpec when a
-// scenario is in play — it applies the scenario's chaos section.
-func (c *Common) Injector() (*chaos.Injector, error) {
-	prof, err := chaos.ParseProfile(c.Chaos)
-	if err != nil {
-		return nil, err
-	}
-	return chaos.New(prof, c.ChaosSeed), nil
-}
-
-// InjectorFromSpec resolves the chaos injector with the scenario's chaos
-// section as the fallback for unset flags.
+// InjectorFromSpec resolves -chaos/-chaos-seed to a fault injector (nil when
+// off), with the scenario's chaos section as the fallback for unset flags;
+// the error reports an unknown profile name.
 func (c *Common) InjectorFromSpec(sp *scenario.Spec) (*chaos.Injector, error) {
 	profile, seed := c.ChaosSettings(sp)
 	prof, err := chaos.ParseProfile(profile)

@@ -5,12 +5,13 @@ import (
 	"sort"
 )
 
-// Manifest comparison: the engine behind cmd/runsdiff and the CI golden-run
-// gate. Two manifests from the same (tool, seed, scale) must agree on every
-// deterministic quantity — counters, histogram counts, buckets and sums,
-// funnel accounting, root stage names — and may differ on run-varying ones
-// (wall times, allocations, Go version, gauges written last-write-wins from
-// parallel code). The comparison classifies every difference accordingly.
+// Manifest comparison: the engine behind cmd/runsdiff and cmd/reproduce's
+// golden-run test. Two manifests from the same (tool, seed, scale) must agree
+// on every deterministic quantity — counters, histogram counts, buckets and
+// sums, funnel accounting, root stage names — and may differ on run-varying
+// ones (wall times, allocations, Go version). The comparison classifies every
+// difference accordingly, and Golden projects a manifest onto exactly the
+// fields it checks.
 
 // maxWallRegress flags a stage whose wall time grew by more than this
 // factor (new > old*factor) as a regression warning.
@@ -27,8 +28,7 @@ type DiffResult struct {
 	// Warnings lists quality signals that do not break determinism:
 	// per-stage wall-time regressions, unbalanced funnels.
 	Warnings []string
-	// Infos lists expected run-to-run variation: environment, wall clock,
-	// gauges.
+	// Infos lists expected run-to-run variation: environment, wall clock.
 	Infos []string
 }
 
@@ -127,6 +127,35 @@ func CompareManifests(a, b *Manifest) *DiffResult {
 	return r
 }
 
+// Golden returns the deterministic projection of m, the fields
+// CompareManifests checks and nothing else: no environment, wall clock,
+// snapshot path, profile, help text, or span timings, attributes and
+// children. A golden compared in place of m yields the same drift, so a
+// committed golden holds only what the gate reads. It shares m's slices.
+func (m *Manifest) Golden() *Manifest {
+	g := &Manifest{
+		Tool: m.Tool, Seed: m.Seed, Scale: m.Scale,
+		Scenario: m.Scenario, ScenarioHash: m.ScenarioHash,
+		ChaosProfile: m.ChaosProfile, ChaosSeed: m.ChaosSeed,
+		Degraded: m.Degraded, DegradedStages: m.DegradedStages,
+		LineageDigest: m.LineageDigest, TrajectoryDigest: m.TrajectoryDigest,
+		TemporalHours: m.TemporalHours, TemporalSchedule: m.TemporalSchedule,
+		Metrics: make(map[string]MetricValue, len(m.Metrics)),
+	}
+	for _, s := range m.Stages {
+		g.Stages = append(g.Stages, SpanSnapshot{Name: s.Name})
+	}
+	for name, v := range m.Metrics {
+		v.Help = ""
+		g.Metrics[name] = v
+	}
+	for _, f := range m.Funnels {
+		f.Help = ""
+		g.Funnels = append(g.Funnels, f)
+	}
+	return g
+}
+
 func compareMetrics(a, b map[string]MetricValue, r *DiffResult) {
 	for _, name := range sortedKeys(a) {
 		av := a[name]
@@ -143,12 +172,6 @@ func compareMetrics(a, b map[string]MetricValue, r *DiffResult) {
 		case "counter":
 			if av.Value != bv.Value {
 				r.driftf("metric %s: %.0f vs %.0f (Δ%+.0f)", name, av.Value, bv.Value, bv.Value-av.Value)
-			}
-		case "gauge":
-			// Gauges are last-write-wins from parallel code; differences are
-			// informational, never drift.
-			if av.Value != bv.Value {
-				r.infof("gauge %s: %.6g vs %.6g", name, av.Value, bv.Value)
 			}
 		case "histogram":
 			if av.Count != bv.Count {

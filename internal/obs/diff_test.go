@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,18 +20,29 @@ func testManifest() *Manifest {
 			{Name: "colocation", DurMS: 700, Ended: true},
 		},
 		Metrics: map[string]MetricValue{
-			"ping.rtts_measured":     {Type: "counter", Value: 5000},
-			"capacity.sites_tracked": {Type: "gauge", Value: 12},
+			"ping.rtts_measured": {Type: "counter", Help: "RTT summaries kept", Value: 5000},
 			"ping.rtt_ms": {
 				Type: "histogram", Value: 123.456, Count: 100,
 				Bounds: []float64{1, 5, 10}, Buckets: []int64{10, 40, 30, 20},
 			},
 		},
 		Funnels: []FunnelSnapshot{
-			{Name: "ping.filter", In: 100, Out: 90,
+			{Name: "ping.filter", Help: "campaign filter", In: 100, Out: 90,
 				Drops: []FunnelDrop{{Reason: "unresponsive", N: 10}}},
 		},
 	}
+}
+
+// compare is CompareManifests(a, b), run a second time with the reference
+// projected through Golden: both must report the same drift, or the
+// projection dropped a field the gate checks.
+func compare(t *testing.T, a, b *Manifest) *DiffResult {
+	t.Helper()
+	r := CompareManifests(a, b)
+	if g := CompareManifests(a.Golden(), b); !slices.Equal(g.Drift, r.Drift) {
+		t.Fatalf("golden reference changed the drift:\n full:   %q\n golden: %q", r.Drift, g.Drift)
+	}
+	return r
 }
 
 func hasEntry(entries []string, substr string) bool {
@@ -40,8 +54,34 @@ func hasEntry(entries []string, substr string) bool {
 	return false
 }
 
+// TestGoldenKeepsOnlyComparedFields: the projection carries no environment,
+// wall clock, snapshot path, profile, help text or span detail, and
+// projecting a golden again changes nothing.
+func TestGoldenKeepsOnlyComparedFields(t *testing.T) {
+	m := testManifest()
+	m.StartedAt, m.Snapshot = "2026-01-02T03:04:05Z", "world.ofnw"
+	m.Profile = &Profile{CriticalPathMS: 900}
+	m.Stages[0].Children = []SpanSnapshot{{Name: "table1/tls-scan", DurMS: 50}}
+	g := m.Golden()
+	data, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"go_version", "goos", "goarch", "started_at", "wall_ms", "snapshot", "profile", "help", "children"} {
+		if strings.Contains(string(data), `"`+key+`"`) {
+			t.Errorf("golden carries %q: %s", key, data)
+		}
+	}
+	if want := []SpanSnapshot{{Name: "table1"}, {Name: "colocation"}}; !reflect.DeepEqual(g.Stages, want) {
+		t.Errorf("golden stages = %+v, want names only %+v", g.Stages, want)
+	}
+	if !reflect.DeepEqual(g.Golden(), g) {
+		t.Error("projecting a golden again changed it")
+	}
+}
+
 func TestCompareManifestsIdentical(t *testing.T) {
-	r := CompareManifests(testManifest(), testManifest())
+	r := compare(t, testManifest(), testManifest())
 	if r.HasDrift() {
 		t.Fatalf("identical manifests drifted: %v", r.Drift)
 	}
@@ -53,21 +93,9 @@ func TestCompareManifestsIdentical(t *testing.T) {
 func TestCompareManifestsCounterDrift(t *testing.T) {
 	b := testManifest()
 	b.Metrics["ping.rtts_measured"] = MetricValue{Type: "counter", Value: 5001}
-	r := CompareManifests(testManifest(), b)
+	r := compare(t, testManifest(), b)
 	if !r.HasDrift() || !hasEntry(r.Drift, "ping.rtts_measured") {
 		t.Fatalf("counter delta not drift: %v", r.Drift)
-	}
-}
-
-func TestCompareManifestsGaugeIsInformational(t *testing.T) {
-	b := testManifest()
-	b.Metrics["capacity.sites_tracked"] = MetricValue{Type: "gauge", Value: 13}
-	r := CompareManifests(testManifest(), b)
-	if r.HasDrift() {
-		t.Fatalf("gauge difference must not be drift: %v", r.Drift)
-	}
-	if !hasEntry(r.Infos, "capacity.sites_tracked") {
-		t.Fatalf("gauge difference not reported: %v", r.Infos)
 	}
 }
 
@@ -79,7 +107,7 @@ func TestCompareManifestsHistogramSumExact(t *testing.T) {
 	m := b.Metrics["ping.rtt_ms"]
 	m.Value = 123.456001
 	b.Metrics["ping.rtt_ms"] = m
-	r := CompareManifests(testManifest(), b)
+	r := compare(t, testManifest(), b)
 	if !hasEntry(r.Drift, "histogram ping.rtt_ms: sum 123.456 vs 123.456001") {
 		t.Fatalf("sum difference not drift: %v", r.Drift)
 	}
@@ -92,7 +120,7 @@ func TestCompareManifestsBucketAndFunnelDrift(t *testing.T) {
 	b.Metrics["ping.rtt_ms"] = m
 	b.Funnels[0].Out = 89
 	b.Funnels[0].Drops[0].N = 11
-	r := CompareManifests(testManifest(), b)
+	r := compare(t, testManifest(), b)
 	if !hasEntry(r.Drift, "bucket[0]") {
 		t.Fatalf("bucket shift not drift: %v", r.Drift)
 	}
@@ -108,7 +136,7 @@ func TestCompareManifestsMissingSeries(t *testing.T) {
 	b := testManifest()
 	delete(b.Metrics, "ping.rtts_measured")
 	b.Funnels = nil
-	r := CompareManifests(testManifest(), b)
+	r := compare(t, testManifest(), b)
 	if !hasEntry(r.Drift, "metric ping.rtts_measured: missing from candidate") {
 		t.Fatalf("missing metric not drift: %v", r.Drift)
 	}
@@ -124,7 +152,7 @@ func TestCompareManifestsSeedAndStageDrift(t *testing.T) {
 		{Name: "table1", DurMS: 200, Ended: true},
 		{Name: "capacity", DurMS: 700, Ended: true},
 	}
-	r := CompareManifests(testManifest(), b)
+	r := compare(t, testManifest(), b)
 	if !hasEntry(r.Drift, "seed: 42 vs 43") {
 		t.Fatalf("seed mismatch not drift: %v", r.Drift)
 	}
@@ -136,7 +164,7 @@ func TestCompareManifestsSeedAndStageDrift(t *testing.T) {
 func TestCompareManifestsWallRegressionWarns(t *testing.T) {
 	b := testManifest()
 	b.Stages[1].DurMS = 2000 // 700 → 2000 is past the 2x default
-	r := CompareManifests(testManifest(), b)
+	r := compare(t, testManifest(), b)
 	if r.HasDrift() {
 		t.Fatalf("wall regression must not be drift: %v", r.Drift)
 	}
@@ -148,7 +176,7 @@ func TestCompareManifestsWallRegressionWarns(t *testing.T) {
 	c.Stages[0].DurMS = 5
 	d := testManifest()
 	d.Stages[0].DurMS = 45
-	if r := CompareManifests(c, d); len(r.Warnings) != 0 {
+	if r := compare(t, c, d); len(r.Warnings) != 0 {
 		t.Fatalf("noise-floor stage warned: %v", r.Warnings)
 	}
 }
@@ -156,7 +184,7 @@ func TestCompareManifestsWallRegressionWarns(t *testing.T) {
 func TestCompareManifestsUnbalancedFunnelWarns(t *testing.T) {
 	b := testManifest()
 	b.Funnels[0].In = 101 // 101 != 90 + 10
-	r := CompareManifests(testManifest(), b)
+	r := compare(t, testManifest(), b)
 	if !hasEntry(r.Warnings, "unbalanced") {
 		t.Fatalf("unbalanced funnel not warned: %v", r.Warnings)
 	}
@@ -169,7 +197,7 @@ func TestCompareManifestsChaosDrift(t *testing.T) {
 	a.DegradedStages = []string{"ping.filter"}
 	b.ChaosProfile, b.ChaosSeed, b.Degraded = "heavy", 7, true
 	b.DegradedStages = []string{"ping.filter"}
-	if r := CompareManifests(a, b); r.HasDrift() {
+	if r := compare(t, a, b); r.HasDrift() {
 		t.Fatalf("equal chaos manifests drifted: %v", r.Drift)
 	}
 
@@ -186,14 +214,14 @@ func TestCompareManifestsChaosDrift(t *testing.T) {
 		c.ChaosProfile, c.ChaosSeed, c.Degraded = "heavy", 7, true
 		c.DegradedStages = []string{"ping.filter"}
 		f(c)
-		r := CompareManifests(a, c)
+		r := compare(t, a, c)
 		if !r.HasDrift() || !hasEntry(r.Drift, want[i]) {
 			t.Fatalf("mutation %d: no %q drift in %v", i, want[i], r.Drift)
 		}
 	}
 
 	// Chaos vs clean: profile and degraded flag both drift.
-	r := CompareManifests(a, testManifest())
+	r := compare(t, a, testManifest())
 	if !hasEntry(r.Drift, "chaos profile") || !hasEntry(r.Drift, "degraded") {
 		t.Fatalf("chaos-vs-clean comparison missed drift: %v", r.Drift)
 	}
@@ -211,30 +239,30 @@ func TestCompareManifestsTemporalDrift(t *testing.T) {
 		m.TemporalSchedule = "ios-flash-crowd"
 		return m
 	}
-	if r := CompareManifests(base(), base()); r.HasDrift() {
+	if r := compare(t, base(), base()); r.HasDrift() {
 		t.Fatalf("identical temporal manifests drifted: %v", r.Drift)
 	}
 
 	b := base()
 	b.TrajectoryDigest = "sha256:bbbb"
-	if r := CompareManifests(base(), b); !r.HasDrift() || !hasEntry(r.Drift, "trajectory digest") {
+	if r := compare(t, base(), b); !r.HasDrift() || !hasEntry(r.Drift, "trajectory digest") {
 		t.Fatalf("trajectory digest change not drift: %v", r.Drift)
 	}
 
 	b = base()
 	b.TemporalHours = 48
-	if r := CompareManifests(base(), b); !r.HasDrift() || !hasEntry(r.Drift, "temporal hours") {
+	if r := compare(t, base(), b); !r.HasDrift() || !hasEntry(r.Drift, "temporal hours") {
 		t.Fatalf("temporal hours change not drift: %v", r.Drift)
 	}
 
 	b = base()
 	b.TemporalSchedule = "other"
-	if r := CompareManifests(base(), b); !r.HasDrift() || !hasEntry(r.Drift, "temporal schedule") {
+	if r := compare(t, base(), b); !r.HasDrift() || !hasEntry(r.Drift, "temporal schedule") {
 		t.Fatalf("temporal schedule change not drift: %v", r.Drift)
 	}
 
 	// Replay on one side only: all three fields differ from their zero values.
-	if r := CompareManifests(testManifest(), base()); !r.HasDrift() || !hasEntry(r.Drift, "trajectory digest") {
+	if r := compare(t, testManifest(), base()); !r.HasDrift() || !hasEntry(r.Drift, "trajectory digest") {
 		t.Fatalf("replay-vs-no-replay not drift: %v", r.Drift)
 	}
 }

@@ -159,12 +159,12 @@ func TestLineageJSONLRoundTrip(t *testing.T) {
 // determinism-relevant drift.
 func TestLineageManifestDiff(t *testing.T) {
 	base := func() *Manifest { return &Manifest{LineageDigest: "aaaa"} }
-	if res := CompareManifests(base(), base()); res.HasDrift() {
+	if res := compare(t, base(), base()); res.HasDrift() {
 		t.Fatalf("equal lineage reported drift: %v", res.Drift)
 	}
 	digest := base()
 	digest.LineageDigest = "bbbb"
-	if res := CompareManifests(base(), digest); !res.HasDrift() {
+	if res := compare(t, base(), digest); !res.HasDrift() {
 		t.Fatal("digest mismatch not reported as drift")
 	}
 }

@@ -11,29 +11,29 @@ import (
 // Manifest is the provenance record of one pipeline run: what ran, on what
 // substrate, where the time and allocations went, and what the metrics
 // counted. REPORT.md runs and benchmark trajectories attach this document so
-// every number carries its origin.
+// every number carries its origin. Empty fields are omitted: a run carries no
+// fields for a feature it did not use, and a golden (Golden) none that vary.
 type Manifest struct {
-	Tool      string `json:"tool"`
-	Seed      int64  `json:"seed"`
-	Scale     string `json:"scale"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
+	Tool  string `json:"tool"`
+	Seed  int64  `json:"seed"`
+	Scale string `json:"scale"`
+	// The build environment: informational in comparisons, never drift.
+	GoVersion string `json:"go_version,omitempty"`
+	GOOS      string `json:"goos,omitempty"`
+	GOARCH    string `json:"goarch,omitempty"`
 	// Scenario provenance (internal/scenario): the resolved scenario name and
 	// the SHA-256 of its canonical spec rendering, so a manifest pins exactly
 	// which declared world produced it. Both omitted when the run did not pass
-	// -scenario, keeping plain-run manifests byte-identical to pre-scenario
-	// ones.
+	// -scenario.
 	Scenario     string `json:"scenario,omitempty"`
 	ScenarioHash string `json:"scenario_hash,omitempty"`
 	// Snapshot is the world-snapshot file the run spilled to or streamed
-	// from (-snapshot); omitted when the world was synthesized in memory,
-	// keeping snapshot-free manifests byte-identical to earlier ones.
+	// from (-snapshot); omitted when the world was synthesized in memory.
 	Snapshot string `json:"snapshot,omitempty"`
 	// StartedAt/WallMS describe the run itself, not the experiments: they
 	// vary run to run and are excluded from determinism comparisons.
 	StartedAt string                 `json:"started_at,omitempty"`
-	WallMS    float64                `json:"wall_ms"`
+	WallMS    float64                `json:"wall_ms,omitempty"`
 	Stages    []SpanSnapshot         `json:"stages"`
 	Metrics   map[string]MetricValue `json:"metrics"`
 	// Funnels is the data-provenance accounting: per filtering stage, how
@@ -51,15 +51,13 @@ type Manifest struct {
 	LineageDigest string `json:"lineage_digest,omitempty"`
 	// Temporal provenance (internal/temporal): the canonical SHA-256 of the
 	// replayed trajectory's event stream, with the horizon and schedule that
-	// produced it. All omitted when the run had no -hours/-schedule replay,
-	// so temporal-free manifests stay byte-identical to pre-temporal ones.
+	// produced it. All omitted when the run had no -hours/-schedule replay.
 	TrajectoryDigest string `json:"trajectory_digest,omitempty"`
 	TemporalHours    int    `json:"temporal_hours,omitempty"`
 	TemporalSchedule string `json:"temporal_schedule,omitempty"`
 	// Chaos provenance (internal/chaos): which fault profile and chaos seed
 	// the run injected, and whether any stage lost more than its degradation
-	// threshold to injected faults. All omitted on clean runs, so chaos-off
-	// manifests are byte-identical to pre-chaos ones.
+	// threshold to injected faults. All omitted on clean runs.
 	ChaosProfile   string   `json:"chaos_profile,omitempty"`
 	ChaosSeed      int64    `json:"chaos_seed,omitempty"`
 	Degraded       bool     `json:"degraded,omitempty"`

@@ -18,7 +18,6 @@ import (
 type Registry struct {
 	mu      sync.RWMutex
 	counts  map[string]*Counter
-	gauges  map[string]*Gauge
 	hists   map[string]*Histogram
 	funnels map[string]*Funnel
 }
@@ -30,7 +29,6 @@ var Default = NewRegistry()
 func NewRegistry() *Registry {
 	return &Registry{
 		counts:  make(map[string]*Counter),
-		gauges:  make(map[string]*Gauge),
 		hists:   make(map[string]*Histogram),
 		funnels: make(map[string]*Funnel),
 	}
@@ -47,9 +45,6 @@ func (r *Registry) Reset() {
 	defer r.mu.RUnlock()
 	for _, c := range r.counts {
 		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
 	}
 	for _, h := range r.hists {
 		for i := range h.counts {
@@ -100,35 +95,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an instantaneous float value.
-type Gauge struct {
-	help string
-	bits atomic.Uint64
-}
-
-// Set stores the value. Safe on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// Help returns the registration help string.
-func (g *Gauge) Help() string {
-	if g == nil {
-		return ""
-	}
-	return g.help
 }
 
 // Histogram counts observations into fixed buckets. An observation lands in
@@ -211,18 +177,6 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	return c
 }
 
-// NewGauge registers (or returns the existing) gauge under name.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{help: help}
-	r.gauges[name] = g
-	return g
-}
-
 // NewHistogram registers (or returns the existing) histogram under name with
 // the given ascending upper bucket bounds.
 func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
@@ -244,9 +198,6 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 // NewCounter registers a counter in the Default registry.
 func NewCounter(name, help string) *Counter { return Default.NewCounter(name, help) }
 
-// NewGauge registers a gauge in the Default registry.
-func NewGauge(name, help string) *Gauge { return Default.NewGauge(name, help) }
-
 // NewHistogram registers a histogram in the Default registry.
 func NewHistogram(name, help string, bounds []float64) *Histogram {
 	return Default.NewHistogram(name, help, bounds)
@@ -254,7 +205,7 @@ func NewHistogram(name, help string, bounds []float64) *Histogram {
 
 // MetricValue is one metric's exported state.
 type MetricValue struct {
-	Type  string  `json:"type"` // "counter" | "gauge" | "histogram"
+	Type  string  `json:"type"` // "counter" | "histogram"
 	Help  string  `json:"help,omitempty"`
 	Value float64 `json:"value"`
 	// Histogram-only fields.
@@ -268,12 +219,9 @@ type MetricValue struct {
 func (r *Registry) Snapshot() map[string]MetricValue {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make(map[string]MetricValue, len(r.counts)+len(r.gauges)+len(r.hists))
+	out := make(map[string]MetricValue, len(r.counts)+len(r.hists))
 	for name, c := range r.counts {
 		out[name] = MetricValue{Type: "counter", Help: c.help, Value: float64(c.Value())}
-	}
-	for name, g := range r.gauges {
-		out[name] = MetricValue{Type: "gauge", Help: g.help, Value: g.Value()}
 	}
 	for name, h := range r.hists {
 		bounds, counts := h.Buckets()

@@ -1,6 +1,6 @@
 // Package obs is the reproduction's stdlib-only observability layer: a
 // nesting span tracer for per-stage wall time and allocation accounting, a
-// process-wide metrics registry (counters, gauges, fixed-bucket histograms)
+// process-wide metrics registry (counters and fixed-bucket histograms)
 // exported via expvar, run manifests carrying provenance for every pipeline
 // run, and an opt-in HTTP debug endpoint serving pprof, expvar, and a live
 // span/progress page.
@@ -412,14 +412,15 @@ func (s *Span) Elapsed() time.Duration {
 }
 
 // SpanSnapshot is an immutable copy of a span subtree, used by the manifest
-// and the live debug page.
+// and the live debug page. Zero fields are omitted from JSON, so a golden's
+// stages (Manifest.Golden) carry their names and nothing else.
 type SpanSnapshot struct {
 	Name       string         `json:"name"`
-	StartMS    float64        `json:"start_ms"` // offset from the snapshot origin
-	DurMS      float64        `json:"dur_ms"`
-	Ended      bool           `json:"ended"`
-	AllocBytes uint64         `json:"alloc_bytes"`
-	Mallocs    uint64         `json:"mallocs"`
+	StartMS    float64        `json:"start_ms,omitempty"` // offset from the snapshot origin
+	DurMS      float64        `json:"dur_ms,omitempty"`
+	Ended      bool           `json:"ended,omitempty"`
+	AllocBytes uint64         `json:"alloc_bytes,omitempty"`
+	Mallocs    uint64         `json:"mallocs,omitempty"`
 	Attrs      map[string]any `json:"attrs,omitempty"`
 	Children   []SpanSnapshot `json:"children,omitempty"`
 }

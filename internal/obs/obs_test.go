@@ -93,8 +93,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var cnt *Counter
 	cnt.Inc()
-	var g *Gauge
-	g.Set(3)
 	var h *Histogram
 	h.Observe(1)
 }
@@ -128,7 +126,6 @@ func TestConcurrentCounters(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test.events_counted", "")
 	h := r.NewHistogram("test.values_observed", "", []float64{10, 100})
-	g := r.NewGauge("test.level_sampled", "")
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -138,7 +135,6 @@ func TestConcurrentCounters(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Inc()
 				h.Observe(float64(i % 200))
-				g.Set(float64(w))
 			}
 		}(w)
 	}
@@ -188,8 +184,11 @@ func TestManifestRoundTrip(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("round trip changed manifest:\n%s\n%s", a, b)
 	}
-	if got.Metrics["test.manifest_counted"].Value != 7 {
-		t.Fatalf("metric lost in round trip: %+v", got.Metrics["test.manifest_counted"])
+	// The counter lives on the shared Default registry, so each run of the
+	// test adds 7 more: check the manifest saw the add and the file kept it.
+	want := m.Metrics["test.manifest_counted"].Value
+	if read := got.Metrics["test.manifest_counted"].Value; want < 7 || read != want {
+		t.Fatalf("metric lost in round trip: wrote %v, read %v", want, read)
 	}
 }
 

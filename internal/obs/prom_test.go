@@ -81,7 +81,6 @@ func validatePromText(t *testing.T, r io.Reader) map[string][]string {
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("ping.rtts_measured", "RTT summaries kept").Add(42)
-	r.NewGauge("capacity.sites_tracked", "sites tracked").Set(7.5)
 	h := r.NewHistogram("ping.rtt_ms", "RTT distribution", []float64{1, 5, 10})
 	for _, v := range []float64{0.5, 3, 7, 100} {
 		h.Observe(v)

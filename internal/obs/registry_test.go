@@ -11,13 +11,11 @@ import (
 func TestRegistryReset(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test.reset_counter", "")
-	g := r.NewGauge("test.reset_gauge", "")
 	h := r.NewHistogram("test.reset_hist", "", []float64{1, 10})
 	f := r.NewFunnel("test.reset_funnel", "")
 	drop := f.Reason("gone")
 
 	c.Add(5)
-	g.Set(3.5)
 	h.Observe(2)
 	h.Observe(20)
 	f.In(4)
@@ -26,9 +24,9 @@ func TestRegistryReset(t *testing.T) {
 
 	r.Reset()
 
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("metrics survived Reset: c=%d g=%v hn=%d hsum=%v",
-			c.Value(), g.Value(), h.Count(), h.Sum())
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+		t.Fatalf("metrics survived Reset: c=%d hn=%d hsum=%v",
+			c.Value(), h.Count(), h.Sum())
 	}
 	if _, counts := h.Buckets(); counts[0]+counts[1]+counts[2] != 0 {
 		t.Fatalf("histogram buckets survived Reset: %v", counts)
@@ -49,13 +47,11 @@ func TestRegistryReset(t *testing.T) {
 func TestSnapshotIncludesHelp(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("test.help_counter", "counts things")
-	r.NewGauge("test.help_gauge", "gauges things")
 	r.NewHistogram("test.help_hist", "buckets things", []float64{1})
 
 	snap := r.Snapshot()
 	for name, want := range map[string]string{
 		"test.help_counter": "counts things",
-		"test.help_gauge":   "gauges things",
 		"test.help_hist":    "buckets things",
 	} {
 		if snap[name].Help != want {
