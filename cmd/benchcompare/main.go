@@ -258,7 +258,7 @@ func gate(paths []string, maxRatio float64, pin *regexp.Regexp) int {
 func main() {
 	gateMode := flag.Bool("gate", false, "perf-trajectory gate over a dated BENCH_*.json series instead of a two-file diff")
 	maxRatio := flag.Float64("max-ratio", 1.3, "gate: fail when a pinned bench's ns/op exceeds this multiple of its best recorded value")
-	pinExpr := flag.String("pin", "^Benchmark(PairDistance|OpticsRun|WorldGenerate)", "gate: regexp selecting the pinned kernel benchmarks")
+	pinExpr := flag.String("pin", "^Benchmark(PairDistance|OpticsRun|WorldGenerate/legacy)", "gate: regexp selecting the pinned kernel benchmarks")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: benchcompare OLD.json NEW.json\n       benchcompare -gate [-max-ratio 1.3] [-pin regexp] BENCH_*.json...\n")

@@ -30,8 +30,6 @@ var goldenCases = []struct {
 	lineage bool
 }{
 	{name: "plain", golden: "golden-plain.json"},
-	// -shards is output-invariant, so a sharded run matches the plain golden.
-	{name: "shards-4", args: []string{"-shards", "4"}, golden: "golden-plain.json"},
 	{name: "chaos", args: []string{"-chaos", "heavy", "-chaos-seed", "7"}, golden: "golden-chaos.json"},
 	{name: "lineage", golden: "golden-lineage.json", lineage: true},
 	// The trajectory digest is byte-identical at any worker count.

@@ -1,7 +1,7 @@
 // Package cli holds the flag surface shared by every command in cmd/: one
 // registration point so -seed, -tiny, -large, -scenario, -v, -workers,
-// -shards, -snapshot, -debug-addr, -events, -chaos and -chaos-seed are
-// spelled, defaulted and documented identically everywhere,
+// -snapshot, -debug-addr, -events, -chaos and -chaos-seed are spelled,
+// defaulted and documented identically everywhere,
 // plus the common startup plumbing (logger, SIGINT-cancelled context, debug
 // endpoints and event streams wired to that context).
 package cli
@@ -33,7 +33,6 @@ type Common struct {
 	ListScenarios bool
 	Verbose       bool
 	Workers       int
-	Shards        int
 	Snapshot      string
 	DebugAddr     string
 	Events        string
@@ -59,7 +58,6 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.BoolVar(&c.ListScenarios, "list-scenarios", false, "list the compiled-in scenarios and exit")
 	fs.BoolVar(&c.Verbose, "v", false, "verbose (debug-level) logging")
 	fs.IntVar(&c.Workers, "workers", 0, "parallel workers for experiment stages (0 = GOMAXPROCS)")
-	fs.IntVar(&c.Shards, "shards", 0, "generation shards for sharded (e.g. huge) worlds; output-invariant (0 = builder default)")
 	fs.StringVar(&c.Snapshot, "snapshot", "", "world snapshot file: generate+spill on first run, stream back afterwards (validated against the scenario)")
 	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve /metrics, /debug/pprof, /debug/vars and /debug/obs on this address (e.g. localhost:6060)")
 	fs.StringVar(&c.Events, "events", "", "stream span start/end and funnel snapshots as JSONL to this file")
@@ -164,10 +162,7 @@ func (c *Common) WorldConfig() (inet.Config, error) {
 	case c.Large:
 		sp = scenario.MustLookup("large")
 	}
-	cfg := inet.ConfigFromScenario(sp, c.Seed)
-	cfg.Shards = c.Shards
-	cfg.GenWorkers = c.Workers
-	return cfg, nil
+	return inet.ConfigFromScenario(sp, c.Seed), nil
 }
 
 // Logger sets up the command's structured logger at the -v-selected level.
@@ -202,7 +197,6 @@ func (c *Common) Pipeline() (*offnetrisk.Pipeline, error) {
 	p := offnetrisk.NewPipelineFromSpec(sp, c.Seed)
 	p.Scale = c.Scale()
 	p.Workers = c.Workers
-	p.Shards = c.Shards
 	p.SnapshotPath = c.Snapshot
 	p.Chaos = inj
 	return p, nil

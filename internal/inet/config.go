@@ -25,21 +25,10 @@ type Config struct {
 	// relative to its user base.
 	UsersPerSlash24 float64
 
-	// Sharded selects the shard-composed streaming builder: every entity
-	// draws from its own rngutil.Derive substream, shards build in parallel,
-	// and the composed world is byte-identical at any Shards/GenWorkers
-	// value. False — the default — runs the legacy sequential builder, which
-	// stays bit-identical to the original generator (the committed golden
-	// manifests depend on it). Part of the world definition: a scenario's
-	// topology section declares it, so one spec hash pins one builder.
-	Sharded bool
-	// Shards partitions the entity index space of the sharded builder; <= 0
-	// means 16, a machine-independent default so deterministic fan-out
-	// counters (par.tasks_total) don't vary across hosts. Output-invariant:
-	// shards trade wall-clock only. Ignored by the legacy builder.
-	Shards int
-	// GenWorkers bounds the worker pool building shards; <= 0 means
-	// GOMAXPROCS. Output-invariant. Ignored by the legacy builder.
+	// GenWorkers is read by nothing: the world builder is sequential. It
+	// stays only because perfbench/workloads.go assigns it, and perfbench/
+	// is frozen outside benchmark changes; the next benchmark change
+	// deletes the field and that assignment together.
 	GenWorkers int
 }
 

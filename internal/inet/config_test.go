@@ -54,8 +54,8 @@ func TestConfigFromScenario(t *testing.T) {
 			TotalUsers: 2.0e8, ZipfExponent: 1.0, UsersPerSlash24: 8000}},
 		{"large", Config{Seed: 42, AccessISPs: 2400, TransitISPs: 96, Backbones: 10, IXPs: 60,
 			TotalUsers: 4.2e9, ZipfExponent: 1.05, UsersPerSlash24: 8000}},
-		{"huge", Config{Seed: 42, AccessISPs: 48000, TransitISPs: 2400, Backbones: 64, IXPs: 720,
-			TotalUsers: 5.0e9, ZipfExponent: 1.05, UsersPerSlash24: 8000, Sharded: true}},
+		{"huge", Config{Seed: 42, AccessISPs: 48000, TransitISPs: 2400, Backbones: 64, IXPs: 99,
+			TotalUsers: 5.0e9, ZipfExponent: 1.05, UsersPerSlash24: 8000}},
 	}
 	for _, tc := range cases {
 		sp := scenario.MustLookup(tc.scenario)

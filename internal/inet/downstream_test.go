@@ -46,17 +46,14 @@ func assertDownstreamMatchesScan(t *testing.T, name string, w *World) {
 }
 
 // TestDownstreamUsersMatchesScan: the totals indexed at finalize equal the
-// old per-call scan for every AS, on tiny and default worlds of both
-// builders, after a content AS is added, and after a snapshot round trip.
+// old per-call scan for every AS, on tiny and default worlds, after a
+// content AS is added, and after a snapshot round trip.
 func TestDownstreamUsersMatchesScan(t *testing.T) {
-	sharded := TinyConfig(42)
-	sharded.Sharded = true
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"tiny", TinyConfig(42)},
-		{"tiny-sharded", sharded},
 		{"default", ConfigFromScenario(scenario.Default(), 42)},
 	} {
 		w := Generate(tc.cfg)

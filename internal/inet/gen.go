@@ -27,20 +27,12 @@ const (
 	asnContentBase  = 90000
 )
 
-// Generate builds a synthetic Internet from the configuration.
-//
-// Two builders exist behind this one entry point. The legacy sequential
-// builder (Sharded false, the default) draws from a single RNG stream and is
-// bit-identical to the original generator — every committed golden manifest
-// depends on that. The sharded builder (Sharded true, selected by a
-// scenario's topology, e.g. `huge`) derives an independent substream per
-// entity and builds shards in parallel; its output is invariant to both the
-// shard count and the worker count. See DESIGN.md §12.
+// Generate builds a synthetic Internet from the configuration. One
+// sequential builder draws every entity from a single RNG stream, so equal
+// configs produce byte-identical worlds and every committed golden manifest
+// depends on that draw order. See DESIGN.md §12.
 func Generate(cfg Config) *World {
 	cfg = cfg.sanitized()
-	if cfg.Sharded {
-		return generateSharded(cfg)
-	}
 	r := rngutil.New(cfg.Seed)
 
 	w := newWorld(cfg.Seed)
@@ -106,8 +98,7 @@ func (w *World) genBackbones(cfg Config, r *rand.Rand) {
 
 // ixpMetroOrder returns metro indices round-robin across countries (each
 // country's first metro first), so even small worlds place exchanges on
-// every continent the way real interconnection hubs cluster. Shared by both
-// builders.
+// every continent the way real interconnection hubs cluster.
 func ixpMetroOrder() []int {
 	byCountry := make(map[string][]int)
 	for i, m := range geo.Metros {

@@ -15,7 +15,6 @@ func ConfigFromScenario(sp *scenario.Spec, seed int64) Config {
 		TotalUsers:      t.TotalUsers,
 		ZipfExponent:    t.ZipfExponent,
 		UsersPerSlash24: t.UsersPerSlash24,
-		Sharded:         t.Sharded,
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // Format (all integers little-endian):
 //
 //	magic   "OFNW"
-//	version u32 (currently 1)
+//	version u32 (currently 2)
 //	hash    string  — scenario spec hash the world was built for ("" = none)
 //	config  the output-affecting Config fields, in declaration order
 //	counts  u32 ISPs, u32 facilities, u32 IXPs, u32 hostNext entries
@@ -32,11 +32,9 @@ import (
 //	footer  "WNFO"
 //
 // Strings are u16 length + bytes. Prefixes are u32 base address + u8 bits.
-// The config echo deliberately omits Shards and GenWorkers: both are
-// output-invariant, so a snapshot written with -shards 16 must load under
-// -shards 4. Loading validates magic, version, scenario hash, and the
-// config echo; any mismatch is a hard error (the runsdiff drift contract:
-// silently analyzing the wrong world is worse than failing).
+// Loading validates magic, version, scenario hash, and the config echo; any
+// mismatch is a hard error (the runsdiff drift contract: silently analyzing
+// the wrong world is worse than failing).
 
 // Snapshot format errors. ReadWorldFile wraps these, so callers can match
 // with errors.Is.
@@ -53,7 +51,7 @@ var (
 const (
 	snapMagic       = "OFNW"
 	snapFooter      = "WNFO"
-	snapVersion     = 1
+	snapVersion     = 2
 	snapMaxStrLen   = 1 << 15
 	snapMaxEntities = 1 << 27 // sanity bound on section counts
 )
@@ -147,17 +145,10 @@ func (b *binReader) count() int {
 	return int(n)
 }
 
-// snapshotConfig reduces a Config to the fields that determine the world's
-// bytes: equal snapshotConfigs generate byte-identical worlds. Shards and
-// GenWorkers are parallelism knobs, not world parameters.
-func snapshotConfig(c Config) Config {
-	c = c.sanitized()
-	c.Shards, c.GenWorkers = 0, 0
-	return c
-}
-
+// config echoes the world-defining fields of the sanitized Config; equal
+// echoes mean byte-identical worlds.
 func (b *binWriter) config(c Config) {
-	c = snapshotConfig(c)
+	c = c.sanitized()
 	b.u64(uint64(c.Seed))
 	b.u32(uint32(c.AccessISPs))
 	b.u32(uint32(c.TransitISPs))
@@ -166,11 +157,6 @@ func (b *binWriter) config(c Config) {
 	b.f64(c.TotalUsers)
 	b.f64(c.ZipfExponent)
 	b.f64(c.UsersPerSlash24)
-	if c.Sharded {
-		b.u8(1)
-	} else {
-		b.u8(0)
-	}
 }
 
 func (b *binReader) config() Config {
@@ -183,7 +169,6 @@ func (b *binReader) config() Config {
 	c.TotalUsers = b.f64()
 	c.ZipfExponent = b.f64()
 	c.UsersPerSlash24 = b.f64()
-	c.Sharded = b.u8() == 1
 	return c
 }
 
@@ -323,9 +308,9 @@ func ReadWorld(rd io.Reader, want Config, scenarioHash string) (*World, error) {
 		return nil, fmt.Errorf("inet: read snapshot: %w: snapshot scenario hash %q, run wants %q",
 			ErrSnapshotMismatch, gotHash, scenarioHash)
 	}
-	if gotCfg != snapshotConfig(want) {
+	if want = want.sanitized(); gotCfg != want {
 		return nil, fmt.Errorf("inet: read snapshot: %w: snapshot config %+v, run wants %+v",
-			ErrSnapshotMismatch, gotCfg, snapshotConfig(want))
+			ErrSnapshotMismatch, gotCfg, want)
 	}
 
 	nISPs, nFacs, nIXPs, nHosts := b.count(), b.count(), b.count(), b.count()

@@ -36,7 +36,6 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 		cfg  Config
 	}{
 		{"legacy-tiny", TinyConfig(42)},
-		{"sharded-tiny", func() Config { c := TinyConfig(42); c.Sharded = true; return c }()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := Generate(tc.cfg)
@@ -89,23 +88,6 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotShardCountIrrelevantToLoad(t *testing.T) {
-	// Shards/GenWorkers are parallelism knobs, not world parameters: a
-	// snapshot written under one sharding must load under another.
-	cfg := TinyConfig(42)
-	cfg.Sharded = true
-	cfg.Shards, cfg.GenWorkers = 16, 4
-	w := Generate(cfg)
-	path := filepath.Join(t.TempDir(), "world.ofnw")
-	if err := WriteWorldFile(path, w, cfg, ""); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Shards, cfg.GenWorkers = 3, 1
-	if _, err := ReadWorldFile(path, cfg, ""); err != nil {
-		t.Fatalf("load with different shard count rejected: %v", err)
-	}
-}
-
 func TestSnapshotRejection(t *testing.T) {
 	cfg := TinyConfig(42)
 	w := Generate(cfg)
@@ -134,10 +116,14 @@ func TestSnapshotRejection(t *testing.T) {
 		}
 	})
 	t.Run("wrong-version", func(t *testing.T) {
-		bad := bytes.Clone(data)
-		binary.LittleEndian.PutUint32(bad[4:8], 99)
-		if _, err := ReadWorld(bytes.NewReader(bad), cfg, "hash-abc"); !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("got %v, want ErrSnapshotVersion", err)
+		// v1 carried a builder byte after the config echo; it must fail on
+		// its version, never misparse.
+		for _, v := range []uint32{1, 99} {
+			bad := bytes.Clone(data)
+			binary.LittleEndian.PutUint32(bad[4:8], v)
+			if _, err := ReadWorld(bytes.NewReader(bad), cfg, "hash-abc"); !errors.Is(err, ErrSnapshotVersion) {
+				t.Fatalf("v%d: got %v, want ErrSnapshotVersion", v, err)
+			}
 		}
 	})
 	t.Run("scenario-hash-mismatch", func(t *testing.T) {
@@ -151,17 +137,11 @@ func TestSnapshotRejection(t *testing.T) {
 		if _, err := ReadWorldFile(path, other, "hash-abc"); !errors.Is(err, ErrSnapshotMismatch) {
 			t.Fatalf("got %v, want ErrSnapshotMismatch", err)
 		}
-		other = cfg
-		other.Sharded = !other.Sharded
-		if _, err := ReadWorldFile(path, other, "hash-abc"); !errors.Is(err, ErrSnapshotMismatch) {
-			t.Fatalf("builder flip accepted: got %v, want ErrSnapshotMismatch", err)
-		}
 	})
 }
 
 func TestLoadOrGenerate(t *testing.T) {
 	cfg := TinyConfig(42)
-	cfg.Sharded = true
 	path := filepath.Join(t.TempDir(), "sub", "world.ofnw")
 
 	w1, fromDisk, err := LoadOrGenerate(path, cfg, "h")

@@ -23,23 +23,37 @@ func chaosInjector(t *testing.T, profile string, seed int64) *chaos.Injector {
 	return chaos.New(prof, seed)
 }
 
-// chaosWorlds are the tiny seed-7 worlds of both builders. Under heavy
-// chaos the sharded world's kept measurements hold NaN RTTs at failed
-// sites; the legacy world's happen to hold none.
+// chaosWorlds are the tiny worlds the chaos tests measure: "legacy" is the
+// seed-7 world these tests have always used. Under heavy chaos at chaos
+// seed 11 the seed-24 world's kept measurements hold NaN RTTs at failed
+// sites; the seed-7 world's happen to hold none.
 var chaosWorlds = []struct {
-	name    string
-	sharded bool
-}{{"legacy", false}, {"sharded", true}}
+	name string
+	seed int64
+}{{"legacy", 7}, {"seed24", 24}}
 
-func chaosDeployment(t *testing.T, sharded bool) *hypergiant.Deployment {
+func chaosDeployment(t *testing.T, seed int64) *hypergiant.Deployment {
 	t.Helper()
-	cfg := inet.TinyConfig(7)
-	cfg.Sharded = sharded
-	d, err := hypergiant.Deploy(inet.Generate(cfg), hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 7))
+	d, err := hypergiant.Deploy(inet.Generate(inet.TinyConfig(seed)), hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// nanRTTs counts the NaN RTTs among the campaign's kept measurements.
+func nanRTTs(c *Campaign) int {
+	n := 0
+	for _, ms := range c.ByISP {
+		for _, m := range ms {
+			for _, v := range m.RTTms {
+				if math.IsNaN(v) {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // nanSafeMeasurement is a Measurement whose RTTs are IEEE-754 bit patterns:
@@ -73,12 +87,16 @@ func campaignState(c *Campaign) any {
 
 // TestCampaignChaosDeterministicAcrossWorkers extends the clean worker-sweep
 // guard to fault injection: chaos decisions are pure per-item hashes, so the
-// campaign accounting and the full funnel/metric state must stay
-// byte-identical at any worker count.
+// campaign accounting and the full funnel/metric state — histograms
+// included, their sums are exact — must stay byte-identical at any worker
+// count. Between them the worlds must keep a NaN RTT, so the NaN-safe
+// encoding stays exercised.
 func TestCampaignChaosDeterministicAcrossWorkers(t *testing.T) {
+	ran, nans := 0, 0
 	for _, world := range chaosWorlds {
 		t.Run(world.name, func(t *testing.T) {
-			d := chaosDeployment(t, world.sharded)
+			ran++
+			d := chaosDeployment(t, world.seed)
 			sites := Sites(163, 7)
 
 			state := func(workers int) []byte {
@@ -87,21 +105,14 @@ func TestCampaignChaosDeterministicAcrossWorkers(t *testing.T) {
 				cfg.Workers = workers
 				cfg.Chaos = chaosInjector(t, "heavy", 11)
 				c := measure(t, d, sites, cfg)
-				// Histogram float sums are excluded: parallel float
-				// accumulation is order-sensitive in the last ulp (runsdiff
-				// treats it as informational); counters and funnels must
-				// match exactly.
-				counters := make(map[string]obs.MetricValue)
-				for name, v := range obs.Default.Snapshot() {
-					if v.Type == "counter" {
-						counters[name] = v
-					}
+				if workers == 1 {
+					nans += nanRTTs(c)
 				}
 				blob, err := json.Marshal(struct {
 					Campaign any
 					Funnels  []obs.FunnelSnapshot
-					Counters map[string]obs.MetricValue
-				}{campaignState(c), obs.Default.FunnelSnapshots(), counters})
+					Metrics  map[string]obs.MetricValue
+				}{campaignState(c), obs.Default.FunnelSnapshots(), obs.Default.Snapshot()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,6 +126,9 @@ func TestCampaignChaosDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		})
+	}
+	if ran == len(chaosWorlds) && nans == 0 {
+		t.Fatal("no chaos world kept a NaN RTT: the NaN-safe encoding is no longer exercised")
 	}
 }
 
@@ -177,7 +191,7 @@ func TestCampaignChaosOffUnchanged(t *testing.T) {
 	}
 	for _, world := range chaosWorlds {
 		t.Run(world.name, func(t *testing.T) {
-			d := chaosDeployment(t, world.sharded)
+			d := chaosDeployment(t, world.seed)
 			sites := Sites(163, 7)
 
 			run := func(inj *chaos.Injector) []byte {

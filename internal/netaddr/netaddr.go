@@ -138,36 +138,6 @@ func (p Prefix) Slash24s() []Prefix {
 	return out
 }
 
-// AppendSlash24Range appends the minimal set of aligned CIDR prefixes
-// covering the run of n /24s starting at the /24-aligned address start. It is
-// the inverse of Slash24s for contiguous runs: the sharded world builder
-// plans address space as [start24, start24+n) intervals and renders them as
-// announcements here, without ever touching a shared allocation pool. start
-// must be /24-aligned; n <= 0 appends nothing.
-func AppendSlash24Range(dst []Prefix, start Addr, n int) []Prefix {
-	start &^= 0xff
-	for n > 0 {
-		// The block size is bounded by both the alignment of start and the
-		// remaining run length: the largest power of two dividing start/256
-		// that still fits in n.
-		max24 := 1 << 16 // a /8, the largest block the builder ever needs
-		if a := int((start >> 8) & -(start >> 8)); start != 0 && a < max24 {
-			max24 = a
-		}
-		for max24 > n {
-			max24 >>= 1
-		}
-		bits := 24
-		for s := max24; s > 1; s >>= 1 {
-			bits--
-		}
-		dst = append(dst, Prefix{Addr: start, Bits: bits})
-		start += Addr(max24) << 8
-		n -= max24
-	}
-	return dst
-}
-
 // Pool hands out non-overlapping prefixes and addresses from a base prefix.
 // The synthetic Internet uses one pool per address-space "registry" so ISP,
 // hypergiant, and IXP prefixes never collide.

@@ -240,66 +240,3 @@ func TestPoolAdvancePast(t *testing.T) {
 		t.Error("AdvancePast moved cursor backwards")
 	}
 }
-
-func TestAppendSlash24Range(t *testing.T) {
-	cases := []struct {
-		start string
-		n     int
-		want  []string
-	}{
-		{"16.0.0.0", 1, []string{"16.0.0.0/24"}},
-		{"16.0.0.0", 8, []string{"16.0.0.0/21"}},
-		{"16.0.1.0", 8, []string{"16.0.1.0/24", "16.0.2.0/23", "16.0.4.0/22", "16.0.8.0/24"}},
-		{"16.0.0.0", 256, []string{"16.0.0.0/16"}},
-		{"16.0.0.0", 512, []string{"16.0.0.0/15"}},
-		{"16.3.0.0", 300, []string{"16.3.0.0/16", "16.4.0.0/19", "16.4.32.0/21", "16.4.40.0/22"}},
-		{"16.0.0.0", 0, nil},
-	}
-	for _, c := range cases {
-		start, err := ParseAddr(c.start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := AppendSlash24Range(nil, start, c.n)
-		var gotS []string
-		for _, p := range got {
-			gotS = append(gotS, p.String())
-		}
-		if len(gotS) != len(c.want) {
-			t.Fatalf("AppendSlash24Range(%s, %d) = %v, want %v", c.start, c.n, gotS, c.want)
-			continue
-		}
-		for i := range gotS {
-			if gotS[i] != c.want[i] {
-				t.Errorf("AppendSlash24Range(%s, %d)[%d] = %s, want %s", c.start, c.n, i, gotS[i], c.want[i])
-			}
-		}
-	}
-}
-
-// TestAppendSlash24RangeProperty: for random aligned runs, the decomposition
-// covers exactly the run — contiguous, non-overlapping, minimal-count — and
-// every prefix is properly aligned.
-func TestAppendSlash24RangeProperty(t *testing.T) {
-	check := func(startSlot uint16, nRaw uint16) bool {
-		start := Addr(16<<24) + Addr(startSlot)<<8
-		n := int(nRaw%600) + 1
-		ps := AppendSlash24Range(nil, start, n)
-		cursor := start
-		var total uint64
-		for _, p := range ps {
-			if p.Canonical() != p {
-				return false // misaligned
-			}
-			if p.First() != cursor {
-				return false // gap or overlap
-			}
-			cursor = p.Last() + 1
-			total += p.NumAddrs()
-		}
-		return total == uint64(n)*256
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-}

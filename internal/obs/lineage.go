@@ -28,7 +28,7 @@ import (
 // DefaultLineageCap records whose admission key — a pure hash of the
 // record's identity, never a sequential RNG draw — is smallest. A bounded
 // min-set over a multiset is arrival-order independent, so the retained
-// sample (and hence the digest) is byte-identical at any -workers/-shards.
+// sample (and hence the digest) is byte-identical at any -workers.
 // Sites must uphold one invariant for this to hold: a record's evidence is a
 // pure function of its identity (stage, group, subject, outcome, reason) and
 // the run configuration, so identically keyed duplicates are byte-identical
@@ -248,9 +248,8 @@ func (r *LineageRecorder) recordLines() [][]byte {
 
 // Digest returns the canonical SHA-256 of the sampled records: the hash of
 // the JSONL record lines exactly as WriteLineageFile emits them. Equal seeds
-// and configs produce equal digests at any worker or shard count; rehashing
-// a written lineage file's record lines reproduces it. Returns "" on a nil
-// recorder.
+// and configs produce equal digests at any worker count; rehashing a written
+// lineage file's record lines reproduces it. Returns "" on a nil recorder.
 func (r *LineageRecorder) Digest() string {
 	if r == nil {
 		return ""
@@ -279,7 +278,7 @@ func ActiveLineage() *LineageRecorder { return activeLineage.Load() }
 // "Evidence appendix": up to maxPerStage evidence chains per stage. The
 // stages' counts are their funnels, rendered by FunnelTable. The output is a
 // pure function of the canonical record set, so — like every experiment
-// section — it is byte-identical at any worker or shard count.
+// section — it is byte-identical at any worker count.
 func LineageMarkdown(r *LineageRecorder, maxPerStage int) string {
 	if r == nil {
 		return ""

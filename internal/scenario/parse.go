@@ -37,7 +37,6 @@ type topologyPatch struct {
 	TotalUsers      *float64 `json:"total_users"`
 	ZipfExponent    *float64 `json:"zipf_exponent"`
 	UsersPerSlash24 *float64 `json:"users_per_slash24"`
-	Sharded         *bool    `json:"sharded"`
 }
 
 type deploymentPatch struct {
@@ -141,9 +140,6 @@ func applyPatch(base *Spec, patch *specPatch) *Spec {
 		setFloat(&sp.Topology.TotalUsers, t.TotalUsers)
 		setFloat(&sp.Topology.ZipfExponent, t.ZipfExponent)
 		setFloat(&sp.Topology.UsersPerSlash24, t.UsersPerSlash24)
-		if t.Sharded != nil {
-			sp.Topology.Sharded = *t.Sharded
-		}
 	}
 	if d := patch.Deployment; d != nil {
 		setFloat(&sp.Deployment.PeakMbpsPerUser, d.PeakMbpsPerUser)

@@ -97,11 +97,10 @@ func registry() map[string]*Spec {
 
 	huge := defaultSpec()
 	huge.Name = "huge"
-	huge.Description = "the default world at 50x+ scale, built by the sharded streaming generator; spill to a snapshot with -snapshot"
+	huge.Description = "the default world at 50x+ scale (one exchange per catalogue metro); spill to a snapshot with -snapshot"
 	huge.Topology = Topology{
-		AccessISPs: 48000, TransitISPs: 2400, Backbones: 64, IXPs: 720,
+		AccessISPs: 48000, TransitISPs: 2400, Backbones: 64, IXPs: 99,
 		TotalUsers: 5.0e9, ZipfExponent: 1.05, UsersPerSlash24: 8000,
-		Sharded: true,
 	}
 	specs[huge.Name] = huge
 

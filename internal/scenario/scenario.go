@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"offnetrisk/internal/chaos"
+	"offnetrisk/internal/geo"
 	"offnetrisk/internal/traffic"
 )
 
@@ -54,12 +55,6 @@ type Topology struct {
 	TotalUsers      float64 `json:"total_users"`
 	ZipfExponent    float64 `json:"zipf_exponent"`
 	UsersPerSlash24 float64 `json:"users_per_slash24"`
-	// Sharded selects the shard-composed streaming world builder (the huge
-	// tier's generator). Part of the world definition — flipping it changes
-	// the world's bytes, so it lives in the hashed topology section.
-	// omitempty keeps every existing spec's canonical form, and therefore
-	// its hash, unchanged.
-	Sharded bool `json:"sharded,omitempty"`
 }
 
 // Deployment declares the hypergiants' deployment strategy: the global
@@ -189,6 +184,10 @@ func (s *Spec) Validate() error {
 	if t.AccessISPs < 1 || t.TransitISPs < 1 || t.Backbones < 1 || t.IXPs < 1 {
 		return bad("topology counts must be >= 1 (access %d, transit %d, backbones %d, ixps %d)",
 			t.AccessISPs, t.TransitISPs, t.Backbones, t.IXPs)
+	}
+	if t.IXPs > len(geo.Metros) {
+		// The world builder places at most one exchange per catalogue metro.
+		return bad("topology.ixps %d exceeds the %d-metro catalogue", t.IXPs, len(geo.Metros))
 	}
 	if t.TotalUsers <= 0 || t.ZipfExponent <= 0 || t.UsersPerSlash24 <= 0 {
 		return bad("topology totals must be > 0 (users %g, zipf %g, users/slash24 %g)",

@@ -109,47 +109,12 @@ func TestHashStability(t *testing.T) {
 	}
 }
 
-// TestShardedTopologyField: the sharded flag is part of the hashed world
-// definition, but its omitempty encoding keeps every pre-existing spec's
-// canonical form — and therefore the committed golden hashes — unchanged.
-func TestShardedTopologyField(t *testing.T) {
-	def, err := MustLookup(DefaultName).Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(def), `"sharded"`) {
-		t.Fatal("default canonical form mentions sharded: existing scenario hashes would drift")
-	}
-
-	huge := MustLookup("huge")
-	if !huge.Topology.Sharded {
-		t.Fatal("huge scenario is not sharded")
-	}
-	hc, err := huge.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(hc), `"sharded": true`) {
-		t.Fatalf("huge canonical form does not pin the sharded builder: %s", hc)
-	}
-
-	patched, err := Parse([]byte(`{"version": 1, "topology": {"sharded": true}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !patched.Topology.Sharded {
-		t.Fatal("sharded patch ignored")
-	}
-	if patched.Hash() == MustLookup(DefaultName).Hash() {
-		t.Fatal("flipping sharded did not change the spec hash")
-	}
-}
-
 func TestParseRejectsUnknownKeys(t *testing.T) {
 	cases := map[string]string{
 		"top-level": `{"version": 1, "warp_drive": true}`,
 		"nested":    `{"version": 1, "topology": {"access_isps": 10, "atlantis": 1}}`,
 		"hg":        `{"version": 1, "deployment": {"hypergiants": {"google": {"coverage_2099": 1}}}}`,
+		"sharded":   `{"version": 1, "topology": {"sharded": true}}`,
 	}
 	for label, doc := range cases {
 		if _, err := Parse([]byte(doc)); err == nil {
@@ -221,6 +186,7 @@ func TestParseRejectsInvalidResolvedSpec(t *testing.T) {
 		"zipf":       `{"version": 1, "topology": {"zipf_exponent": -1}}`,
 		"pni scale":  `{"version": 1, "deployment": {"pni_capacity_scale": 0}}`,
 		"hg unknown": `{"version": 1, "traffic": {"shares": {"cloudflare": 0.1}}}`,
+		"ixps":       `{"version": 1, "topology": {"ixps": 100}}`,
 	}
 	for label, doc := range cases {
 		if _, err := Parse([]byte(doc)); err == nil {

@@ -11,12 +11,12 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"offnetrisk/internal/capacity"
 	"offnetrisk/internal/cascade"
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
-	"offnetrisk/internal/obs"
 	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
@@ -25,10 +25,9 @@ import (
 type Point struct {
 	Param   float64
 	Metrics map[string]float64
-	// ElapsedMS is the wall-clock cost of computing this point, recorded from
-	// the sweep's span tracer. It is excluded from String() so the default
-	// rendering (used in REPORT.md and conformance) stays deterministic;
-	// TimedString() includes it.
+	// ElapsedMS is the wall-clock cost of computing this point. It is
+	// excluded from String() so the default rendering (used in REPORT.md and
+	// conformance) stays deterministic; TimedString() includes it.
 	ElapsedMS float64
 }
 
@@ -78,14 +77,9 @@ func (r Result) render(timed bool) string {
 	return out
 }
 
-// timePoint runs fn under a span on the sweep's tracer and stamps the point's
-// ElapsedMS from the span.
-func timePoint(tr *obs.Tracer, name string, pt *Point, fn func() error) error {
-	sp := tr.Start(name)
-	err := fn()
-	sp.End()
-	pt.ElapsedMS = float64(sp.Elapsed().Nanoseconds()) / 1e6
-	return err
+// msSince is the wall-clock time since start, in milliseconds.
+func msSince(start time.Time) float64 {
+	return float64(time.Since(start).Nanoseconds()) / 1e6
 }
 
 func sortedKeys(m map[string]float64) []string {
@@ -108,45 +102,41 @@ func sortedKeys(m map[string]float64) []string {
 func ColocationPropensity(seed int64, values []float64) (Result, error) {
 	res := Result{Name: "colocation-propensity", Param: "propensity"}
 	sp := scenario.Default()
-	tr := obs.NewTracer()
 	for _, v := range values {
-		point := Point{Param: v}
-		err := timePoint(tr, fmt.Sprintf("propensity=%g", v), &point, func() error {
-			cfg := hypergiant.DeployConfigFromScenario(sp, seed)
-			cfg.ColocationPropensity = v
-			d, m, err := tinyWorld(sp, cfg)
-			if err != nil {
-				return fmt.Errorf("sweep: propensity %v: %w", v, err)
-			}
+		start := time.Now()
+		cfg := hypergiant.DeployConfigFromScenario(sp, seed)
+		cfg.ColocationPropensity = v
+		d, m, err := tinyWorld(sp, cfg)
+		if err != nil {
+			return res, fmt.Errorf("sweep: propensity %v: %w", v, err)
+		}
 
-			// Ground-truth share of multi-HG ISPs whose top facility hosts
-			// ALL their hypergiants (full concentration), plus the mean HGs
-			// hit by a top-facility failure.
-			var multi, allAtTop int
-			for _, as := range d.HostingISPs() {
-				hgs := len(d.HGsIn(as))
-				if hgs < 2 {
-					continue
-				}
-				multi++
-				if _, top := cascade.TopFacility(d, as); top == hgs {
-					allAtTop++
-				}
+		// Ground-truth share of multi-HG ISPs whose top facility hosts ALL
+		// their hypergiants (full concentration), plus the mean HGs hit by a
+		// top-facility failure.
+		var multi, allAtTop int
+		for _, as := range d.HostingISPs() {
+			hgs := len(d.HGsIn(as))
+			if hgs < 2 {
+				continue
 			}
-			st, err := cascade.SweepContext(context.Background(), m, d, d.HostingISPs(), 1)
-			if err != nil {
-				return fmt.Errorf("sweep: propensity %v: %w", v, err)
+			multi++
+			if _, top := cascade.TopFacility(d, as); top == hgs {
+				allAtTop++
 			}
-			point.Metrics = map[string]float64{
+		}
+		st, err := cascade.SweepContext(context.Background(), m, d, d.HostingISPs(), 1)
+		if err != nil {
+			return res, fmt.Errorf("sweep: propensity %v: %w", v, err)
+		}
+		res.Points = append(res.Points, Point{
+			Param: v,
+			Metrics: map[string]float64{
 				"all-at-top-frac": frac(allAtTop, multi),
 				"hg-per-failure":  st.MeanHGsPerFailure,
-			}
-			return nil
+			},
+			ElapsedMS: msSince(start),
 		})
-		if err != nil {
-			return res, err
-		}
-		res.Points = append(res.Points, point)
 	}
 	return res, nil
 }
@@ -162,34 +152,33 @@ func SharedHeadroom(seed int64, values []float64) (Result, error) {
 		return res, err
 	}
 	hosts := d.HostingISPs()
-	tr := obs.NewTracer()
 	for _, v := range values {
-		point := Point{Param: v}
-		_ = timePoint(tr, fmt.Sprintf("headroom=%g", v), &point, func() error {
-			var congested, scenarios int
-			var collateral float64
-			for _, as := range hosts {
-				fid, n := cascade.TopFacility(d, as)
-				if n <= 0 {
-					continue
-				}
-				sc := cascade.DefaultScenario()
-				sc.SharedHeadroom = v
-				sc.FailFacilities = map[inet.FacilityID]bool{fid: true}
-				rep := cascade.Simulate(m, d, sc)
-				scenarios++
-				if len(rep.CongestedIXPs())+len(rep.CongestedTransits()) > 0 {
-					congested++
-				}
-				collateral += float64(len(rep.CollateralISPs))
+		start := time.Now()
+		var congested, scenarios int
+		var collateral float64
+		for _, as := range hosts {
+			fid, n := cascade.TopFacility(d, as)
+			if n <= 0 {
+				continue
 			}
-			point.Metrics = map[string]float64{
+			sc := cascade.DefaultScenario()
+			sc.SharedHeadroom = v
+			sc.FailFacilities = map[inet.FacilityID]bool{fid: true}
+			rep := cascade.Simulate(m, d, sc)
+			scenarios++
+			if len(rep.CongestedIXPs())+len(rep.CongestedTransits()) > 0 {
+				congested++
+			}
+			collateral += float64(len(rep.CollateralISPs))
+		}
+		res.Points = append(res.Points, Point{
+			Param: v,
+			Metrics: map[string]float64{
 				"congesting-frac": frac(congested, scenarios),
 				"collateral-isps": collateral / float64(max(scenarios, 1)),
-			}
-			return nil
+			},
+			ElapsedMS: msSince(start),
 		})
-		res.Points = append(res.Points, point)
 	}
 	return res, nil
 }
@@ -204,18 +193,17 @@ func DemandSpike(seed int64, values []float64) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	tr := obs.NewTracer()
 	for _, v := range values {
-		point := Point{Param: v}
-		_ = timePoint(tr, fmt.Sprintf("multiplier=%g", v), &point, func() error {
-			rep := capacity.CovidReplay(m, traffic.Netflix, v)
-			point.Metrics = map[string]float64{
+		start := time.Now()
+		rep := capacity.CovidReplay(m, traffic.Netflix, v)
+		res.Points = append(res.Points, Point{
+			Param: v,
+			Metrics: map[string]float64{
 				"offnet-growth":      rep.OffnetGrowth(),
 				"interdomain-growth": rep.InterdomainGrowth(),
-			}
-			return nil
+			},
+			ElapsedMS: msSince(start),
 		})
-		res.Points = append(res.Points, point)
 	}
 	return res, nil
 }

@@ -14,7 +14,7 @@
 // and cascade.Baseline.Assess, against one no-failure cascade.Baseline per
 // clock hour, built on first use), and no wall-clock or map-iteration
 // order reaches the trajectory. The SHA-256 trajectory digest is therefore
-// byte-identical at any -workers/-shards setting, and the closed-form
+// byte-identical at any -workers setting, and the closed-form
 // pipeline remains the differential oracle: an empty schedule reproduces
 // capacity.Serve hour by hour, and a scheduled facility failure lands on
 // cascade.Simulate's report bit-exactly.

@@ -95,7 +95,7 @@ func (t *Trajectory) append(sink *obs.EventSink, ev Event) {
 // Digest returns the canonical SHA-256 of the trajectory: each event
 // JSON-marshaled on its own line, in order. Go's float formatting is the
 // shortest round-trip representation, so identical float values — which the
-// determinism contract guarantees across -workers/-shards — give identical
+// determinism contract guarantees across -workers — give identical
 // bytes.
 func (t *Trajectory) Digest() string {
 	h := sha256.New()

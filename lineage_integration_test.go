@@ -27,7 +27,7 @@ var lineageStages = []string{
 // lineageRun executes every experiment with a fresh registry and a fresh
 // recorder, returning the recorder, the rendered experiment output, and the
 // funnel snapshots of that run.
-func lineageRun(t *testing.T, workers, shards int, profile string) (*obs.LineageRecorder, string, []obs.FunnelSnapshot) {
+func lineageRun(t *testing.T, workers int, profile string) (*obs.LineageRecorder, string, []obs.FunnelSnapshot) {
 	t.Helper()
 	obs.Default.Reset()
 	lr := obs.NewLineageRecorder()
@@ -35,7 +35,6 @@ func lineageRun(t *testing.T, workers, shards int, profile string) (*obs.Lineage
 	defer obs.SetLineage(nil)
 	p := NewPipeline(42, ScaleTiny)
 	p.Workers = workers
-	p.Shards = shards
 	if profile != "" {
 		prof, err := chaos.ParseProfile(profile)
 		if err != nil {
@@ -53,7 +52,7 @@ func lineageRun(t *testing.T, workers, shards int, profile string) (*obs.Lineage
 // and every funnel balances (in == kept + Σ drops) — a site that drops data
 // without counting why fails here, naming the funnel.
 func TestLineageReconciliation(t *testing.T) {
-	lr, _, funnels := lineageRun(t, 0, 0, "")
+	lr, _, funnels := lineageRun(t, 0, "")
 	seen := make(map[string]bool)
 	var got []string
 	for _, rec := range lr.Records() {
@@ -81,16 +80,16 @@ func TestLineageReconciliation(t *testing.T) {
 }
 
 // TestLineageDigestDeterminism: the digest — and the full record set behind
-// it — is byte-identical across worker and shard counts, because sampling is
+// it — is byte-identical across worker counts, because sampling is
 // hash-admitted, never arrival-ordered.
 func TestLineageDigestDeterminism(t *testing.T) {
-	base, rendered, _ := lineageRun(t, 1, 0, "")
+	base, rendered, _ := lineageRun(t, 1, "")
 	digest := base.Digest()
 	if digest == "" || len(base.Records()) == 0 {
 		t.Fatal("baseline run recorded no lineage")
 	}
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		lr, r, _ := lineageRun(t, workers, 0, "")
+		lr, r, _ := lineageRun(t, workers, "")
 		if lr.Digest() != digest {
 			t.Fatalf("Workers=%d lineage digest diverged", workers)
 		}
@@ -101,19 +100,13 @@ func TestLineageDigestDeterminism(t *testing.T) {
 			t.Fatalf("Workers=%d experiment output diverged under lineage", workers)
 		}
 	}
-	for _, shards := range []int{1, 4} {
-		lr, _, _ := lineageRun(t, 0, shards, "")
-		if lr.Digest() != digest {
-			t.Fatalf("Shards=%d lineage digest diverged", shards)
-		}
-	}
 }
 
 // TestLineageChaosDeterminism: injected faults surface as chaos_* lineage
 // records, and the capture stays byte-identical across worker counts at a
 // fixed chaos seed.
 func TestLineageChaosDeterminism(t *testing.T) {
-	base, _, _ := lineageRun(t, 1, 0, "heavy")
+	base, _, _ := lineageRun(t, 1, "heavy")
 	digest := base.Digest()
 	var chaosRecords int
 	for _, rec := range base.Records() {
@@ -125,7 +118,7 @@ func TestLineageChaosDeterminism(t *testing.T) {
 		t.Fatal("heavy chaos run produced no chaos_* lineage records")
 	}
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		lr, _, _ := lineageRun(t, workers, 0, "heavy")
+		lr, _, _ := lineageRun(t, workers, "heavy")
 		if lr.Digest() != digest {
 			t.Fatalf("Workers=%d chaos lineage digest diverged", workers)
 		}
@@ -140,7 +133,7 @@ func TestLineageOffTransparency(t *testing.T) {
 	obs.Default.Reset()
 	plain := runAll(t, NewPipeline(42, ScaleTiny))
 	plainFunnels := obs.Default.FunnelSnapshots()
-	lr, withLineage, lineageFunnels := lineageRun(t, 0, 0, "")
+	lr, withLineage, lineageFunnels := lineageRun(t, 0, "")
 	if plain != withLineage {
 		t.Fatal("enabling lineage changed experiment output")
 	}

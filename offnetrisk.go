@@ -72,13 +72,6 @@ type Pipeline struct {
 	// funnel drop reason. See internal/chaos.
 	Chaos *chaos.Injector
 
-	// Shards partitions the sharded world builder's entity index space; <= 0
-	// means the builder's machine-independent default. Like Workers it is
-	// output-invariant — the composed world is byte-identical at any shard
-	// count — and it is ignored entirely by the legacy builder (scenarios
-	// whose topology is not sharded).
-	Shards int
-
 	// SnapshotPath, when set, spills the generated world to a binary
 	// snapshot on first build and streams it back on every later build
 	// (including later epochs of the same run) instead of re-synthesizing.
@@ -184,11 +177,7 @@ func (p *Pipeline) worldConfig() inet.Config {
 	case ScaleLarge:
 		sp = scenario.MustLookup("large")
 	}
-	cfg := inet.ConfigFromScenario(sp, p.Seed)
-	// Parallelism knobs only — neither changes the world's bytes.
-	cfg.Shards = p.Shards
-	cfg.GenWorkers = p.Workers
-	return cfg
+	return inet.ConfigFromScenario(sp, p.Seed)
 }
 
 // buildWorld synthesizes (or, with SnapshotPath set, streams back) one

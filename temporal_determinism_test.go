@@ -7,10 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"offnetrisk/internal/capacity"
 	"offnetrisk/internal/chaos"
-	"offnetrisk/internal/hypergiant"
-	"offnetrisk/internal/inet"
 	"offnetrisk/internal/obs"
 	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/temporal"
@@ -29,13 +26,12 @@ func flashCrowdSchedule(t *testing.T) *scenario.Schedule {
 }
 
 // temporalRun replays the flash crowd on the tiny seed-42 pipeline at the
-// given parallelism knobs and chaos profile, returning the trajectory.
-func temporalRun(t *testing.T, workers, shards int, profile string, sched *scenario.Schedule) *temporal.Trajectory {
+// given worker count and chaos profile, returning the trajectory.
+func temporalRun(t *testing.T, workers int, profile string, sched *scenario.Schedule) *temporal.Trajectory {
 	t.Helper()
 	obs.Default.Reset()
 	p := NewPipeline(42, ScaleTiny)
 	p.Workers = workers
-	p.Shards = shards
 	if profile != "" {
 		prof, err := chaos.ParseProfile(profile)
 		if err != nil {
@@ -52,19 +48,19 @@ func temporalRun(t *testing.T, workers, shards int, profile string, sched *scena
 
 // TestTrajectoryDigestDeterminism is the acceptance guard: the committed
 // flash-crowd schedule replays byte-identically — same digest, same summary —
-// at every worker count, every shard count, and under heavy chaos. Workers,
-// shards and chaos are parallelism/fault knobs on the measurement pipeline;
-// none of them may reach the temporal engine.
+// at every worker count and under heavy chaos. Workers and chaos are
+// parallelism/fault knobs on the measurement pipeline; neither may reach the
+// temporal engine.
 func TestTrajectoryDigestDeterminism(t *testing.T) {
 	sched := flashCrowdSchedule(t)
-	base := temporalRun(t, 1, 1, "", sched)
+	base := temporalRun(t, 1, "", sched)
 	digest := base.Digest()
 	if len(base.Events) == 0 || len(base.Steps) == 0 {
 		t.Fatal("flash-crowd replay produced an empty trajectory")
 	}
 	summary := base.Summary()
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		traj := temporalRun(t, workers, 1, "", sched)
+		traj := temporalRun(t, workers, "", sched)
 		if traj.Digest() != digest {
 			t.Fatalf("Workers=%d trajectory digest diverged", workers)
 		}
@@ -72,49 +68,10 @@ func TestTrajectoryDigestDeterminism(t *testing.T) {
 			t.Fatalf("Workers=%d trajectory summary diverged", workers)
 		}
 	}
-	for _, shards := range []int{1, 4} {
-		traj := temporalRun(t, 0, shards, "", sched)
-		if traj.Digest() != digest {
-			t.Fatalf("Shards=%d trajectory digest diverged", shards)
-		}
-	}
 	for _, workers := range []int{1, 4} {
-		traj := temporalRun(t, workers, 1, "heavy", sched)
+		traj := temporalRun(t, workers, "heavy", sched)
 		if traj.Digest() != digest {
 			t.Fatalf("Workers=%d -chaos heavy trajectory digest diverged: chaos leaked into the engine", workers)
-		}
-	}
-}
-
-// TestTrajectoryDigestShardedBuilder: the digest also survives switching the
-// world synthesis path itself — the sharded streaming builder at several
-// shard counts must yield the same world bytes, hence the same trajectory.
-func TestTrajectoryDigestShardedBuilder(t *testing.T) {
-	sched := flashCrowdSchedule(t)
-	run := func(shards int) string {
-		cfg := inet.TinyConfig(42)
-		cfg.Sharded = true
-		cfg.Shards = shards
-		w := inet.Generate(cfg)
-		d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := capacity.Build(d, capacity.ConfigFromScenario(scenario.Default(), 42))
-		eng, err := temporal.New(m, d, sched, temporal.Config{Hours: 24})
-		if err != nil {
-			t.Fatal(err)
-		}
-		traj, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return traj.Digest()
-	}
-	base := run(1)
-	for _, shards := range []int{2, 4} {
-		if d := run(shards); d != base {
-			t.Fatalf("sharded builder Shards=%d trajectory digest diverged", shards)
 		}
 	}
 }

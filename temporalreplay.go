@@ -15,8 +15,7 @@ import (
 // model, and an optional event schedule (nil = diurnal steady state). The
 // optional sink receives every trajectory event live on the -events stream.
 // The trajectory — and therefore its digest — depends only on (seed, scale,
-// scenario, hours, schedule): workers, shards and chaos never reach the
-// engine.
+// scenario, hours, schedule): workers and chaos never reach the engine.
 func (p *Pipeline) TemporalReplayContext(ctx context.Context, hours int, sched *scenario.Schedule, sink *obs.EventSink) (*temporal.Trajectory, error) {
 	root := p.span("temporal-replay")
 	defer root.End()
