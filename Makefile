@@ -96,6 +96,7 @@ fuzz-smoke:
 	$(GO) test ./internal/rdns -run '^FuzzExtractMetro$$' -fuzz '^FuzzExtractMetro$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rdns -run '^FuzzLearnedExtract$$' -fuzz '^FuzzLearnedExtract$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^FuzzParseSchedule$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/coloc -run '^FuzzPairDistance$$' -fuzz '^FuzzPairDistance$$' -fuzztime $(FUZZTIME)
 
 # Huge-tier smoke: generate the huge tier (generation only, no deployment),
 # spill it to a snapshot, and stream it back — bounded wall-clock proof that

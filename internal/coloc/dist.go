@@ -2,16 +2,17 @@
 // scratch, and the flat triangular distance matrix with balanced pair-block
 // parallel fill. This is the hot path of the §3.2/Appendix A colocation
 // inference — every ISP costs O(n²) pair distances over ~163-entry latency
-// vectors — so the kernel is written to be allocation-free in steady state
-// while producing bit-identical results to the original sort-per-pair code
-// (DESIGN.md §8.1).
+// vectors — so the kernel is written to be allocation-free in steady state.
+// It keeps exactly the sites a sort-per-pair implementation keeps; its mean
+// may differ from that implementation's in the last bits, because the kept
+// values are summed in selection order rather than ascending (DESIGN.md
+// §8.1).
 package coloc
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"offnetrisk/internal/mlab"
 	"offnetrisk/internal/obs"
@@ -60,9 +61,12 @@ func (s *PairScratch) FlushFunnel() {
 
 // PairDistance is the scratch-reusing pair distance. The exclusion is
 // computed by partial selection (quickselect) of the kept k smallest
-// per-site discrepancies instead of a full sort; the kept values are then
-// summed in ascending order, so the result is the exact float64 the
-// sort-everything implementation produced (see DESIGN.md §8.1).
+// per-site discrepancies instead of a full sort, and the kept values are
+// summed in the order the selection leaves them. The kept multiset is
+// exactly the sort-everything implementation's; the mean is within k·2⁻⁵²
+// relative of that implementation's ascending sum. The order is a pure
+// function of the inputs, so the result is bit-identical from call to call,
+// with any scratch, and with a and b swapped (see DESIGN.md §8.1).
 func (s *PairScratch) PairDistance(a, b []float64, sites []int, exclude float64) float64 {
 	diffs := s.diffs[:0]
 	if cap(diffs) < len(sites) {
@@ -91,10 +95,8 @@ func (s *PairScratch) PairDistance(a, b []float64, sites []int, exclude float64)
 		selectSmallest(diffs, keep)
 		diffs = diffs[:keep]
 	}
-	// Ascending summation order matches the old sort-based code bit for bit;
-	// sorting only the kept 80% is cheaper than sorting everything, and the
-	// multiset of kept values is an order statistic, so it is exact.
-	sort.Float64s(diffs)
+	// Summed in selection order: the paper's rule fixes which sites are
+	// kept, not the order they are added in.
 	var sum float64
 	for _, d := range diffs {
 		sum += d

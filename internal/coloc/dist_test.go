@@ -16,9 +16,9 @@ import (
 )
 
 // referencePairDistance is the original allocate-and-fully-sort
-// implementation, kept verbatim as the differential oracle for the
-// selection-based kernel.
-func referencePairDistance(a, b []float64, sites []int, exclude float64) float64 {
+// implementation, kept as the oracle for the selection-based kernel. It also
+// returns the kept discrepancies in ascending order (nil for +Inf).
+func referencePairDistance(a, b []float64, sites []int, exclude float64) (float64, []float64) {
 	diffs := make([]float64, 0, len(sites))
 	for _, si := range sites {
 		x, y := a[si], b[si]
@@ -28,7 +28,7 @@ func referencePairDistance(a, b []float64, sites []int, exclude float64) float64
 		diffs = append(diffs, math.Abs(x-y))
 	}
 	if len(diffs) == 0 {
-		return math.Inf(1)
+		return math.Inf(1), nil
 	}
 	sort.Float64s(diffs)
 	keep := len(diffs) - int(float64(len(diffs))*exclude)
@@ -39,7 +39,36 @@ func referencePairDistance(a, b []float64, sites []int, exclude float64) float64
 	for _, d := range diffs[:keep] {
 		sum += d
 	}
-	return sum / float64(keep)
+	return sum / float64(keep), diffs[:keep]
+}
+
+// nearReference reports whether a kernel mean is within k·2⁻⁵² relative of
+// the reference's ascending-order mean, k being the number of kept sites:
+// each summation order is within (k−1)·2⁻⁵³ of the exact sum and the
+// division rounds once more. +Inf and 0 must match exactly.
+func nearReference(got, want float64, k int) bool {
+	if math.IsInf(want, 1) {
+		return math.IsInf(got, 1)
+	}
+	return math.Abs(got-want) <= float64(k)*0x1p-52*want
+}
+
+// agreesWithReference checks the PairDistance result got, just computed on
+// sc, against the reference: the kept sites (sc.diffs[:k]) are the
+// reference's multiset bit for bit, and the mean is nearReference.
+func agreesWithReference(sc *PairScratch, got float64, a, b []float64, sites []int, exclude float64) error {
+	want, wantKept := referencePairDistance(a, b, sites, exclude)
+	kept := append([]float64(nil), sc.diffs[:len(wantKept)]...)
+	sort.Float64s(kept)
+	for i := range kept {
+		if math.Float64bits(kept[i]) != math.Float64bits(wantKept[i]) {
+			return fmt.Errorf("kept value %d = %v, reference keeps %v", i, kept[i], wantKept[i])
+		}
+	}
+	if !nearReference(got, want, len(wantKept)) {
+		return fmt.Errorf("got %v, want %v within %d·2⁻⁵² relative", got, want, len(wantKept))
+	}
+	return nil
 }
 
 // randomPair draws a random latency-vector pair: sometimes continuous,
@@ -77,23 +106,78 @@ func randomPair(seed int64) (a, b []float64, sites []int, exclude float64) {
 	return a, b, sites, exclude
 }
 
-// TestPairDistanceMatchesReference is the differential proof: the
-// quickselect kernel must reproduce the sort-based reference bit for bit on
-// 1000 seeded random inputs, including tie-heavy ones, with one scratch
-// reused across every case (the steady-state usage).
+// TestPairDistanceMatchesReference is the differential proof against the
+// sort-based reference on 1000 seeded random inputs, including tie-heavy
+// ones, with one scratch reused across every case (the steady-state usage):
+// the same sites are kept, bit for bit, and the mean is within the
+// summation-order bound.
 func TestPairDistanceMatchesReference(t *testing.T) {
 	var sc PairScratch
 	for seed := int64(0); seed < 1000; seed++ {
 		a, b, sites, exclude := randomPair(seed)
-		want := referencePairDistance(a, b, sites, exclude)
 		got := sc.PairDistance(a, b, sites, exclude)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("seed %d: got %v, want %v (n=%d exclude=%v)", seed, got, want, len(sites), exclude)
-		}
-		if pkg := PairDistance(a, b, sites, exclude); math.Float64bits(pkg) != math.Float64bits(want) {
-			t.Fatalf("seed %d: package-level PairDistance %v, want %v", seed, pkg, want)
+		if err := agreesWithReference(&sc, got, a, b, sites, exclude); err != nil {
+			t.Fatalf("seed %d (n=%d exclude=%v): %v", seed, len(sites), exclude, err)
 		}
 	}
+}
+
+// TestPairDistanceRepeatable pins the bit-exact determinism the reference
+// check no longer does: a fresh scratch per call, one reused scratch and
+// swapped arguments all return the same bits.
+func TestPairDistanceRepeatable(t *testing.T) {
+	var sc PairScratch
+	for seed := int64(0); seed < 1000; seed++ {
+		a, b, sites, exclude := randomPair(seed)
+		want := PairDistance(a, b, sites, exclude)
+		if got := sc.PairDistance(a, b, sites, exclude); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d: reused scratch gives %v, fresh scratch %v", seed, got, want)
+		}
+		if got := PairDistance(b, a, sites, exclude); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d: swapped arguments give %v, fresh scratch %v", seed, got, want)
+		}
+	}
+}
+
+// FuzzPairDistance decodes a latency-vector pair from bytes — two per site,
+// with lost probes (NaN) and a coarse grid that makes ties common — and
+// checks the kernel against the reference, for symmetry, and for +Inf
+// exactly when no site has both RTTs.
+func FuzzPairDistance(f *testing.F) {
+	f.Add([]byte{1, 1, 3, 33, 0x42, 0x10, 0xf0, 7, 9, 9}, uint8(51))
+	f.Add([]byte{0xff, 1, 2, 0xf3}, uint8(0))
+	f.Add([]byte{5, 37, 69, 101, 133, 165, 197, 229, 1, 3}, uint8(255))
+	f.Fuzz(func(t *testing.T, data []byte, excl uint8) {
+		value := func(v byte) float64 {
+			switch {
+			case v >= 0xf0:
+				return math.NaN()
+			case v&1 == 1:
+				return float64(v >> 5) // 0–7: tie-heavy
+			default:
+				return float64(v) * 0.37
+			}
+		}
+		n := len(data) / 2
+		a, b, sites := make([]float64, n), make([]float64, n), make([]int, n)
+		both := false
+		for i := range sites {
+			a[i], b[i], sites[i] = value(data[2*i]), value(data[2*i+1]), i
+			both = both || !math.IsNaN(a[i]) && !math.IsNaN(b[i])
+		}
+		exclude := float64(excl) / 255
+		var sc PairScratch
+		got := sc.PairDistance(a, b, sites, exclude)
+		if err := agreesWithReference(&sc, got, a, b, sites, exclude); err != nil {
+			t.Fatal(err)
+		}
+		if swapped := sc.PairDistance(b, a, sites, exclude); math.Float64bits(swapped) != math.Float64bits(got) {
+			t.Fatalf("d(a,b) = %v but d(b,a) = %v", got, swapped)
+		}
+		if math.IsInf(got, 1) == both {
+			t.Fatalf("got %v with a site having both RTTs = %v", got, both)
+		}
+	})
 }
 
 // TestPairDistanceZeroAlloc guards the steady-state kernel: once the scratch
@@ -133,12 +217,18 @@ func syntheticMeasurements(seed int64, n, sites int) ([]*mlab.Measurement, []int
 }
 
 // TestDistanceMatrixBlocksMatchPairDistance checks the balanced pair-block
-// fill cell by cell against direct PairDistance calls, across worker counts
-// and at a size large enough to span multiple blocks (n=70 → 2415 pairs >
-// one 2048-cell block).
+// fill cell by cell against direct PairDistance calls, bit for bit across
+// worker counts and at a size large enough to span multiple blocks (n=70 →
+// 2415 pairs > one 2048-cell block), and against the reference within the
+// summation-order bound.
 func TestDistanceMatrixBlocksMatchPairDistance(t *testing.T) {
 	ms, sites := syntheticMeasurements(3, 70, 60)
-	want := distanceMatrix(t, ms, sites)
+	direct := func(i, j int) float64 {
+		if i == j {
+			return 0
+		}
+		return PairDistance(ms[i].RTTms, ms[j].RTTms, sites, DiscrepancyExclusion)
+	}
 	for _, workers := range []int{1, 3, 8} {
 		dm, err := DistanceMatrixContext(context.Background(), ms, sites, DiscrepancyExclusion, workers)
 		if err != nil {
@@ -146,17 +236,17 @@ func TestDistanceMatrixBlocksMatchPairDistance(t *testing.T) {
 		}
 		for i := 0; i < len(ms); i++ {
 			for j := 0; j < len(ms); j++ {
-				if math.Float64bits(dm.At(i, j)) != math.Float64bits(want.At(i, j)) {
-					t.Fatalf("workers=%d: cell %d,%d = %v, want %v", workers, i, j, dm.At(i, j), want.At(i, j))
+				if want := direct(i, j); math.Float64bits(dm.At(i, j)) != math.Float64bits(want) {
+					t.Fatalf("workers=%d: cell %d,%d = %v, want %v", workers, i, j, dm.At(i, j), want)
 				}
 			}
 		}
 	}
 	for i := 0; i < len(ms); i++ {
 		for j := i + 1; j < len(ms); j++ {
-			ref := referencePairDistance(ms[i].RTTms, ms[j].RTTms, sites, DiscrepancyExclusion)
-			if math.Float64bits(want.At(i, j)) != math.Float64bits(ref) {
-				t.Fatalf("cell %d,%d = %v, want reference %v", i, j, want.At(i, j), ref)
+			ref, kept := referencePairDistance(ms[i].RTTms, ms[j].RTTms, sites, DiscrepancyExclusion)
+			if got := direct(i, j); !nearReference(got, ref, len(kept)) {
+				t.Fatalf("cell %d,%d = %v, want reference %v within %d·2⁻⁵² relative", i, j, got, ref, len(kept))
 			}
 		}
 	}

@@ -206,6 +206,10 @@ func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site,
 		baseCache[fid] = bases[i]
 	}
 
+	// The speed-of-light floor between two sites is the same for every
+	// target, so the check reads it from one table per campaign.
+	minRTT := minRTTTable(sites)
+
 	// One task per server. Each target's probe streams are derived from
 	// (seed, addr, site) — never advanced across targets — so the fan-out
 	// cannot change a single RTT.
@@ -234,7 +238,7 @@ func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site,
 			return outcome{transient: true}, nil
 		}
 		m := measureServer(w, s, sites, cfg, baseCache[s.Facility], sc)
-		if violatesSpeedOfLight(m.RTTms, sites) {
+		if violatesSpeedOfLight(m.RTTms, minRTT, sc) {
 			mImpossible.Inc()
 			return outcome{impossible: true}, nil
 		}
@@ -414,9 +418,11 @@ func facilityBase(f *inet.Facility, sites []Site) []float64 {
 // probeScratch is the per-worker probe buffer: the per-(site,target) RTT
 // samples are collected into a reused slice instead of growing a fresh one
 // for every site — the old code's dominant allocation (up to four append
-// growths per site × 163 sites × every server).
+// growths per site × 163 sites × every server) — and the speed-of-light
+// check keeps its lowest-RTT candidates in another.
 type probeScratch struct {
 	got []float64
+	low []siteRTT
 }
 
 func newProbeScratch() *probeScratch { return &probeScratch{} }
@@ -541,35 +547,65 @@ func rackOffsetMs(siteID int, fac inet.FacilityID, rack int) float64 {
 	return float64(h%1200) / 1000.0
 }
 
+// minRTTTable returns the speed-of-light round-trip floor between every two
+// sites in milliseconds, row-major: cell i·len(sites)+j is
+// float64(geo.MinRTT(sites[i].Loc, sites[j].Loc)) / 1e6.
+func minRTTTable(sites []Site) []float64 {
+	n := len(sites)
+	out := make([]float64, n*n)
+	for i := range sites {
+		for j := range sites {
+			out[i*n+j] = float64(geo.MinRTT(sites[i].Loc, sites[j].Loc)) / 1e6
+		}
+	}
+	return out
+}
+
+// solCandidates is how many of a target's lowest RTTs the speed-of-light
+// check compares pairwise.
+const solCandidates = 20
+
+// siteRTT is one site's RTT toward a target.
+type siteRTT struct {
+	rtt float64
+	idx int
+}
+
 // violatesSpeedOfLight reports whether the latency vector is physically
 // impossible for a single destination: two sites i, j with
 // RTT_i + RTT_j < minimum RTT between the sites themselves (a packet
 // site_i→dst→site_j cannot beat the direct great-circle path). Only the
 // lowest-latency sites can participate in violations, so the check is
-// restricted to the 20 smallest entries.
-func violatesSpeedOfLight(rtts []float64, sites []Site) bool {
-	type sr struct {
-		rtt float64
-		idx int
-	}
-	var low []sr
+// restricted to the 20 smallest entries; among equal RTTs the lower site
+// index is kept. minRTT is minRTTTable of the sites rtts is indexed by, and
+// a pair is looked up lower RTT first. The candidates live in sc, so a warm
+// check allocates nothing.
+func violatesSpeedOfLight(rtts, minRTT []float64, sc *probeScratch) bool {
+	n := len(rtts)
+	low := sc.low[:0]
 	for i, v := range rtts {
-		if !math.IsNaN(v) {
-			low = append(low, sr{v, i})
+		if math.IsNaN(v) {
+			continue
 		}
+		// Bounded insertion behind every RTT ≤ v: sites arrive in index
+		// order, so an equal RTT never displaces a lower index.
+		p := len(low)
+		for p > 0 && low[p-1].rtt > v {
+			p--
+		}
+		if p == solCandidates {
+			continue
+		}
+		if len(low) < solCandidates {
+			low = append(low, siteRTT{})
+		}
+		copy(low[p+1:], low[p:])
+		low[p] = siteRTT{v, i}
 	}
-	if len(low) < 2 {
-		return false
-	}
-	sort.Slice(low, func(i, j int) bool { return low[i].rtt < low[j].rtt })
-	if len(low) > 20 {
-		low = low[:20]
-	}
-	for i := 0; i < len(low); i++ {
-		for j := i + 1; j < len(low); j++ {
-			a, b := low[i], low[j]
-			min := float64(geo.MinRTT(sites[a.idx].Loc, sites[b.idx].Loc)) / 1e6
-			if a.rtt+b.rtt < min {
+	sc.low = low
+	for i, a := range low {
+		for _, b := range low[i+1:] {
+			if a.rtt+b.rtt < minRTT[a.idx*n+b.idx] {
 				return true
 			}
 		}

@@ -3,11 +3,14 @@ package mlab
 import (
 	"context"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"offnetrisk/internal/geo"
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/rngutil"
 	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
@@ -196,17 +199,167 @@ func TestViolatesSpeedOfLight(t *testing.T) {
 		{ID: 0, Loc: geo.Point{LatDeg: 40.71, LonDeg: -74.01}},  // NYC
 		{ID: 1, Loc: geo.Point{LatDeg: -33.87, LonDeg: 151.21}}, // Sydney
 	}
+	minRTT, sc := minRTTTable(sites), newProbeScratch()
 	// Both sites see 1ms: impossible for one destination ~16000km apart.
-	if !violatesSpeedOfLight([]float64{1, 1}, sites) {
+	if !violatesSpeedOfLight([]float64{1, 1}, minRTT, sc) {
 		t.Error("1ms/1ms NYC+Sydney should be impossible")
 	}
 	// NYC 1ms, Sydney 110ms: plausible (server near NYC).
-	if violatesSpeedOfLight([]float64{1, 110}, sites) {
+	if violatesSpeedOfLight([]float64{1, 110}, minRTT, sc) {
 		t.Error("plausible vector flagged")
 	}
 	// Single site can never violate.
-	if violatesSpeedOfLight([]float64{1, math.NaN()}, sites) {
+	if violatesSpeedOfLight([]float64{1, math.NaN()}, minRTT, sc) {
 		t.Error("single measurement flagged")
+	}
+	// The bound is exact and strict: an RTT sum equal to the sites' floor is
+	// possible, one ulp below it is not.
+	floor := float64(geo.MinRTT(sites[0].Loc, sites[1].Loc)) / 1e6
+	if violatesSpeedOfLight([]float64{0, floor}, minRTT, sc) {
+		t.Error("RTT sum equal to the floor flagged")
+	}
+	if !violatesSpeedOfLight([]float64{0, math.Nextafter(floor, 0)}, minRTT, sc) {
+		t.Error("RTT sum one ulp below the floor not flagged")
+	}
+}
+
+// TestSpeedOfLightTieKeepsLowerIndex pins the 20-lowest restriction and
+// its tie rule: twenty NYC sites and one Sydney site all read 50ms, a
+// violation only when Sydney is among the twenty lowest indices.
+func TestSpeedOfLightTieKeepsLowerIndex(t *testing.T) {
+	nyc := geo.Point{LatDeg: 40.71, LonDeg: -74.01}
+	syd := geo.Point{LatDeg: -33.87, LonDeg: 151.21}
+	rtts := make([]float64, 21)
+	for i := range rtts {
+		rtts[i] = 50
+	}
+	for _, sydIdx := range []int{19, 20} {
+		sites := make([]Site, len(rtts))
+		for i := range sites {
+			sites[i] = Site{ID: i, Loc: nyc}
+		}
+		sites[sydIdx].Loc = syd
+		want := sydIdx < 20
+		if got := violatesSpeedOfLight(rtts, minRTTTable(sites), newProbeScratch()); got != want {
+			t.Errorf("Sydney at index %d: violation = %v, want %v", sydIdx, got, want)
+		}
+	}
+}
+
+// referenceViolatesSpeedOfLight is the check as it was before the MinRTT
+// table and the bounded candidate selection, kept verbatim as the oracle.
+func referenceViolatesSpeedOfLight(rtts []float64, sites []Site) bool {
+	type sr struct {
+		rtt float64
+		idx int
+	}
+	var low []sr
+	for i, v := range rtts {
+		if !math.IsNaN(v) {
+			low = append(low, sr{v, i})
+		}
+	}
+	if len(low) < 2 {
+		return false
+	}
+	sort.Slice(low, func(i, j int) bool { return low[i].rtt < low[j].rtt })
+	if len(low) > 20 {
+		low = low[:20]
+	}
+	for i := 0; i < len(low); i++ {
+		for j := i + 1; j < len(low); j++ {
+			a, b := low[i], low[j]
+			min := float64(geo.MinRTT(sites[a.idx].Loc, sites[b.idx].Loc)) / 1e6
+			if a.rtt+b.rtt < min {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// solVector draws a latency vector toward a destination that answers from
+// one to three metros: each site reads fiber time to the closest of them
+// plus a 0.5–6.5ms detour. One location can never violate the speed of
+// light; several far apart usually do. About 5% of sites are lost (NaN),
+// and one vector in twenty keeps at most one site.
+func solVector(r *rand.Rand, sites []Site) []float64 {
+	locs := make([]geo.Point, 1+r.Intn(3))
+	for k := range locs {
+		locs[k] = geo.Metros[r.Intn(len(geo.Metros))].Loc
+	}
+	sparse := r.Intn(20) == 0
+	out := make([]float64, len(sites))
+	for i, s := range sites {
+		if r.Float64() < 0.05 || sparse && r.Float64() < 0.99 {
+			out[i] = math.NaN()
+			continue
+		}
+		best := math.Inf(1)
+		for _, l := range locs {
+			best = math.Min(best, float64(geo.FiberRTT(s.Loc, l, 1.25))/1e6)
+		}
+		out[i] = best + 0.5 + 6*r.Float64()
+	}
+	return out
+}
+
+// TestSpeedOfLightMatchesReference is the differential proof that the table
+// and the bounded selection decide every vector as the old check did, on
+// 1200 seeded 163-site vectors over two site sets.
+func TestSpeedOfLightMatchesReference(t *testing.T) {
+	var violations, total int
+	sc := newProbeScratch()
+	for _, siteSeed := range []int64{42, 7} {
+		sites := Sites(163, siteSeed)
+		minRTT := minRTTTable(sites)
+		r := rngutil.New(siteSeed)
+		for k := 0; k < 600; k++ {
+			v := solVector(r, sites)
+			want := referenceViolatesSpeedOfLight(v, sites)
+			if got := violatesSpeedOfLight(v, minRTT, sc); got != want {
+				t.Fatalf("sites %d vector %d: violation = %v, reference %v", siteSeed, k, got, want)
+			}
+			total++
+			if want {
+				violations++
+			}
+		}
+	}
+	// Both outcomes must be common, or agreement proves little.
+	if violations < total/10 || total-violations < total/10 {
+		t.Fatalf("%d of %d vectors violate; want each outcome in at least 10%%", violations, total)
+	}
+	t.Logf("%d of %d vectors violate", violations, total)
+}
+
+// TestMinRTTTableMatchesMinRTT checks every cell against the expression the
+// check computed per pair before the table, bit for bit.
+func TestMinRTTTableMatchesMinRTT(t *testing.T) {
+	sites := Sites(163, 42)
+	table := minRTTTable(sites)
+	if len(table) != len(sites)*len(sites) {
+		t.Fatalf("table has %d cells, want %d", len(table), len(sites)*len(sites))
+	}
+	for i := range sites {
+		for j := range sites {
+			want := float64(geo.MinRTT(sites[i].Loc, sites[j].Loc)) / 1e6
+			if got := table[i*len(sites)+j]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cell %d,%d = %v, want %v", i, j, got, want)
+			}
+		}
+	}
+}
+
+// TestViolatesSpeedOfLightZeroAlloc guards the warm check: the candidates
+// live in the worker's probe scratch, so a check allocates nothing.
+func TestViolatesSpeedOfLightZeroAlloc(t *testing.T) {
+	sites := Sites(163, 42)
+	minRTT, sc := minRTTTable(sites), newProbeScratch()
+	v := solVector(rngutil.New(3), sites)
+	violatesSpeedOfLight(v, minRTT, sc)
+	if n := testing.AllocsPerRun(100, func() { violatesSpeedOfLight(v, minRTT, sc) }); n != 0 {
+		t.Fatalf("warm speed-of-light check allocates %v per call, want 0", n)
 	}
 }
 
