@@ -25,9 +25,12 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Focused race pass over the concurrency-heavy layers (quick pre-commit).
+# Focused race pass over the concurrency-heavy layers (quick pre-commit),
+# then ten race runs of the test that publishes one histogram per value and
+# in batches from many goroutines at once.
 race-obs:
 	$(GO) test -race ./internal/obs/... ./internal/par/...
+	$(GO) test -race -count=10 -run '^TestConcurrentHistogramSum$$' ./internal/obs
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -40,7 +40,7 @@ func PairDistance(a, b []float64, sites []int, exclude float64) float64 {
 // published with FlushFunnel, keeping the per-pair path free of atomics and
 // allocations.
 type PairScratch struct {
-	diffs []float64
+	diffs []uint64 // per-site |a−b| as IEEE-754 bits; see selectSmallest
 
 	fIn, fNaN, fExcl, fOut int64
 }
@@ -70,14 +70,14 @@ func (s *PairScratch) FlushFunnel() {
 func (s *PairScratch) PairDistance(a, b []float64, sites []int, exclude float64) float64 {
 	diffs := s.diffs[:0]
 	if cap(diffs) < len(sites) {
-		diffs = make([]float64, 0, len(sites))
+		diffs = make([]uint64, 0, len(sites))
 	}
 	for _, si := range sites {
 		x, y := a[si], b[si]
 		if math.IsNaN(x) || math.IsNaN(y) {
 			continue
 		}
-		diffs = append(diffs, math.Abs(x-y))
+		diffs = append(diffs, math.Float64bits(math.Abs(x-y)))
 	}
 	s.diffs = diffs
 	s.fIn += int64(len(sites))
@@ -99,54 +99,59 @@ func (s *PairScratch) PairDistance(a, b []float64, sites []int, exclude float64)
 	// kept, not the order they are added in.
 	var sum float64
 	for _, d := range diffs {
-		sum += d
+		sum += math.Float64frombits(d)
 	}
 	return sum / float64(keep)
 }
 
 // selectSmallest partially partitions a so a[:k] holds its k smallest values
-// (in unspecified order): Hoare quickselect with deterministic
-// median-of-three pivoting. Requires 0 < k < len(a) and no NaNs (the caller
-// filtered them).
-func selectSmallest(a []float64, k int) {
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		pivot := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < pivot {
-				i++
-			}
-			for a[j] > pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
+// (in unspecified order). Requires 0 < k < len(a). The values are the bits
+// of discrepancies |Δ| ≥ 0, whose sign bit is clear, so they order as
+// uint64s exactly as the floats do.
+//
+// It is quickselect with a median-of-three pivot and a branch-free Lomuto
+// partition. When the pivot is the least value in range, nothing falls
+// below it, and the values equal to it are split off instead, so ties cannot
+// stall the loop.
+func selectSmallest(a []uint64, k int) {
+	// Invariant: a[:lo] ≤ a[lo:hi] ≤ a[hi:] and lo < k ≤ hi.
+	lo, hi := 0, len(a)
+	for hi-lo > 1 {
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
+		p := max(min(x, y), min(max(x, y), z))
+		m := lo + partitionBelow(a[lo:hi], p)
+		if m == lo {
+			// p is the least value in range: split off the values equal
+			// to it, those below p+1 (p < 2⁶³, so p+1 suits the partition).
+			m = lo + partitionBelow(a[lo:hi], p+1)
+			if m >= k {
+				return
 			}
 		}
-		// a[lo..j] ≤ pivot ≤ a[i..hi]; recurse into the side holding the
-		// k-th smallest (index k-1).
 		switch {
-		case k-1 <= j:
-			hi = j
-		case k-1 >= i:
-			lo = i
-		default:
+		case m == k:
 			return
+		case m > k:
+			hi = m
+		default:
+			lo = m
 		}
 	}
+}
+
+// partitionBelow moves the values of s below p to its front and returns how
+// many there are. Every value costs the same two stores and one add
+// whichever side it lands on: v − p wraps to a set sign bit exactly when
+// v < p, given v < 2⁶³ and p ≤ 2⁶³. No branch depends on the data, so
+// random discrepancies cost no mispredictions.
+func partitionBelow(s []uint64, p uint64) int {
+	i := 0
+	for j, v := range s {
+		s[j] = s[i]
+		s[i] = v
+		i += int((v - p) >> 63)
+	}
+	return i
 }
 
 // DistMatrix is a symmetric pairwise distance matrix with an implicit zero

@@ -58,7 +58,10 @@ func nearReference(got, want float64, k int) bool {
 // reference's multiset bit for bit, and the mean is nearReference.
 func agreesWithReference(sc *PairScratch, got float64, a, b []float64, sites []int, exclude float64) error {
 	want, wantKept := referencePairDistance(a, b, sites, exclude)
-	kept := append([]float64(nil), sc.diffs[:len(wantKept)]...)
+	kept := make([]float64, len(wantKept))
+	for i, d := range sc.diffs[:len(wantKept)] {
+		kept[i] = math.Float64frombits(d)
+	}
 	sort.Float64s(kept)
 	for i := range kept {
 		if math.Float64bits(kept[i]) != math.Float64bits(wantKept[i]) {
@@ -346,25 +349,40 @@ func TestDistanceMatrixFunnelDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// BenchmarkPairDistance measures the selection kernel at vector sizes
-// bracketing the campaign's 163 usable sites.
+// BenchmarkPairDistance measures the selection kernel at the campaign's
+// 163 sites, which every default-scale pair uses, and at sizes bracketing
+// it. Like a distance-matrix fill, successive calls see different pairs:
+// they cycle through the 2016 pairs of 64 random vectors. Repeating one
+// pair would let the branch predictor learn its partition.
 func BenchmarkPairDistance(b *testing.B) {
-	for _, n := range []int{64, 512} {
+	const vectors = 64
+	for _, n := range []int{64, 163, 512} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			r := rngutil.New(11)
-			a := make([]float64, n)
-			c := make([]float64, n)
+			vs := make([][]float64, vectors)
+			for v := range vs {
+				vs[v] = make([]float64, n)
+				for i := range vs[v] {
+					vs[v][i] = r.Float64() * 40
+				}
+			}
 			sites := make([]int, n)
-			for i := 0; i < n; i++ {
-				a[i] = r.Float64() * 40
-				c[i] = r.Float64() * 40
+			for i := range sites {
 				sites[i] = i
 			}
 			var sc PairScratch
 			b.ReportAllocs()
 			b.ResetTimer()
+			x, y := 0, 1
 			for i := 0; i < b.N; i++ {
-				sc.PairDistance(a, c, sites, DiscrepancyExclusion)
+				sc.PairDistance(vs[x], vs[y], sites, DiscrepancyExclusion)
+				if y++; y == vectors {
+					x++
+					if x == vectors-1 {
+						x = 0
+					}
+					y = x + 1
+				}
 			}
 		})
 	}

@@ -242,12 +242,11 @@ func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site,
 			mImpossible.Inc()
 			return outcome{impossible: true}, nil
 		}
+		// Published once per target; the batch skips the NaN holes.
 		for _, rtt := range m.RTTms {
-			if !math.IsNaN(rtt) {
-				mRTTsMeasured.Inc()
-				mRTTHist.Observe(rtt)
-			}
+			sc.rtts.Observe(rtt)
 		}
+		mRTTsMeasured.Add(sc.rtts.Flush())
 		return outcome{m: m}, nil
 	})
 	if err != nil {
@@ -415,20 +414,21 @@ func facilityBase(f *inet.Facility, sites []Site) []float64 {
 	return out
 }
 
-// probeScratch is the per-worker probe buffer: the per-(site,target) RTT
-// samples are collected into a reused slice instead of growing a fresh one
-// for every site — the old code's dominant allocation (up to four append
-// growths per site × 163 sites × every server) — and the speed-of-light
-// check keeps its lowest-RTT candidates in another.
+// probeScratch is the per-worker campaign state: the per-(site,target)
+// probe RTTs are collected into a reused slice, the speed-of-light check
+// keeps its lowest-RTT candidates in another, and a kept target's RTTs are
+// tallied into a ping.rtt_ms batch.
 type probeScratch struct {
-	got []float64
-	low []siteRTT
+	got  []float64
+	low  []siteRTT
+	rtts *obs.HistogramBatch
 }
 
-func newProbeScratch() *probeScratch { return &probeScratch{} }
+func newProbeScratch() *probeScratch { return &probeScratch{rtts: mRTTHist.Batch()} }
 
-// measureServer produces the per-site second-smallest-of-N RTT vector.
-// base may be nil for anycast targets, which are located per-site.
+// measureServer produces the per-site RTT vector, each site's entry the
+// cfg.Stat order statistic of its surviving probes (NaN when fewer than two
+// survive). base may be nil for anycast targets, which are located per-site.
 func measureServer(w *inet.World, s *hypergiant.Server, sites []Site, cfg Config, base []float64, sc *probeScratch) *Measurement {
 	rtts := make([]float64, len(sites))
 	if cap(sc.got) < cfg.Probes {
@@ -500,17 +500,33 @@ func measureServer(w *inet.World, s *hypergiant.Server, sites []Site, cfg Config
 			rtts[si] = math.NaN()
 			continue
 		}
-		sort.Float64s(got)
-		switch cfg.Stat {
-		case StatMin:
-			rtts[si] = got[0]
-		case StatMedian:
-			rtts[si] = got[len(got)/2]
-		default:
-			rtts[si] = got[1] // second smallest (Appendix A)
-		}
+		rtts[si] = orderStat(got, cfg.Stat)
 	}
 	return &Measurement{Target: s, RTTms: rtts}
+}
+
+// orderStat returns the stat order statistic of the probe RTTs got (at
+// least two): the smallest and second-smallest in one pass, the ablation's
+// median by sorting got. Equal RTTs are bit-identical (probe RTTs are
+// positive, so no ±0 pair), so the pass returns the value a sort would put
+// at index 0 or 1.
+func orderStat(got []float64, stat Statistic) float64 {
+	if stat == StatMedian {
+		sort.Float64s(got)
+		return got[len(got)/2]
+	}
+	lo, second := math.Inf(1), math.Inf(1)
+	for _, v := range got {
+		if v < lo {
+			lo, second = v, lo
+		} else if v < second {
+			second = v
+		}
+	}
+	if stat == StatMin {
+		return lo
+	}
+	return second // second smallest (Appendix A)
 }
 
 // routeOffsetMs is the stable routing detour from a site toward a facility:

@@ -415,3 +415,179 @@ func TestMeasureEmptyDeployment(t *testing.T) {
 		t.Errorf("empty deployment produced measurements: %+v", c)
 	}
 }
+
+// referenceMeasureServer is measureServer as it was before the one-pass
+// order statistic, kept verbatim as the oracle: it sorts every site's probe
+// RTTs and indexes the sorted slice.
+func referenceMeasureServer(w *inet.World, s *hypergiant.Server, sites []Site, cfg Config, base []float64, sc *probeScratch) *Measurement {
+	rtts := make([]float64, len(sites))
+	if cap(sc.got) < cfg.Probes {
+		sc.got = make([]float64, 0, cfg.Probes)
+	}
+
+	// Anycast targets answer from several distinct locations.
+	var anycastLocs []geo.Point
+	if s.Anycast {
+		r := rngutil.NewFast(uint64(cfg.Seed) ^ uint64(s.Addr)*0x9e3779b9)
+		for k := 0; k < 3; k++ {
+			anycastLocs = append(anycastLocs, geo.Metros[r.Intn(len(geo.Metros))].Loc)
+		}
+	}
+
+	for si, site := range sites {
+		r := rngutil.NewFast(uint64(cfg.Seed) ^ uint64(s.Addr)<<7 ^ uint64(si)*0x85ebca6b)
+		var floor float64
+		if !s.Anycast {
+			// Rack-level structure: servers in one rack share a top-of-rack
+			// path and an identical sub-millisecond detour; racks within a
+			// facility differ slightly. This is what separates the paper's
+			// two ξ settings: ξ=0.1 is steep enough to split some rack
+			// groups apart, ξ=0.9 never is.
+			floor = rackOffsetMs(si, s.Facility, s.Rack)
+		}
+		if s.Anycast {
+			// The anycast catchment picks the closest answering location.
+			best := math.Inf(1)
+			loc := sites[si].Loc
+			for _, al := range anycastLocs {
+				if d := geo.DistanceKm(site.Loc, al); d < best {
+					best = d
+					loc = al
+				}
+			}
+			floor = float64(geo.FiberRTT(site.Loc, loc, 1.25)) / 1e6
+			floor += routeOffsetMs(site.ID, s.Facility, true, s.Addr)
+		} else {
+			floor += base[si]
+		}
+		// Chaos straggler: the whole (target, site) path inflates. Drawn
+		// from the injector's own stream, so unaffected paths are untouched.
+		if ms, ok := cfg.Chaos.Straggler(int64(s.Addr), int64(si)); ok {
+			floor += ms
+			cfg.Chaos.Stragglers.Inc()
+		}
+
+		got := sc.got[:0]
+		for p := 0; p < cfg.Probes; p++ {
+			if r.Float64() < cfg.ProbeLoss {
+				continue
+			}
+			// Queueing jitter: exponential-ish tail plus a small floor. The
+			// scale keeps the second-smallest-of-8 residual (~0.2 ms) well
+			// below typical inter-facility route-offset gaps (~2 ms), the
+			// separation the validated clustering technique relies on.
+			jitter := -0.8 * math.Log(1-r.Float64())
+			// Chaos probe loss is checked after the jitter draw so the
+			// natural stream advances exactly as in a clean run: dropping
+			// probe p never changes probe p+1's RTT.
+			if cfg.Chaos.ProbeLost(int64(s.Addr), int64(si), int64(p)) {
+				cfg.Chaos.ProbesLost.Inc()
+				continue
+			}
+			got = append(got, floor+0.1+jitter)
+		}
+		if len(got) < 2 {
+			rtts[si] = math.NaN()
+			continue
+		}
+		sort.Float64s(got)
+		switch cfg.Stat {
+		case StatMin:
+			rtts[si] = got[0]
+		case StatMedian:
+			rtts[si] = got[len(got)/2]
+		default:
+			rtts[si] = got[1] // second smallest (Appendix A)
+		}
+	}
+	return &Measurement{Target: s, RTTms: rtts}
+}
+
+// TestMeasureServerMatchesReference is the differential proof that the
+// one-pass order statistic picks the value the sort-based reference picks:
+// RTT vectors must be bit-identical for every Statistic at 1, 2, 3 and 8
+// probes, at the default probe loss and at a loss so high that many sites
+// keep fewer than two probes (NaN), clean and under heavy chaos
+// (stragglers, extra probe loss). It measures every anycast target and
+// every seventh other server of a tiny world.
+func TestMeasureServerMatchesReference(t *testing.T) {
+	const seed = 24
+	d := chaosDeployment(t, seed)
+	w := d.World
+	sites := Sites(163, seed)
+	var targets []*hypergiant.Server
+	for i, s := range d.Servers {
+		if s.Anycast || i%7 == 0 {
+			targets = append(targets, s)
+		}
+	}
+	bases := make(map[inet.FacilityID][]float64)
+	for _, s := range targets {
+		if !s.Anycast && bases[s.Facility] == nil {
+			bases[s.Facility] = facilityBase(w.Facilities[s.Facility], sites)
+		}
+	}
+	sc, refSc := newProbeScratch(), newProbeScratch()
+	for _, chaosProfile := range []string{"off", "heavy"} {
+		for _, probes := range []int{1, 2, 3, 8} {
+			for _, loss := range []float64{0.01, 0.6} {
+				var nan, kept int
+				for _, stat := range []Statistic{StatSecondSmallest, StatMin, StatMedian} {
+					cfg := Config{Seed: seed, Probes: probes, Stat: stat, ProbeLoss: loss}
+					if chaosProfile != "off" {
+						cfg.Chaos = chaosInjector(t, chaosProfile, 11)
+					}
+					cfg = cfg.sanitized()
+					for _, s := range targets {
+						got := measureServer(w, s, sites, cfg, bases[s.Facility], sc).RTTms
+						want := referenceMeasureServer(w, s, sites, cfg, bases[s.Facility], refSc).RTTms
+						for si := range want {
+							if math.Float64bits(got[si]) != math.Float64bits(want[si]) {
+								t.Fatalf("chaos=%s probes=%d loss=%v stat=%d target %v site %d: RTT %v, reference %v",
+									chaosProfile, probes, loss, stat, s.Addr, si, got[si], want[si])
+							}
+							if math.IsNaN(want[si]) {
+								nan++
+							} else {
+								kept++
+							}
+						}
+					}
+				}
+				// The vectors must hold both outcomes wherever they can: one
+				// probe never yields an RTT, and 8 probes at 1% loss all but
+				// never lose a site.
+				if probes == 1 && kept != 0 {
+					t.Fatalf("chaos=%s probes=1: %d RTTs kept from single probes", chaosProfile, kept)
+				}
+				if probes > 1 && kept == 0 || probes > 1 && loss > 0.5 && nan == 0 {
+					t.Fatalf("chaos=%s probes=%d loss=%v: %d NaN and %d kept RTTs; want both",
+						chaosProfile, probes, loss, nan, kept)
+				}
+			}
+		}
+	}
+}
+
+// TestOrderStatTies covers what measured probes almost never hold: equal
+// RTTs. On quantized probe sets of two to eight values, orderStat must pick
+// what sorting and indexing picks, for every Statistic.
+func TestOrderStatTies(t *testing.T) {
+	r := rngutil.New(5)
+	for k := 0; k < 2000; k++ {
+		got := make([]float64, 2+r.Intn(7))
+		for i := range got {
+			got[i] = 0.5 * float64(1+r.Intn(4))
+		}
+		sorted := append([]float64(nil), got...)
+		sort.Float64s(sorted)
+		for stat, want := range map[Statistic]float64{
+			StatSecondSmallest: sorted[1], StatMin: sorted[0], StatMedian: sorted[len(sorted)/2],
+		} {
+			in := append([]float64(nil), got...)
+			if v := orderStat(in, stat); v != want {
+				t.Fatalf("orderStat(%v, %d) = %v, want %v", got, stat, v, want)
+			}
+		}
+	}
+}

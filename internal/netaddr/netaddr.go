@@ -130,12 +130,20 @@ func (p Prefix) Slash24s() []Prefix {
 	if p.Bits >= 24 {
 		return []Prefix{p.Addr.Slash24()}
 	}
-	n := 1 << (24 - p.Bits)
+	n := p.NumSlash24s()
 	out := make([]Prefix, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, Prefix{Addr: p.First() + Addr(i<<8), Bits: 24})
 	}
 	return out
+}
+
+// NumSlash24s returns len(p.Slash24s()) without building the slice.
+func (p Prefix) NumSlash24s() int {
+	if p.Bits >= 24 {
+		return 1
+	}
+	return 1 << (24 - p.Bits)
 }
 
 // Pool hands out non-overlapping prefixes and addresses from a base prefix.

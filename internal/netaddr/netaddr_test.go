@@ -109,8 +109,8 @@ func TestOverlaps(t *testing.T) {
 func TestSlash24Enumeration(t *testing.T) {
 	p := MustPrefix("10.0.0.0/22")
 	s := p.Slash24s()
-	if len(s) != 4 {
-		t.Fatalf("want 4 /24s, got %d", len(s))
+	if len(s) != 4 || p.NumSlash24s() != 4 {
+		t.Fatalf("want 4 /24s, got %d (NumSlash24s %d)", len(s), p.NumSlash24s())
 	}
 	want := []string{"10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24"}
 	for i, w := range want {
@@ -121,8 +121,8 @@ func TestSlash24Enumeration(t *testing.T) {
 	// Longer than /24 collapses to its covering /24.
 	host := MustPrefix("10.9.8.128/25")
 	s = host.Slash24s()
-	if len(s) != 1 || s[0].String() != "10.9.8.0/24" {
-		t.Errorf("/25 slash24s = %v", s)
+	if len(s) != 1 || s[0].String() != "10.9.8.0/24" || host.NumSlash24s() != 1 {
+		t.Errorf("/25 slash24s = %v (NumSlash24s %d)", s, host.NumSlash24s())
 	}
 }
 

@@ -99,12 +99,16 @@ func (c *Counter) Value() int64 {
 
 // Histogram counts observations into fixed buckets. An observation lands in
 // the first bucket whose upper bound is >= the value; values above the last
-// bound land in the implicit overflow bucket.
+// bound land in the implicit overflow bucket. NaN and ±Inf are not
+// observations: they change no bucket, count or sum.
 //
 // The sum is fixed-point: each observation adds round(v·histSumScale) to an
 // int64, so the total is exact and independent of the order concurrent
 // observers arrive in (a float accumulator's rounding is not). The int64
 // holds |Σ v| up to ~9.2e12.
+//
+// Observe publishes one value with three atomic adds; a HistogramBatch
+// tallies many locally and publishes them together with the same totals.
 type Histogram struct {
 	help   string
 	bounds []float64
@@ -116,15 +120,80 @@ type Histogram struct {
 // histSumScale is the histogram sum's fixed-point resolution: 1e-6 units.
 const histSumScale = 1e6
 
-// Observe records one value. Safe on a nil receiver.
+// Observe records one value; NaN and ±Inf are skipped. Safe on a nil
+// receiver.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.n.Add(1)
-	h.sum.Add(int64(math.Round(v * histSumScale)))
+	if i, fixed, ok := h.slot(v); ok {
+		h.counts[i].Add(1)
+		h.n.Add(1)
+		h.sum.Add(fixed)
+	}
+}
+
+// slot returns v's bucket index and its fixed-point sum term; ok is false
+// for NaN and ±Inf, which have neither (converting a non-finite product to
+// int64 is implementation-dependent in Go; on amd64 it reads −2⁶³).
+func (h *Histogram) slot(v float64) (i int, fixed int64, ok bool) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, 0, false
+	}
+	return sort.SearchFloat64s(h.bounds, v), int64(math.Round(v * histSumScale)), true
+}
+
+// HistogramBatch tallies observations for one Histogram without touching
+// it; Flush publishes the tally with one atomic add per touched bucket plus
+// the count and the sum. The published totals equal those of calling
+// Observe once per value, so a parallel task can observe many values and
+// pay the atomics once. Not safe for concurrent use: one per goroutine.
+type HistogramBatch struct {
+	h      *Histogram
+	counts []int64
+	n, sum int64
+}
+
+// Batch returns an empty batch publishing to h. A nil histogram's batch
+// discards its observations.
+func (h *Histogram) Batch() *HistogramBatch {
+	b := &HistogramBatch{h: h}
+	if h != nil {
+		b.counts = make([]int64, len(h.counts))
+	}
+	return b
+}
+
+// Observe tallies one value; NaN and ±Inf are skipped, as by
+// Histogram.Observe.
+func (b *HistogramBatch) Observe(v float64) {
+	if b.h == nil {
+		return
+	}
+	if i, fixed, ok := b.h.slot(v); ok {
+		b.counts[i]++
+		b.n++
+		b.sum += fixed
+	}
+}
+
+// Flush publishes the tally to the histogram, empties the batch and returns
+// the number of observations it published.
+func (b *HistogramBatch) Flush() int64 {
+	n := b.n
+	if n == 0 {
+		return 0
+	}
+	for i, c := range b.counts {
+		if c != 0 {
+			b.h.counts[i].Add(c)
+			b.counts[i] = 0
+		}
+	}
+	b.h.n.Add(n)
+	b.h.sum.Add(b.sum)
+	b.n, b.sum = 0, 0
+	return n
 }
 
 // Count returns the total number of observations.

@@ -95,30 +95,74 @@ func TestNilSafety(t *testing.T) {
 	cnt.Inc()
 	var h *Histogram
 	h.Observe(1)
+	b := h.Batch()
+	b.Observe(1)
+	if n := b.Flush(); n != 0 {
+		t.Fatalf("nil histogram's batch published %d observations", n)
+	}
 }
 
+// TestHistogramBuckets checks bucket placement, count and sum on both
+// observe paths, per value and batched. NaN and ±Inf, interleaved with the
+// values, must change nothing: converting them to the fixed-point sum term
+// would add −2⁶³ on amd64.
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("ping.rtt_ms", "", []float64{1, 5, 10})
-	// Boundary values land in the bucket whose upper bound equals them.
-	for _, v := range []float64{0.5, 1.0, 1.0001, 5.0, 9.99, 10.0, 10.01, 400} {
-		h.Observe(v)
-	}
-	bounds, counts := h.Buckets()
-	wantBounds := []float64{1, 5, 10, math.Inf(1)}
-	if !reflect.DeepEqual(bounds, wantBounds) {
-		t.Fatalf("bounds = %v, want %v", bounds, wantBounds)
-	}
-	wantCounts := []int64{2, 2, 2, 2} // {0.5,1} {1.0001,5} {9.99,10} {10.01,400}
-	if !reflect.DeepEqual(counts, wantCounts) {
-		t.Fatalf("counts = %v, want %v", counts, wantCounts)
-	}
-	if h.Count() != 8 {
-		t.Fatalf("Count = %d, want 8", h.Count())
-	}
-	wantSum := 0.5 + 1 + 1.0001 + 5 + 9.99 + 10 + 10.01 + 400
-	if math.Abs(h.Sum()-wantSum) > 1e-9 {
-		t.Fatalf("Sum = %v, want %v", h.Sum(), wantSum)
+	vals := []float64{0.5, 1.0, 1.0001, 5.0, 9.99, 10.0, 10.01, 400}
+	nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, path := range []struct {
+		name    string
+		observe func(h *Histogram, vs []float64)
+	}{
+		{"observe", func(h *Histogram, vs []float64) {
+			for _, v := range vs {
+				h.Observe(v)
+			}
+		}},
+		{"batch", func(h *Histogram, vs []float64) {
+			b := h.Batch()
+			for _, v := range vs {
+				b.Observe(v)
+			}
+			if n := b.Flush(); n != h.Count() {
+				t.Errorf("Flush reports %d observations, histogram counts %d", n, h.Count())
+			}
+			if n := b.Flush(); n != 0 {
+				t.Errorf("second Flush published %d observations, want 0", n)
+			}
+		}},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			h := NewRegistry().NewHistogram("ping.rtt_ms", "", []float64{1, 5, 10})
+			var vs []float64
+			for i, v := range vals {
+				vs = append(vs, v, nonFinite[i%len(nonFinite)])
+			}
+			path.observe(h, vs)
+			// Boundary values land in the bucket whose upper bound equals them.
+			bounds, counts := h.Buckets()
+			wantBounds := []float64{1, 5, 10, math.Inf(1)}
+			if !reflect.DeepEqual(bounds, wantBounds) {
+				t.Fatalf("bounds = %v, want %v", bounds, wantBounds)
+			}
+			wantCounts := []int64{2, 2, 2, 2} // {0.5,1} {1.0001,5} {9.99,10} {10.01,400}
+			if !reflect.DeepEqual(counts, wantCounts) {
+				t.Fatalf("counts = %v, want %v", counts, wantCounts)
+			}
+			if h.Count() != 8 {
+				t.Fatalf("Count = %d, want 8", h.Count())
+			}
+			wantSum := 0.5 + 1 + 1.0001 + 5 + 9.99 + 10 + 10.01 + 400
+			if math.Abs(h.Sum()-wantSum) > 1e-9 {
+				t.Fatalf("Sum = %v, want %v", h.Sum(), wantSum)
+			}
+
+			// A NaN right after a value leaves that value's count and sum.
+			h = NewRegistry().NewHistogram("ping.rtt_ms", "", []float64{1, 5, 10})
+			path.observe(h, []float64{2, math.NaN()})
+			if h.Count() != 1 || h.Sum() != 2 {
+				t.Fatalf("after 2 and NaN: Count = %d, Sum = %v, want 1 and 2", h.Count(), h.Sum())
+			}
+		})
 	}
 }
 

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -77,44 +79,89 @@ func TestSnapshotIncludesHelp(t *testing.T) {
 	}
 }
 
-// TestConcurrentHistogramSum drives Observe from many goroutines, so under
-// -race it both exercises the sum's atomic add for data races and proves no
-// observation is lost.
+// TestConcurrentHistogramSum drives histograms from many goroutines at
+// once: per value through Observe, in batches through HistogramBatch (each
+// publisher flushing every 64 values and once at the end, with NaNs mixed
+// in), and both into one histogram. Under -race (make race-obs runs it ten
+// times) it exercises both paths' atomic adds; each histogram must lose no
+// observation and end with the buckets, count and exact sum of observing
+// every value once, serially.
 func TestConcurrentHistogramSum(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("test.cas_sum", "", []float64{100, 1000})
 	const workers = 8
 	const per = 5000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(float64(i%7 + 1)) // 1..7, exactly representable
-			}
-		}(w)
-	}
-	wg.Wait()
+	bounds := []float64{2, 4, 6}
+	value := func(i int) float64 { return float64(i%7 + 1) } // 1..7, exactly representable
 
-	if h.Count() != workers*per {
-		t.Fatalf("count = %d, want %d", h.Count(), workers*per)
+	// The serial reference, checked against totals computed by hand: every
+	// value lands in the first bucket whose bound is >= it, and the sum of
+	// small integers is exact.
+	r := NewRegistry()
+	want := r.NewHistogram("test.serial", "", bounds)
+	wantCounts := make([]int64, len(bounds)+1)
+	wantSum := 0.0
+	for w := 0; w < workers; w++ {
+		for i := 0; i < per; i++ {
+			v := value(i)
+			want.Observe(v)
+			k := 0
+			for k < len(bounds) && v > bounds[k] {
+				k++
+			}
+			wantCounts[k]++
+			wantSum += v
+		}
 	}
-	// Per worker: full cycles of 1+..+7=28 plus the partial cycle's prefix.
-	wantPerWorker := 0.0
-	for i := 0; i < per; i++ {
-		wantPerWorker += float64(i%7 + 1)
+	if _, counts := want.Buckets(); !reflect.DeepEqual(counts, wantCounts) || want.Sum() != wantSum {
+		t.Fatalf("serial Observe: buckets %v, sum %v; want %v, %v", counts, want.Sum(), wantCounts, wantSum)
 	}
-	if want := wantPerWorker * workers; h.Sum() != want {
-		t.Fatalf("sum = %v, want %v (lost updates)", h.Sum(), want)
+
+	publish := func(h *Histogram, batched bool) {
+		if !batched {
+			for i := 0; i < per; i++ {
+				h.Observe(value(i))
+			}
+			return
+		}
+		b := h.Batch()
+		for i := 0; i < per; i++ {
+			b.Observe(value(i))
+			if i%13 == 0 {
+				b.Observe(math.NaN())
+			}
+			if i%64 == 63 {
+				b.Flush()
+			}
+		}
+		b.Flush()
 	}
-	_, counts := h.Buckets()
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total != workers*per {
-		t.Fatalf("bucket total = %d, want %d", total, workers*per)
+	for _, tc := range []struct {
+		name    string
+		batched func(w int) bool
+	}{
+		{"observe", func(int) bool { return false }},
+		{"batch", func(int) bool { return true }},
+		{"mixed", func(w int) bool { return w%2 == 1 }},
+	} {
+		h := r.NewHistogram("test.cas_sum_"+tc.name, "", bounds)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(batched bool) {
+				defer wg.Done()
+				publish(h, batched)
+			}(tc.batched(w))
+		}
+		wg.Wait()
+
+		if h.Count() != workers*per {
+			t.Fatalf("%s: count = %d, want %d", tc.name, h.Count(), workers*per)
+		}
+		if h.Sum() != wantSum {
+			t.Fatalf("%s: sum = %v, want %v (lost updates)", tc.name, h.Sum(), wantSum)
+		}
+		if _, counts := h.Buckets(); !reflect.DeepEqual(counts, wantCounts) {
+			t.Fatalf("%s: buckets = %v, want %v", tc.name, counts, wantCounts)
+		}
 	}
 }
 

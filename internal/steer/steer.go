@@ -100,34 +100,49 @@ type Directory struct {
 
 // BuildDirectories derives each hypergiant's steering directory from the
 // deployment: every /24 of an offnet-hosting ISP maps to one of the
-// hypergiant's servers there (round-robin), everything else to onnet.
+// hypergiant's servers there (round-robin), everything else to onnet. A
+// server gets a hostname when it serves at least one /24.
 func BuildDirectories(d *hypergiant.Deployment) map[traffic.HG]*Directory {
 	w := d.World
 	out := make(map[traffic.HG]*Directory, len(traffic.All))
 	for _, hg := range traffic.All {
+		hosts := d.HostISPs(hg)
+		// Size both maps up front: one entry per host-ISP /24, and one
+		// hostname per server the round-robin reaches.
+		n24, named := 0, 0
+		for _, as := range hosts {
+			isp24 := 0
+			for _, p := range w.ISPs[as].Prefixes {
+				isp24 += p.NumSlash24s()
+			}
+			n24 += isp24
+			named += min(isp24, len(d.ServersOf(hg, as)))
+		}
 		dir := &Directory{
 			hg:       hg,
-			by24:     make(map[netaddr.Prefix]netaddr.Addr),
-			hostname: make(map[netaddr.Addr]string),
+			by24:     make(map[netaddr.Prefix]netaddr.Addr, n24),
+			hostname: make(map[netaddr.Addr]string, named),
 		}
 		// Onnet front end: first address of the content AS.
 		if isp, ok := w.ISPs[d.ContentAS[hg]]; ok && len(isp.Prefixes) > 0 {
 			dir.onnet = isp.Prefixes[0].First() + 10
 		}
-		for _, as := range d.HostISPs(hg) {
+		for _, as := range hosts {
 			servers := d.ServersOf(hg, as)
 			if len(servers) == 0 {
 				continue
 			}
-			isp := w.ISPs[as]
 			i := 0
-			for _, p := range isp.Prefixes {
+			for _, p := range w.ISPs[as].Prefixes {
 				for _, s24 := range p.Slash24s() {
-					srv := servers[i%len(servers)]
-					dir.by24[s24] = srv.Addr
-					dir.hostname[srv.Addr] = embeddedHostname(hg, srv)
+					dir.by24[s24] = servers[i%len(servers)].Addr
 					i++
 				}
+			}
+			// The round-robin reached servers[:i], all of them once it
+			// wrapped; each gets its hostname formatted once.
+			for _, srv := range servers[:min(i, len(servers))] {
+				dir.hostname[srv.Addr] = embeddedHostname(hg, srv)
 			}
 		}
 		out[hg] = dir

@@ -1,6 +1,7 @@
 package steer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -225,4 +226,152 @@ func TestResolversPopulation(t *testing.T) {
 	if listed == 0 || listed >= ecs {
 		t.Errorf("allowlist (%d) should be a strict subset of ECS senders (%d)", listed, ecs)
 	}
+}
+
+// referenceBuildDirectories is BuildDirectories as it was before it sized
+// its maps and formatted one hostname per server, kept verbatim as the
+// oracle: it formats a hostname for every /24 it assigns.
+func referenceBuildDirectories(d *hypergiant.Deployment) map[traffic.HG]*Directory {
+	w := d.World
+	out := make(map[traffic.HG]*Directory, len(traffic.All))
+	for _, hg := range traffic.All {
+		dir := &Directory{
+			hg:       hg,
+			by24:     make(map[netaddr.Prefix]netaddr.Addr),
+			hostname: make(map[netaddr.Addr]string),
+		}
+		// Onnet front end: first address of the content AS.
+		if isp, ok := w.ISPs[d.ContentAS[hg]]; ok && len(isp.Prefixes) > 0 {
+			dir.onnet = isp.Prefixes[0].First() + 10
+		}
+		for _, as := range d.HostISPs(hg) {
+			servers := d.ServersOf(hg, as)
+			if len(servers) == 0 {
+				continue
+			}
+			isp := w.ISPs[as]
+			i := 0
+			for _, p := range isp.Prefixes {
+				for _, s24 := range p.Slash24s() {
+					srv := servers[i%len(servers)]
+					dir.by24[s24] = srv.Addr
+					dir.hostname[srv.Addr] = embeddedHostname(hg, srv)
+					i++
+				}
+			}
+		}
+		out[hg] = dir
+	}
+	return out
+}
+
+// sameDirectories fails the test unless got and want answer every query
+// alike: ServerFor for an address in every /24 either maps and one outside
+// them, Hostname for every server of the deployment (assigned or not),
+// OffnetAddrs, and Resolve in every mode for a sample of resolvers and
+// client subnets.
+func sameDirectories(t *testing.T, d *hypergiant.Deployment, got, want map[traffic.HG]*Directory) {
+	t.Helper()
+	resolvers := Resolvers(d.World, 6, 1)
+	for _, hg := range traffic.All {
+		g, w := got[hg], want[hg]
+		if g.hg != w.hg || g.onnet != w.onnet {
+			t.Fatalf("%s: directory of %s fronted by %s, reference %s fronted by %s", hg, g.hg, g.onnet, w.hg, w.onnet)
+		}
+		if len(g.by24) != len(w.by24) || len(g.hostname) != len(w.hostname) {
+			t.Fatalf("%s: %d /24s and %d hostnames, reference %d and %d",
+				hg, len(g.by24), len(g.hostname), len(w.by24), len(w.hostname))
+		}
+		var subnets []netaddr.Prefix
+		for s24 := range w.by24 {
+			client := s24.First() + 77
+			gs, gok := g.ServerFor(client)
+			ws, wok := w.ServerFor(client)
+			if gs != ws || gok != wok {
+				t.Fatalf("%s: ServerFor(%s) = %s, %v; reference %s, %v", hg, client, gs, gok, ws, wok)
+			}
+			if len(subnets) < 64 {
+				subnets = append(subnets, s24)
+			}
+		}
+		if gs, gok := g.ServerFor(netaddr.AddrFrom4(9, 9, 9, 9)); gs != w.onnet || gok {
+			t.Fatalf("%s: unmapped client steered to %s, %v", hg, gs, gok)
+		}
+		for _, s := range d.Servers {
+			gh, gok := g.Hostname(s.Addr)
+			wh, wok := w.Hostname(s.Addr)
+			if gh != wh || gok != wok {
+				t.Fatalf("%s: Hostname(%s) = %q, %v; reference %q, %v", hg, s.Addr, gh, gok, wh, wok)
+			}
+		}
+		if ga, wa := g.OffnetAddrs(), w.OffnetAddrs(); !reflect.DeepEqual(ga, wa) {
+			t.Fatalf("%s: %d offnet addresses differ from the reference's %d", hg, len(ga), len(wa))
+		}
+		for _, mode := range []Mode{ModeDNS2013, ModeECSAllowlist, ModeEmbeddedURL} {
+			for _, res := range resolvers {
+				if ga, wa := Resolve(g, mode, res, nil), Resolve(w, mode, res, nil); ga != wa {
+					t.Fatalf("%s %s: resolver %s steers to %s, reference %s", hg, mode, res.Addr, ga, wa)
+				}
+				if res.ISP != 0 {
+					continue
+				}
+				for _, s := range subnets {
+					if ga, wa := Resolve(g, mode, res, &s), Resolve(w, mode, res, &s); ga != wa {
+						t.Fatalf("%s %s: subnet %s via %s steers to %s, reference %s", hg, mode, s, res.Addr, ga, wa)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildDirectoriesMatchesReference checks the directory build against
+// the per-/24 reference on the tiny world, on the tiny world with two
+// host ISPs renumbered into prefixes longer than /24 (one /25; two /26s of
+// one /24), so they host more servers than they have /24s, and on the
+// default-scale world.
+func TestBuildDirectoriesMatchesReference(t *testing.T) {
+	d := deployTiny(t, 1)
+	sameDirectories(t, d, BuildDirectories(d), referenceBuildDirectories(d))
+
+	t.Run("more-servers-than-slash24s", func(t *testing.T) {
+		d := deployTiny(t, 1)
+		var crowded []inet.ASN
+		for _, as := range d.HostISPs(traffic.Google) {
+			if len(d.ServersOf(traffic.Google, as)) >= 3 {
+				crowded = append(crowded, as)
+			}
+		}
+		if len(crowded) < 2 {
+			t.Fatalf("tiny world has %d Google host ISPs with ≥3 servers, want 2", len(crowded))
+		}
+		a, b := d.World.ISPs[crowded[0]], d.World.ISPs[crowded[1]]
+		first := a.Prefixes[0].First()
+		a.Prefixes = []netaddr.Prefix{{Addr: first + 128, Bits: 25}}
+		first = b.Prefixes[0].First()
+		b.Prefixes = []netaddr.Prefix{{Addr: first, Bits: 26}, {Addr: first + 64, Bits: 26}}
+		got, want := BuildDirectories(d), referenceBuildDirectories(d)
+		sameDirectories(t, d, got, want)
+		// Only the servers the round-robin reached are named: one in a, two
+		// in b.
+		for as, named := range map[inet.ASN]int{a.ASN: 1, b.ASN: 2} {
+			for i, s := range d.ServersOf(traffic.Google, as) {
+				if _, ok := got[traffic.Google].Hostname(s.Addr); ok != (i < named) {
+					t.Fatalf("ISP %d server %d: hostname %v, want %v", as, i, ok, i < named)
+				}
+			}
+		}
+	})
+
+	t.Run("default-scale", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("default-scale world in -short mode")
+		}
+		w := inet.Generate(inet.ConfigFromScenario(scenario.Default(), 42))
+		d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), 42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDirectories(t, d, BuildDirectories(d), referenceBuildDirectories(d))
+	})
 }

@@ -152,6 +152,7 @@ func SurveyContext(ctx context.Context, d *hypergiant.Deployment, hg traffic.HG,
 			path := graph.PathsTo(isp.ASN).Path(hgAS)
 			targets := targetsOf(isp, cfg.TargetsPerISP)
 			res := ispTraces{list: make([]Trace, 0, cfg.VMs*len(targets))}
+			hops := mHopsPerTrace.Batch()
 			for vm := 0; vm < cfg.VMs; vm++ {
 				for _, target := range targets {
 					res.attempted++
@@ -168,11 +169,12 @@ func SurveyContext(ctx context.Context, d *hypergiant.Deployment, hg traffic.HG,
 						tr.Hops = tr.Hops[:cut]
 						res.truncated++
 					}
-					mTracesRun.Inc()
-					mHopsPerTrace.Observe(float64(len(tr.Hops)))
+					hops.Observe(float64(len(tr.Hops)))
 					res.list = append(res.list, tr)
 				}
 			}
+			// Published once per ISP: one observation per trace issued.
+			mTracesRun.Add(hops.Flush())
 			return res, nil
 		})
 	if err != nil {
