@@ -27,10 +27,13 @@ race:
 
 # Focused race pass over the concurrency-heavy layers (quick pre-commit),
 # then ten race runs of the test that publishes one histogram per value and
-# in batches from many goroutines at once.
+# in batches from many goroutines at once, and five of the fused traceroute
+# survey, whose workers feed funnels, counters and the lineage recorder as
+# they classify.
 race-obs:
 	$(GO) test -race ./internal/obs/... ./internal/par/...
 	$(GO) test -race -count=10 -run '^TestConcurrentHistogramSum$$' ./internal/obs
+	$(GO) test -race -count=5 -run '^TestSurveyInferMatchesSurveyThenInfer$$' ./internal/tracert
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -100,6 +103,7 @@ fuzz-smoke:
 	$(GO) test ./internal/rdns -run '^FuzzLearnedExtract$$' -fuzz '^FuzzLearnedExtract$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^FuzzParseSchedule$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/coloc -run '^FuzzPairDistance$$' -fuzz '^FuzzPairDistance$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bgp -run '^FuzzPathFrom$$' -fuzz '^FuzzPathFrom$$' -fuzztime $(FUZZTIME)
 
 # Huge-tier smoke: generate the huge tier (generation only, no deployment),
 # spill it to a snapshot, and stream it back — bounded wall-clock proof that

@@ -269,9 +269,10 @@ func BenchmarkSec41Diurnal(b *testing.B) {
 // shares over peers (62.2 via, 42.5 only).
 //
 // World and deployment are built outside the timed region; the sub-benches
-// time the traceroute campaign + inference at each worker count (the VM
-// count matches the tiny-scale pipeline), so workers=1 vs workers=4 reads
-// directly as the parallel speedup of the §4.2.1 hot path.
+// time the survey the Pipeline runs — traceroutes classified as they are
+// issued — at each worker count (the VM count matches the tiny-scale
+// pipeline), so workers=1 vs workers=4 reads directly as the parallel
+// speedup of the §4.2.1 hot path.
 func BenchmarkSec421PeeringSurvey(b *testing.B) {
 	w := inet.Generate(inet.TinyConfig(benchSeed))
 	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), benchSeed))
@@ -280,6 +281,7 @@ func BenchmarkSec421PeeringSurvey(b *testing.B) {
 	}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			ctx := context.Background()
 			var st tracert.SurveyStats
 			var n int
@@ -287,15 +289,11 @@ func BenchmarkSec421PeeringSurvey(b *testing.B) {
 				cfg := tracert.ConfigFromScenario(scenario.Default(), benchSeed)
 				cfg.VMs = 24
 				cfg.Workers = workers
-				traces, err := tracert.SurveyContext(ctx, d, traffic.Google, cfg)
+				inf, issued, err := tracert.SurveyInferContext(ctx, d, traffic.Google, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				n = 0
-				for _, list := range traces {
-					n += len(list)
-				}
-				inf := tracert.Infer(w, traffic.Google, d.ContentAS[traffic.Google], traces)
+				n = issued
 				st = tracert.Stats(d, traffic.Google, inf)
 			}
 			b.ReportMetric(float64(n), "traceroutes")

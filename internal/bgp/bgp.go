@@ -201,6 +201,28 @@ func (t *RIB) Path(src inet.ASN) []inet.ASN {
 	}
 }
 
+// better reports whether route a is preferred over b: higher kind, then
+// fewer hops, then the lower next-hop ASN for determinism.
+func better(a, b Route) bool {
+	if a.Kind != b.Kind {
+		return a.Kind > b.Kind
+	}
+	if a.Hops != b.Hops {
+		return a.Hops < b.Hops
+	}
+	return a.NextHop < b.NextHop
+}
+
+// install keeps r as the AS's route if it beats the current one.
+func (t *RIB) install(as inet.ASN, r Route) bool {
+	cur, ok := t.routes[as]
+	if !ok || better(r, cur) {
+		t.routes[as] = r
+		return true
+	}
+	return false
+}
+
 // PathsTo computes, Gao-Rexford style, every AS's best route to dst:
 //
 //  1. customer routes propagate "up" provider edges from dst (BFS, so
@@ -217,42 +239,7 @@ func (g *Graph) PathsTo(dst inet.ASN) *RIB {
 	if !g.seen[dst] {
 		return t
 	}
-	t.routes[dst] = Route{Kind: RouteSelf}
-
-	better := func(a, b Route) bool { // is a better than b?
-		if a.Kind != b.Kind {
-			return a.Kind > b.Kind
-		}
-		if a.Hops != b.Hops {
-			return a.Hops < b.Hops
-		}
-		return a.NextHop < b.NextHop
-	}
-	install := func(as inet.ASN, r Route) bool {
-		cur, ok := t.routes[as]
-		if !ok || better(r, cur) {
-			t.routes[as] = r
-			return true
-		}
-		return false
-	}
-
-	// Stage 1: customer routes, BFS up provider edges.
-	frontier := []inet.ASN{dst}
-	for len(frontier) > 0 {
-		var next []inet.ASN
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-		for _, as := range frontier {
-			base := t.routes[as]
-			for _, prov := range g.providers[as] {
-				r := Route{Kind: RouteCustomer, NextHop: as, Hops: base.Hops + 1}
-				if install(prov, r) {
-					next = append(next, prov)
-				}
-			}
-		}
-		frontier = next
-	}
+	g.customerRoutes(t)
 
 	// Stage 2: peer routes. Only ASes holding customer/self routes export
 	// across peer edges.
@@ -262,14 +249,14 @@ func (g *Graph) PathsTo(dst inet.ASN) *RIB {
 			continue
 		}
 		for _, peer := range g.peers[as] {
-			install(peer, Route{Kind: RoutePeer, NextHop: as, Hops: base.Hops + 1})
+			t.install(peer, Route{Kind: RoutePeer, NextHop: as, Hops: base.Hops + 1})
 		}
 	}
 
 	// Stage 3: provider routes, BFS down customer edges from every routed
 	// AS. A customer prefers the shortest provider-learned path; kinds
 	// never downgrade an existing better route thanks to install().
-	frontier = frontier[:0]
+	frontier := make([]inet.ASN, 0, len(t.routes))
 	for as := range t.routes {
 		frontier = append(frontier, as)
 	}
@@ -280,7 +267,7 @@ func (g *Graph) PathsTo(dst inet.ASN) *RIB {
 			base := t.routes[as]
 			for _, cust := range g.customers[as] {
 				r := Route{Kind: RouteProvider, NextHop: as, Hops: base.Hops + 1}
-				if install(cust, r) {
+				if t.install(cust, r) {
 					next = append(next, cust)
 				}
 			}
@@ -288,6 +275,59 @@ func (g *Graph) PathsTo(dst inet.ASN) *RIB {
 		frontier = next
 	}
 	return t
+}
+
+// customerRoutes is stage 1 of PathsTo: the self route at t.Dst, then
+// customer routes by BFS up provider edges, which reaches exactly dst's
+// provider cone. Stages 2 and 3 install only peer and provider routes,
+// which never beat a customer route, so every route this leaves is final.
+func (g *Graph) customerRoutes(t *RIB) {
+	t.routes[t.Dst] = Route{Kind: RouteSelf}
+	frontier := []inet.ASN{t.Dst}
+	for len(frontier) > 0 {
+		var next []inet.ASN
+		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
+		for _, as := range frontier {
+			base := t.routes[as]
+			for _, prov := range g.providers[as] {
+				r := Route{Kind: RouteCustomer, NextHop: as, Hops: base.Hops + 1}
+				if t.install(prov, r) {
+					next = append(next, prov)
+				}
+			}
+		}
+		frontier = next
+	}
+}
+
+// PathFrom returns PathsTo(dst).Path(src), computing only what that one
+// path reads. Stage 1 runs over dst's provider cone, whose routes are final
+// (see customerRoutes). If src holds one of them, its path follows them.
+// Otherwise src's route in the full table is its best peer route when it
+// has one, because stage 3's provider routes never replace a peer route;
+// that route crosses to a peer holding a final customer or self route.
+// Only a src with neither falls back to the full computation.
+func (g *Graph) PathFrom(src, dst inet.ASN) []inet.ASN {
+	if !g.seen[dst] {
+		return nil
+	}
+	t := &RIB{Dst: dst, routes: make(map[inet.ASN]Route)}
+	g.customerRoutes(t)
+	if _, ok := t.routes[src]; ok {
+		return t.Path(src)
+	}
+	var best Route
+	for _, peer := range g.peers[src] {
+		if base, ok := t.routes[peer]; ok {
+			if r := (Route{Kind: RoutePeer, NextHop: peer, Hops: base.Hops + 1}); better(r, best) {
+				best = r
+			}
+		}
+	}
+	if best.Kind == RoutePeer {
+		return append([]inet.ASN{src}, t.Path(best.NextHop)...)
+	}
+	return g.PathsTo(dst).Path(src)
 }
 
 // ValleyFree checks the Gao-Rexford invariant on a path: once the path

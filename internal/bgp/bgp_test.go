@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -234,4 +235,86 @@ func TestRouteKindStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q", int(k), k.String())
 		}
 	}
+}
+
+// samePath fails unless PathFrom(src, dst) is PathsTo(dst).Path(src),
+// including nil for an unreachable pair.
+func samePath(t *testing.T, g *Graph, rib *RIB, src inet.ASN) {
+	t.Helper()
+	got, want := g.PathFrom(src, rib.Dst), rib.Path(src)
+	if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+		t.Fatalf("PathFrom(%d, %d) = %v, PathsTo(%d).Path(%d) = %v", src, rib.Dst, got, rib.Dst, src, want)
+	}
+}
+
+// TestPathFromMatchesPathsTo checks PathFrom against the full routing table
+// for every pair of ASes on tiny worlds, and for every content AS toward
+// every AS on the default-scale world.
+func TestPathFromMatchesPathsTo(t *testing.T) {
+	deployed := func(cfg inet.Config, seed int64) (*Graph, *hypergiant.Deployment) {
+		w := inet.Generate(cfg)
+		d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FromWorld(d), d
+	}
+	for _, seed := range []int64{1, 2, 3, 42} {
+		g, _ := deployed(inet.TinyConfig(seed), seed)
+		for _, dst := range g.Nodes() {
+			rib := g.PathsTo(dst)
+			for _, src := range g.Nodes() {
+				samePath(t, g, rib, src)
+			}
+		}
+	}
+	t.Run("default-scale", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("default-scale world in -short mode")
+		}
+		g, d := deployed(inet.ConfigFromScenario(scenario.Default(), 42), 42)
+		for _, dst := range g.Nodes() {
+			rib := g.PathsTo(dst)
+			for _, src := range contentASNs(d) {
+				samePath(t, g, rib, src)
+			}
+		}
+	})
+}
+
+// FuzzPathFrom decodes a small relationship graph from bytes — the first
+// byte sizes it at 2–8 ASes, each later byte adds a provider edge, a peer
+// edge or nothing between two of them, self-edges and repeats included —
+// and checks PathFrom against PathsTo(dst).Path(src) for every pair,
+// including src == dst and an AS outside the graph on either side.
+func FuzzPathFrom(f *testing.F) {
+	f.Add([]byte{6, 0o010, 0o021, 0o202, 0o213, 0o032, 0o243})
+	f.Add([]byte{1, 0o201})
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 2 + int(data[0])%7
+		g := NewGraph()
+		for as := 1; as <= n; as++ {
+			g.addNode(inet.ASN(as))
+		}
+		for _, b := range data[1:] {
+			// Bits 7–6 pick the edge, 5–3 and 2–0 its two ends.
+			a, c := inet.ASN(1+int(b>>3&7)%n), inet.ASN(1+int(b&7)%n)
+			switch b >> 6 {
+			case 0, 1:
+				g.AddProvider(a, c)
+			case 2:
+				g.AddPeer(a, c)
+			}
+		}
+		for dst := inet.ASN(1); dst <= inet.ASN(n+1); dst++ {
+			rib := g.PathsTo(dst)
+			for src := inet.ASN(1); src <= inet.ASN(n+1); src++ {
+				samePath(t, g, rib, src)
+			}
+		}
+	})
 }

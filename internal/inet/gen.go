@@ -166,6 +166,7 @@ func (w *World) joinIXP(isp *ISP, x *IXP) {
 		return // fabric full
 	}
 	x.MemberAddr[isp.ASN] = addr
+	x.members = append(x.members, isp.ASN)
 	isp.IXPs = append(isp.IXPs, x.ID)
 }
 

@@ -427,9 +427,18 @@ func ReadWorld(rd io.Reader, want Config, scenarioHash string) (*World, error) {
 		x.CapacityGbps = b.f64()
 		n := b.count()
 		x.MemberAddr = make(map[ASN]netaddr.Addr, n)
+		if n > 0 && b.err == nil {
+			x.members = make([]ASN, n)
+		}
 		for j := 0; j < n && b.err == nil; j++ {
 			as := ASN(b.u32())
-			x.MemberAddr[as] = netaddr.Addr(b.u32())
+			addr := netaddr.Addr(b.u32())
+			x.MemberAddr[as] = addr
+			// Members were handed sequential fabric addresses, so each
+			// fills its own slot; an address outside them indexes none.
+			if k := addr - x.Fabric.First(); k >= 1 && uint64(k) <= uint64(n) {
+				x.members[k-1] = as
+			}
 		}
 		if x.Fabric.Last() > maxIXP {
 			maxIXP = x.Fabric.Last()

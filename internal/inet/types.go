@@ -85,6 +85,9 @@ type IXP struct {
 	Fabric netaddr.Prefix
 	// MemberAddr maps each member AS to its fabric address.
 	MemberAddr map[ASN]netaddr.Addr
+	// members is MemberAddr inverted by fabric offset: members[k] uses
+	// Fabric.First()+k+1, the address joinIXP hands the k-th member.
+	members []ASN
 	// CapacityGbps is the usable switching capacity of the fabric; §4.3
 	// argues IXPs lack headroom for hypergiant spillover.
 	CapacityGbps float64
@@ -294,17 +297,15 @@ func (w *World) OwnerOf(addr netaddr.Addr) (ASN, bool) {
 
 // IXPOf returns the IXP whose fabric contains addr, and the member AS using
 // that fabric address, if any. Fabric containment is a binary search over
-// the sorted fabric spans.
+// the sorted fabric spans; the member is the one at addr's fabric offset.
 func (w *World) IXPOf(addr netaddr.Addr) (*IXP, ASN, bool) {
 	i := sort.Search(len(w.fabrics), func(i int) bool { return w.fabrics[i].last >= addr })
 	if i >= len(w.fabrics) || w.fabrics[i].first > addr {
 		return nil, 0, false
 	}
 	x := w.IXPs[w.fabrics[i].id]
-	for as, a := range x.MemberAddr {
-		if a == addr {
-			return x, as, true
-		}
+	if k := addr - x.Fabric.First(); k >= 1 && uint64(k) <= uint64(len(x.members)) && x.members[k-1] != 0 {
+		return x, x.members[k-1], true
 	}
 	return x, 0, false
 }

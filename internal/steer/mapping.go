@@ -80,15 +80,16 @@ func MapUsers(d *hypergiant.Deployment, modes map[traffic.HG]Mode, resolvers []R
 	dirs := BuildDirectories(d)
 	r := rngutil.New(seed ^ 0x3a11)
 
-	// Sample client /24s across access ISPs.
+	// Sample client /24s across access ISPs, indexing each ISP's /24s in
+	// prefix order rather than listing them.
 	var sample []netaddr.Prefix
 	for _, isp := range w.AccessISPs() {
-		var s24s []netaddr.Prefix
+		n24 := 0
 		for _, p := range isp.Prefixes {
-			s24s = append(s24s, p.Slash24s()...)
+			n24 += p.NumSlash24s()
 		}
-		for _, idx := range rngutil.SampleWithoutReplacement(r, len(s24s), samplePerISP) {
-			sample = append(sample, s24s[idx])
+		for _, idx := range rngutil.SampleWithoutReplacement(r, n24, samplePerISP) {
+			sample = append(sample, nthSlash24(isp.Prefixes, idx))
 		}
 	}
 
@@ -164,4 +165,17 @@ func MapUsers(d *hypergiant.Deployment, modes map[traffic.HG]Mode, resolvers []R
 		out = append(out, res)
 	}
 	return out
+}
+
+// nthSlash24 returns the i-th /24 of the prefixes, counted as Slash24s
+// lists them: in prefix order, a prefix longer than /24 as its covering /24.
+func nthSlash24(prefixes []netaddr.Prefix, i int) netaddr.Prefix {
+	for _, p := range prefixes {
+		if n := p.NumSlash24s(); i >= n {
+			i -= n
+			continue
+		}
+		return netaddr.Prefix{Addr: p.First()&^0xff + netaddr.Addr(i<<8), Bits: 24}
+	}
+	panic("steer: /24 index out of range")
 }

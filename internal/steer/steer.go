@@ -19,6 +19,7 @@ package steer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"offnetrisk/internal/hypergiant"
@@ -90,64 +91,112 @@ func Modes2023() map[traffic.HG]Mode {
 // prefixes it is willing to serve from the offnet").
 type Directory struct {
 	hg traffic.HG
-	// by24 maps a client /24 to the serving offnet address.
-	by24 map[netaddr.Prefix]netaddr.Addr
+	// runs answer a client /24 on demand: sorted by first /24, disjoint.
+	runs []run
 	// onnet is the fallback front end for unmapped clients.
 	onnet netaddr.Addr
-	// hostname per offnet address (the embedded-URL names).
-	hostname map[netaddr.Addr]string
+	// offnets are the addresses serving at least one /24, ascending.
+	offnets []netaddr.Addr
+	// named are the servers the round-robin reached, in assignment order;
+	// each has an embedded-URL hostname.
+	named []*hypergiant.Server
+}
+
+// run assigns a range of client /24s, numbered by address>>8, round-robin
+// over one host ISP's servers: /24 first+k gets servers[(start+k) % n].
+type run struct {
+	first, end uint32 // half-open
+	start      int
+	servers    []*hypergiant.Server
+}
+
+func (r run) server(s24 uint32) netaddr.Addr {
+	return r.servers[(r.start+int(s24-r.first))%len(r.servers)].Addr
+}
+
+// paint adds r to runs, which stay sorted and disjoint: where r overlaps
+// earlier runs it replaces their /24s, so the last assignment of a /24
+// wins. Runs added in address order append.
+func paint(runs []run, r run) []run {
+	// runs[i:j] overlap r.
+	i := sort.Search(len(runs), func(k int) bool { return runs[k].end > r.first })
+	if i == len(runs) {
+		return append(runs, r)
+	}
+	j := i
+	for j < len(runs) && runs[j].first < r.end {
+		j++
+	}
+	pieces := make([]run, 0, 3)
+	if i < j && runs[i].first < r.first {
+		left := runs[i]
+		left.end = r.first
+		pieces = append(pieces, left)
+	}
+	pieces = append(pieces, r)
+	if i < j && runs[j-1].end > r.end {
+		right := runs[j-1]
+		right.start += int(r.end - right.first)
+		right.first = r.end
+		pieces = append(pieces, right)
+	}
+	return slices.Replace(runs, i, j, pieces...)
 }
 
 // BuildDirectories derives each hypergiant's steering directory from the
 // deployment: every /24 of an offnet-hosting ISP maps to one of the
 // hypergiant's servers there (round-robin), everything else to onnet. A
-// server gets a hostname when it serves at least one /24.
+// server gets a hostname when it serves at least one /24. The directory
+// holds one run per host-ISP prefix.
 func BuildDirectories(d *hypergiant.Deployment) map[traffic.HG]*Directory {
 	w := d.World
 	out := make(map[traffic.HG]*Directory, len(traffic.All))
 	for _, hg := range traffic.All {
-		hosts := d.HostISPs(hg)
-		// Size both maps up front: one entry per host-ISP /24, and one
-		// hostname per server the round-robin reaches.
-		n24, named := 0, 0
-		for _, as := range hosts {
-			isp24 := 0
-			for _, p := range w.ISPs[as].Prefixes {
-				isp24 += p.NumSlash24s()
-			}
-			n24 += isp24
-			named += min(isp24, len(d.ServersOf(hg, as)))
-		}
-		dir := &Directory{
-			hg:       hg,
-			by24:     make(map[netaddr.Prefix]netaddr.Addr, n24),
-			hostname: make(map[netaddr.Addr]string, named),
-		}
+		dir := &Directory{hg: hg}
 		// Onnet front end: first address of the content AS.
 		if isp, ok := w.ISPs[d.ContentAS[hg]]; ok && len(isp.Prefixes) > 0 {
 			dir.onnet = isp.Prefixes[0].First() + 10
 		}
-		for _, as := range hosts {
+		for _, as := range d.HostISPs(hg) {
 			servers := d.ServersOf(hg, as)
 			if len(servers) == 0 {
 				continue
 			}
 			i := 0
 			for _, p := range w.ISPs[as].Prefixes {
-				for _, s24 := range p.Slash24s() {
-					dir.by24[s24] = servers[i%len(servers)].Addr
-					i++
-				}
+				// A prefix longer than /24 assigns its covering /24.
+				first := uint32(p.First() >> 8)
+				n := p.NumSlash24s()
+				dir.runs = paint(dir.runs, run{first: first, end: first + uint32(n), start: i, servers: servers})
+				i += n
 			}
 			// The round-robin reached servers[:i], all of them once it
-			// wrapped; each gets its hostname formatted once.
-			for _, srv := range servers[:min(i, len(servers))] {
-				dir.hostname[srv.Addr] = embeddedHostname(hg, srv)
-			}
+			// wrapped.
+			dir.named = append(dir.named, servers[:min(i, len(servers))]...)
 		}
+		dir.offnets = offnetsOf(dir.runs)
 		out[hg] = dir
 	}
 	return out
+}
+
+// offnetsOf lists the distinct servers the runs assign, ascending. A run
+// spanning at least as many /24s as it has servers reaches all of them.
+func offnetsOf(runs []run) []netaddr.Addr {
+	var out []netaddr.Addr
+	for _, r := range runs {
+		if n := len(r.servers); int(r.end-r.first) >= n {
+			for _, s := range r.servers {
+				out = append(out, s.Addr)
+			}
+			continue
+		}
+		for s24 := r.first; s24 < r.end; s24++ {
+			out = append(out, r.server(s24))
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // embeddedHostname is the per-deployment content hostname a page would
@@ -167,34 +216,37 @@ func embeddedHostname(hg traffic.HG, s *hypergiant.Server) string {
 	}
 }
 
+// lookup returns the offnet serving the client's /24, if any.
+func (dir *Directory) lookup(client netaddr.Addr) (netaddr.Addr, bool) {
+	s24 := uint32(client >> 8)
+	i := sort.Search(len(dir.runs), func(k int) bool { return dir.runs[k].end > s24 })
+	if i < len(dir.runs) && dir.runs[i].first <= s24 {
+		return dir.runs[i].server(s24), true
+	}
+	return 0, false
+}
+
 // ServerFor returns the ground-truth serving address for a client.
 func (dir *Directory) ServerFor(client netaddr.Addr) (netaddr.Addr, bool) {
-	if srv, ok := dir.by24[client.Slash24()]; ok {
+	if srv, ok := dir.lookup(client); ok {
 		return srv, true
 	}
 	return dir.onnet, false
 }
 
 // Hostname returns the embedded-URL hostname for a serving address, if it
-// is an offnet.
+// is an offnet the round-robin reached.
 func (dir *Directory) Hostname(srv netaddr.Addr) (string, bool) {
-	h, ok := dir.hostname[srv]
-	return h, ok
+	for i := len(dir.named) - 1; i >= 0; i-- {
+		if s := dir.named[i]; s.Addr == srv {
+			return embeddedHostname(dir.hg, s), true
+		}
+	}
+	return "", false
 }
 
 // OffnetAddrs returns all serving offnet addresses, ascending.
-func (dir *Directory) OffnetAddrs() []netaddr.Addr {
-	seen := make(map[netaddr.Addr]bool)
-	for _, a := range dir.by24 {
-		seen[a] = true
-	}
-	out := make([]netaddr.Addr, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (dir *Directory) OffnetAddrs() []netaddr.Addr { return slices.Clone(dir.offnets) }
 
 // Resolver is a recursive DNS resolver as the mapping experiment sees it.
 type Resolver struct {
@@ -240,36 +292,23 @@ func Resolvers(w *inet.World, nPublic int, seed int64) []Resolver {
 // given steering mode, as its authoritative DNS would: the address the
 // resolver (and optionally its client subnet) is steered to.
 func Resolve(dir *Directory, mode Mode, res Resolver, clientSubnet *netaddr.Prefix) netaddr.Addr {
+	client := res.Addr
 	switch mode {
 	case ModeDNS2013:
 		// Full ECS support; fall back to resolver-based mapping.
 		if clientSubnet != nil && res.SendsECS {
-			if srv, ok := dir.by24[clientSubnet.Addr.Slash24()]; ok {
-				return srv
-			}
-			return dir.onnet
+			client = clientSubnet.Addr
 		}
-		if srv, ok := dir.by24[res.Addr.Slash24()]; ok {
-			return srv
-		}
-		return dir.onnet
 	case ModeECSAllowlist:
 		// ECS honoured only for allowlisted resolvers.
 		if clientSubnet != nil && res.SendsECS && res.Allowlisted {
-			if srv, ok := dir.by24[clientSubnet.Addr.Slash24()]; ok {
-				return srv
-			}
-			return dir.onnet
+			client = clientSubnet.Addr
 		}
-		if srv, ok := dir.by24[res.Addr.Slash24()]; ok {
-			return srv
-		}
-		return dir.onnet
-	case ModeEmbeddedURL:
-		// The service hostname always fronts from onnet; offnets are only
-		// reachable via per-session embedded names.
-		return dir.onnet
 	default:
+		// Embedded URLs: the service hostname always fronts from onnet;
+		// offnets are only reachable via per-session embedded names.
 		return dir.onnet
 	}
+	srv, _ := dir.ServerFor(client)
+	return srv
 }

@@ -2,12 +2,14 @@ package steer
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/netaddr"
+	"offnetrisk/internal/rngutil"
 	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
@@ -228,14 +230,23 @@ func TestResolversPopulation(t *testing.T) {
 	}
 }
 
+// refDirectory is Directory as it was before it answered /24s on demand:
+// one map entry per host-ISP /24 and one hostname per assigned server.
+type refDirectory struct {
+	hg       traffic.HG
+	by24     map[netaddr.Prefix]netaddr.Addr
+	onnet    netaddr.Addr
+	hostname map[netaddr.Addr]string
+}
+
 // referenceBuildDirectories is BuildDirectories as it was before it sized
 // its maps and formatted one hostname per server, kept verbatim as the
 // oracle: it formats a hostname for every /24 it assigns.
-func referenceBuildDirectories(d *hypergiant.Deployment) map[traffic.HG]*Directory {
+func referenceBuildDirectories(d *hypergiant.Deployment) map[traffic.HG]*refDirectory {
 	w := d.World
-	out := make(map[traffic.HG]*Directory, len(traffic.All))
+	out := make(map[traffic.HG]*refDirectory, len(traffic.All))
 	for _, hg := range traffic.All {
-		dir := &Directory{
+		dir := &refDirectory{
 			hg:       hg,
 			by24:     make(map[netaddr.Prefix]netaddr.Addr),
 			hostname: make(map[netaddr.Addr]string),
@@ -265,12 +276,75 @@ func referenceBuildDirectories(d *hypergiant.Deployment) map[traffic.HG]*Directo
 	return out
 }
 
+// The reference's queries, verbatim from the map-backed Directory.
+
+func (dir *refDirectory) ServerFor(client netaddr.Addr) (netaddr.Addr, bool) {
+	if srv, ok := dir.by24[client.Slash24()]; ok {
+		return srv, true
+	}
+	return dir.onnet, false
+}
+
+func (dir *refDirectory) Hostname(srv netaddr.Addr) (string, bool) {
+	h, ok := dir.hostname[srv]
+	return h, ok
+}
+
+func (dir *refDirectory) OffnetAddrs() []netaddr.Addr {
+	seen := make(map[netaddr.Addr]bool)
+	for _, a := range dir.by24 {
+		seen[a] = true
+	}
+	out := make([]netaddr.Addr, 0, len(seen))
+	for a := range seen {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func referenceResolve(dir *refDirectory, mode Mode, res Resolver, clientSubnet *netaddr.Prefix) netaddr.Addr {
+	switch mode {
+	case ModeDNS2013:
+		// Full ECS support; fall back to resolver-based mapping.
+		if clientSubnet != nil && res.SendsECS {
+			if srv, ok := dir.by24[clientSubnet.Addr.Slash24()]; ok {
+				return srv
+			}
+			return dir.onnet
+		}
+		if srv, ok := dir.by24[res.Addr.Slash24()]; ok {
+			return srv
+		}
+		return dir.onnet
+	case ModeECSAllowlist:
+		// ECS honoured only for allowlisted resolvers.
+		if clientSubnet != nil && res.SendsECS && res.Allowlisted {
+			if srv, ok := dir.by24[clientSubnet.Addr.Slash24()]; ok {
+				return srv
+			}
+			return dir.onnet
+		}
+		if srv, ok := dir.by24[res.Addr.Slash24()]; ok {
+			return srv
+		}
+		return dir.onnet
+	case ModeEmbeddedURL:
+		// The service hostname always fronts from onnet; offnets are only
+		// reachable via per-session embedded names.
+		return dir.onnet
+	default:
+		return dir.onnet
+	}
+}
+
 // sameDirectories fails the test unless got and want answer every query
-// alike: ServerFor for an address in every /24 either maps and one outside
+// alike: ServerFor for an address in every /24 of every ISP of the world
+// (so a /24 either side maps and the other does not shows) and one outside
 // them, Hostname for every server of the deployment (assigned or not),
 // OffnetAddrs, and Resolve in every mode for a sample of resolvers and
 // client subnets.
-func sameDirectories(t *testing.T, d *hypergiant.Deployment, got, want map[traffic.HG]*Directory) {
+func sameDirectories(t *testing.T, d *hypergiant.Deployment, got map[traffic.HG]*Directory, want map[traffic.HG]*refDirectory) {
 	t.Helper()
 	resolvers := Resolvers(d.World, 6, 1)
 	for _, hg := range traffic.All {
@@ -278,20 +352,20 @@ func sameDirectories(t *testing.T, d *hypergiant.Deployment, got, want map[traff
 		if g.hg != w.hg || g.onnet != w.onnet {
 			t.Fatalf("%s: directory of %s fronted by %s, reference %s fronted by %s", hg, g.hg, g.onnet, w.hg, w.onnet)
 		}
-		if len(g.by24) != len(w.by24) || len(g.hostname) != len(w.hostname) {
-			t.Fatalf("%s: %d /24s and %d hostnames, reference %d and %d",
-				hg, len(g.by24), len(g.hostname), len(w.by24), len(w.hostname))
-		}
 		var subnets []netaddr.Prefix
-		for s24 := range w.by24 {
-			client := s24.First() + 77
-			gs, gok := g.ServerFor(client)
-			ws, wok := w.ServerFor(client)
-			if gs != ws || gok != wok {
-				t.Fatalf("%s: ServerFor(%s) = %s, %v; reference %s, %v", hg, client, gs, gok, ws, wok)
-			}
-			if len(subnets) < 64 {
-				subnets = append(subnets, s24)
+		for _, isp := range d.World.ISPList() {
+			for _, p := range isp.Prefixes {
+				for _, s24 := range p.Slash24s() {
+					client := s24.First() + 77
+					gs, gok := g.ServerFor(client)
+					ws, wok := w.ServerFor(client)
+					if gs != ws || gok != wok {
+						t.Fatalf("%s: ServerFor(%s) = %s, %v; reference %s, %v", hg, client, gs, gok, ws, wok)
+					}
+					if wok && len(subnets) < 64 {
+						subnets = append(subnets, s24)
+					}
+				}
 			}
 		}
 		if gs, gok := g.ServerFor(netaddr.AddrFrom4(9, 9, 9, 9)); gs != w.onnet || gok {
@@ -309,14 +383,14 @@ func sameDirectories(t *testing.T, d *hypergiant.Deployment, got, want map[traff
 		}
 		for _, mode := range []Mode{ModeDNS2013, ModeECSAllowlist, ModeEmbeddedURL} {
 			for _, res := range resolvers {
-				if ga, wa := Resolve(g, mode, res, nil), Resolve(w, mode, res, nil); ga != wa {
+				if ga, wa := Resolve(g, mode, res, nil), referenceResolve(w, mode, res, nil); ga != wa {
 					t.Fatalf("%s %s: resolver %s steers to %s, reference %s", hg, mode, res.Addr, ga, wa)
 				}
 				if res.ISP != 0 {
 					continue
 				}
 				for _, s := range subnets {
-					if ga, wa := Resolve(g, mode, res, &s), Resolve(w, mode, res, &s); ga != wa {
+					if ga, wa := Resolve(g, mode, res, &s), referenceResolve(w, mode, res, &s); ga != wa {
 						t.Fatalf("%s %s: subnet %s via %s steers to %s, reference %s", hg, mode, s, res.Addr, ga, wa)
 					}
 				}
@@ -374,4 +448,41 @@ func TestBuildDirectoriesMatchesReference(t *testing.T) {
 		}
 		sameDirectories(t, d, BuildDirectories(d), referenceBuildDirectories(d))
 	})
+}
+
+// TestPaintMatchesLastWrite paints random overlapping runs over a small
+// /24 space and checks every /24 against a map written run by run, /24 by
+// /24: the runs must stay sorted and disjoint, and each /24 must answer
+// with the last assignment.
+func TestPaintMatchesLastWrite(t *testing.T) {
+	servers := make([]*hypergiant.Server, 5)
+	for i := range servers {
+		servers[i] = &hypergiant.Server{Addr: netaddr.Addr(100 + i)}
+	}
+	r := rngutil.New(5)
+	for trial := 0; trial < 200; trial++ {
+		var runs []run
+		last := map[uint32]netaddr.Addr{}
+		for k := 0; k < 1+r.Intn(8); k++ {
+			first := uint32(r.Intn(32))
+			ru := run{first: first, end: first + 1 + uint32(r.Intn(12)), start: r.Intn(9), servers: servers[:1+r.Intn(len(servers))]}
+			runs = paint(runs, ru)
+			for s24 := ru.first; s24 < ru.end; s24++ {
+				last[s24] = ru.server(s24)
+			}
+		}
+		for i := 1; i < len(runs); i++ {
+			if runs[i-1].end > runs[i].first || runs[i].first >= runs[i].end {
+				t.Fatalf("trial %d: runs not sorted and disjoint: %+v", trial, runs)
+			}
+		}
+		dir := &Directory{runs: runs}
+		for s24 := uint32(0); s24 < 48; s24++ {
+			got, gok := dir.lookup(netaddr.Addr(s24<<8 | 77))
+			want, wok := last[s24]
+			if got != want || gok != wok {
+				t.Fatalf("trial %d: /24 %d answers %s, %v; last write %s, %v", trial, s24, got, gok, want, wok)
+			}
+		}
+	}
 }

@@ -107,124 +107,224 @@ func (c Config) sanitized() Config {
 // (valley-free, customer > peer > provider), so a peered ISP really is one
 // AS-level hop from the hypergiant and everything else is reached through
 // the transit hierarchy. The survey fans out one destination ISP per task
-// on cfg.Workers goroutines. Every task runs its own BGP path computation
-// over the shared (read-only) relationship graph and emits that ISP's
-// traces; per-ISP trace slices are merged in ascending-ASN order, so the
-// survey is byte-identical at any worker count.
+// on cfg.Workers goroutines. Every task computes its own BGP path over the
+// shared (read-only) relationship graph and emits that ISP's traces;
+// per-ISP trace slices are merged in ascending-ASN order, so the survey is
+// byte-identical at any worker count. SurveyInferContext runs the same
+// survey and inference without keeping the traces.
 func SurveyContext(ctx context.Context, d *hypergiant.Deployment, hg traffic.HG, cfg Config) (map[inet.ASN][]Trace, error) {
-	cfg = cfg.sanitized()
-	w := d.World
-	hgAS := d.ContentAS[hg]
-	hgISP := w.ISPs[hgAS]
-	graph := bgp.FromWorld(d)
+	s := newSurveyor(d, hg, cfg)
+	type ispTraces struct {
+		list []Trace
+		ispCounts
+	}
+	res, err := par.MapLocal(ctx, len(s.isps), par.Options{Workers: s.cfg.Workers, Name: "traceroutes"}, newHopBuffer,
+		func(_ context.Context, i int, buf *[]Hop) (ispTraces, error) {
+			isp := s.isps[i]
+			targets := targetsOf(isp, s.cfg.TargetsPerISP)
+			r := ispTraces{list: make([]Trace, 0, s.cfg.VMs*len(targets))}
+			var arena []Hop
+			r.ispCounts = s.traceISP(isp, targets, buf, func(tr Trace) {
+				if arena == nil {
+					// Every untruncated trace toward one ISP has the same
+					// length, so this one allocation holds all of them.
+					arena = make([]Hop, 0, cap(r.list)*len(*buf))
+				}
+				start := len(arena)
+				arena = append(arena, tr.Hops...)
+				tr.Hops = arena[start:len(arena):len(arena)]
+				r.list = append(r.list, tr)
+			})
+			return r, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[inet.ASN][]Trace, len(s.isps))
+	var total ispCounts
+	for i, r := range res {
+		if len(r.list) > 0 {
+			out[s.isps[i].ASN] = r.list
+		}
+		total.add(r.ispCounts)
+	}
+	s.publish(total)
+	return out, nil
+}
 
-	// Pre-index peerings by ISP.
-	pni := make(map[inet.ASN]bool)
-	ixp := make(map[inet.ASN][]inet.IXPID)
+// SurveyInferContext is Infer(SurveyContext(...)) without keeping a trace:
+// each destination ISP's task classifies its traces as it issues them,
+// from one per-worker hop buffer, and returns only that ISP's inference.
+// It also returns the number of traceroutes issued. Its inference map,
+// metrics, funnels and lineage records equal the two-step form's at any
+// worker count.
+func SurveyInferContext(ctx context.Context, d *hypergiant.Deployment, hg traffic.HG, cfg Config) (map[inet.ASN]ISPInference, int, error) {
+	s := newSurveyor(d, hg, cfg)
+	lr := obs.ActiveLineage()
+	type ispResult struct {
+		inf ISPInference
+		ispCounts
+	}
+	res, err := par.MapLocal(ctx, len(s.isps), par.Options{Workers: s.cfg.Workers, Name: "traceroutes"}, newHopBuffer,
+		func(_ context.Context, i int, buf *[]Hop) (ispResult, error) {
+			isp := s.isps[i]
+			r := ispResult{inf: ISPInference{Class: ClassNoEvidence}}
+			var hops hopCounts
+			r.ispCounts = s.traceISP(isp, targetsOf(isp, s.cfg.TargetsPerISP), buf, func(tr Trace) {
+				inferTrace(s.w, s.hgAS, isp.ASN, tr, &hops, &r.inf, lr)
+			})
+			hops.flush()
+			return r, nil
+		})
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make(map[inet.ASN]ISPInference, len(s.isps))
+	var total ispCounts
+	for i, r := range res {
+		if r.attempted > r.lost {
+			out[s.isps[i].ASN] = r.inf
+		}
+		total.add(r.ispCounts)
+	}
+	s.publish(total)
+	return out, int(total.attempted - total.lost), nil
+}
+
+// surveyor holds what every destination ISP's traces read: the world, the
+// hypergiant's cloud and AS, its peerings by ISP and the relationship graph.
+type surveyor struct {
+	w     *inet.World
+	hgISP *inet.ISP
+	hgAS  inet.ASN
+	graph *bgp.Graph
+	pni   map[inet.ASN]bool
+	ixp   map[inet.ASN][]inet.IXPID
+	// isps are the destination ISPs in ascending-ASN order.
+	isps []*inet.ISP
+	cfg  Config
+}
+
+func newSurveyor(d *hypergiant.Deployment, hg traffic.HG, cfg Config) *surveyor {
+	w := d.World
+	s := &surveyor{
+		w:     w,
+		hgAS:  d.ContentAS[hg],
+		graph: bgp.FromWorld(d),
+		pni:   make(map[inet.ASN]bool),
+		ixp:   make(map[inet.ASN][]inet.IXPID),
+		cfg:   cfg.sanitized(),
+	}
+	s.hgISP = w.ISPs[s.hgAS]
 	for _, p := range d.Peerings {
 		if p.HG != hg {
 			continue
 		}
 		switch p.Kind {
 		case hypergiant.PeerPNI:
-			pni[p.ISP] = true
+			s.pni[p.ISP] = true
 		case hypergiant.PeerIXP:
-			ixp[p.ISP] = append(ixp[p.ISP], p.IXP)
+			s.ixp[p.ISP] = append(s.ixp[p.ISP], p.IXP)
 		}
 	}
-
-	var isps []*inet.ISP
 	for _, isp := range w.ISPList() {
 		if isp.Tier != inet.TierContent {
-			isps = append(isps, isp)
+			s.isps = append(s.isps, isp)
 		}
 	}
-	// Per-ISP task result: the traces plus the attempt accounting, merged
-	// serially below so the traces funnel is fed in ascending-ASN order
-	// regardless of worker schedule.
-	type ispTraces struct {
-		list                       []Trace
-		attempted, lost, truncated int64
-	}
-	traces, err := par.Map(ctx, len(isps), par.Options{Workers: cfg.Workers, Name: "traceroutes"},
-		func(_ context.Context, i int) (ispTraces, error) {
-			isp := isps[i]
-			path := graph.PathsTo(isp.ASN).Path(hgAS)
-			targets := targetsOf(isp, cfg.TargetsPerISP)
-			res := ispTraces{list: make([]Trace, 0, cfg.VMs*len(targets))}
-			hops := mHopsPerTrace.Batch()
-			for vm := 0; vm < cfg.VMs; vm++ {
-				for _, target := range targets {
-					res.attempted++
-					// A transiently-failed trace is retried per the chaos
-					// policy and, if exhausted, never issued — so it counts
-					// once as attempted, never in traces_run (attempts land
-					// in chaos.retries_total inside Attempts).
-					if _, ok := cfg.Chaos.Attempts(chaos.StageTrace, int64(vm), int64(target)); !ok {
-						res.lost++
-						continue
-					}
-					tr := trace(w, hgISP, path, vm, target, pni[isp.ASN], ixp[isp.ASN], cfg)
-					if cut, ok := cfg.Chaos.TruncateAt(int64(vm), int64(target), len(tr.Hops)); ok {
-						tr.Hops = tr.Hops[:cut]
-						res.truncated++
-					}
-					hops.Observe(float64(len(tr.Hops)))
-					res.list = append(res.list, tr)
-				}
-			}
-			// Published once per ISP: one observation per trace issued.
-			mTracesRun.Add(hops.Flush())
-			return res, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[inet.ASN][]Trace, len(isps))
-	var attempted, lost, truncated int64
-	for i, res := range traces {
-		if len(res.list) > 0 {
-			out[isps[i].ASN] = res.list
-		}
-		attempted += res.attempted
-		lost += res.lost
-		truncated += res.truncated
-	}
-	fTraces.In(attempted)
-	fTraces.Out(attempted - lost)
-	if cfg.Chaos.Enabled() {
-		fTraces.Reason("chaos_transient").Add(lost)
-		cfg.Chaos.TracesTruncated.Add(truncated)
-		// Hop perturbations are counted over the kept hops only, so the
-		// counters equal the chaos_silent / chaos_unmapped funnel reasons
-		// inference will report — truncated-away hops never count.
-		var silenced, noised int64
-		for _, trs := range out {
-			for _, tr := range trs {
-				for _, h := range tr.Hops {
-					if !h.Chaos {
-						continue
-					}
-					if h.Responded {
-						noised++
-					} else {
-						silenced++
-					}
-				}
-			}
-		}
-		cfg.Chaos.HopsSilenced.Add(silenced)
-		cfg.Chaos.HopsNoised.Add(noised)
-	}
-	return out, nil
+	return s
 }
 
-// targetsOf picks one address per /24 for up to n of the ISP's /24s.
+// newHopBuffer is a worker's trace buffer; each trace overwrites it.
+func newHopBuffer() *[]Hop { return new([]Hop) }
+
+// ispCounts is one destination ISP's trace accounting.
+type ispCounts struct {
+	attempted, lost, truncated int64
+	// silenced and noised count the chaos-perturbed hops the issued traces
+	// keep after truncation.
+	silenced, noised int64
+}
+
+func (c *ispCounts) add(o ispCounts) {
+	c.attempted += o.attempted
+	c.lost += o.lost
+	c.truncated += o.truncated
+	c.silenced += o.silenced
+	c.noised += o.noised
+}
+
+// traceISP issues every trace toward isp: each VM probes each target along
+// the one AS path from the hypergiant. Each issued trace is written into
+// *buf and handed to emit, which must copy what it keeps: the next trace
+// overwrites the buffer.
+func (s *surveyor) traceISP(isp *inet.ISP, targets []netaddr.Addr, buf *[]Hop, emit func(Trace)) ispCounts {
+	cfg := s.cfg
+	path := s.graph.PathFrom(s.hgAS, isp.ASN)
+	var c ispCounts
+	hops := mHopsPerTrace.Batch()
+	for vm := 0; vm < cfg.VMs; vm++ {
+		for _, target := range targets {
+			c.attempted++
+			// A transiently-failed trace is retried per the chaos policy
+			// and, if exhausted, never issued — so it counts once as
+			// attempted, never in traces_run (attempts land in
+			// chaos.retries_total inside Attempts).
+			if _, ok := cfg.Chaos.Attempts(chaos.StageTrace, int64(vm), int64(target)); !ok {
+				c.lost++
+				continue
+			}
+			*buf = trace(*buf, s.w, s.hgISP, path, vm, target, s.pni[isp.ASN], s.ixp[isp.ASN], cfg)
+			tr := Trace{VM: vm, Target: target, Hops: *buf}
+			if cut, ok := cfg.Chaos.TruncateAt(int64(vm), int64(target), len(tr.Hops)); ok {
+				tr.Hops = tr.Hops[:cut]
+				c.truncated++
+			}
+			if cfg.Chaos.Enabled() {
+				// Hop perturbations count over the kept hops only, so the
+				// counters equal the chaos_silent / chaos_unmapped funnel
+				// reasons inference reports.
+				for _, h := range tr.Hops {
+					switch {
+					case !h.Chaos:
+					case h.Responded:
+						c.noised++
+					default:
+						c.silenced++
+					}
+				}
+			}
+			hops.Observe(float64(len(tr.Hops)))
+			emit(tr)
+		}
+	}
+	// Published once per ISP: one observation per trace issued.
+	mTracesRun.Add(hops.Flush())
+	return c
+}
+
+// publish feeds the survey's accounting, summed over every ISP task, to the
+// traces funnel and the chaos counters.
+func (s *surveyor) publish(total ispCounts) {
+	fTraces.In(total.attempted)
+	fTraces.Out(total.attempted - total.lost)
+	if in := s.cfg.Chaos; in.Enabled() {
+		fTraces.Reason("chaos_transient").Add(total.lost)
+		in.TracesTruncated.Add(total.truncated)
+		in.HopsSilenced.Add(total.silenced)
+		in.HopsNoised.Add(total.noised)
+	}
+}
+
+// targetsOf picks one address per /24 for up to n of the ISP's /24s,
+// indexing each prefix's /24s rather than listing them.
 func targetsOf(isp *inet.ISP, n int) []netaddr.Addr {
 	var out []netaddr.Addr
 	for _, p := range isp.Prefixes {
-		for _, s := range p.Slash24s() {
-			out = append(out, s.First()+1)
+		// The first /24 is the one covering the prefix's first address.
+		first24 := p.First() &^ 0xff
+		for k := 0; k < p.NumSlash24s(); k++ {
+			out = append(out, first24+netaddr.Addr(k<<8)+1)
 			if len(out) >= n {
 				return out
 			}
@@ -233,12 +333,13 @@ func targetsOf(isp *inet.ISP, n int) []netaddr.Addr {
 	return out
 }
 
-// trace emits the hop sequence for one probe along the BGP-selected AS
-// path. Each AS contributes one or two router interfaces; when the
-// hypergiant→ISP edge is an exchange peering, the entry hop is the ISP's
-// fabric address, which the Euro-IX-style registry maps back to the ISP.
-func trace(w *inet.World, hgISP *inet.ISP, path []inet.ASN, vm int, target netaddr.Addr, hasPNI bool, ixps []inet.IXPID, cfg Config) Trace {
-	var hops []Hop
+// trace writes the hop sequence for one probe along the BGP-selected AS
+// path into buf, overwriting it, and returns the hops. Each AS contributes
+// one or two router interfaces; when the hypergiant→ISP edge is an exchange
+// peering, the entry hop is the ISP's fabric address, which the
+// Euro-IX-style registry maps back to the ISP.
+func trace(buf []Hop, w *inet.World, hgISP *inet.ISP, path []inet.ASN, vm int, target netaddr.Addr, hasPNI bool, ixps []inet.IXPID, cfg Config) []Hop {
+	hops := buf[:0]
 	add := func(a netaddr.Addr) {
 		h := Hop{Addr: a, Responded: responds(a, cfg)}
 		// Chaos perturbs naturally responsive interfaces only (a silent
@@ -267,7 +368,7 @@ func trace(w *inet.World, hgISP *inet.ISP, path []inet.ASN, vm int, target netad
 
 	if len(path) == 0 {
 		// Unroutable destination: the probe dies in the cloud.
-		return Trace{VM: vm, Target: target, Hops: hops}
+		return hops
 	}
 
 	for i := 1; i < len(path); i++ {
@@ -298,8 +399,7 @@ func trace(w *inet.World, hgISP *inet.ISP, path []inet.ASN, vm int, target netad
 	// Inside the destination ISP toward the target.
 	add(target + 1) // a last-hop router interface in the target /24
 	add(target)
-
-	return Trace{VM: vm, Target: target, Hops: hops}
+	return hops
 }
 
 // borderAddr returns a stable router address inside the network's first
@@ -369,26 +469,52 @@ type ISPInference struct {
 // an exchange. If the following hops are unresponsive until an ISP-mapped
 // hop appears, the ISP is a possible peer.
 func Infer(w *inet.World, hg traffic.HG, contentAS inet.ASN, traces map[inet.ASN][]Trace) map[inet.ASN]ISPInference {
+	lr := obs.ActiveLineage()
 	out := make(map[inet.ASN]ISPInference, len(traces))
 	for as, list := range traces {
 		inf := ISPInference{Class: ClassNoEvidence}
+		var hops hopCounts
 		for _, tr := range list {
-			accountHops(w, as, tr)
-			classifyTrace(w, contentAS, as, tr, &inf)
+			inferTrace(w, contentAS, as, tr, &hops, &inf, lr)
 		}
+		hops.flush()
 		out[as] = inf
 	}
 	return out
 }
 
-// accountHops feeds the tracert.hops funnel and the hops_mapped counter for
-// one trace, batched into single atomic adds per trace. Sampled hop records
-// group by the trace's destination ISP.
-// Hop responsiveness, chaos perturbation, and network mapping are all stable
-// per address, so a hop's decision record is pure per (address, config) no
-// matter which trace it appears in.
-func accountHops(w *inet.World, dst inet.ASN, tr Trace) {
-	lr := obs.ActiveLineage()
+// hopCounts is the tracert.hops accounting of one destination ISP's
+// traces, published by flush with one atomic add per counter.
+type hopCounts struct {
+	in, mapped, unresp, unmapped, chaosSilent, chaosNoise int64
+}
+
+// flush feeds the tracert.hops funnel and the hops_mapped counter.
+func (c *hopCounts) flush() {
+	fHops.In(c.in)
+	fHops.Out(c.mapped)
+	fHopsUnresponsive.Add(c.unresp)
+	fHopsUnmapped.Add(c.unmapped)
+	// Chaos reasons are bound lazily — only traces carrying perturbed hops
+	// register them, so clean snapshots have no chaos_* rows.
+	if c.chaosSilent > 0 {
+		fHops.Reason("chaos_silent").Add(c.chaosSilent)
+	}
+	if c.chaosNoise > 0 {
+		fHops.Reason("chaos_unmapped").Add(c.chaosNoise)
+	}
+	mHopsMapped.Add(c.mapped)
+}
+
+// inferTrace maps each hop of one trace toward dst to its network once.
+// The mapping feeds the hop accounting in c, with a sampled lineage record
+// grouped by dst, and the adjacency test that updates inf: the first
+// responsive hop after a responsive hypergiant hop makes dst a peer when it
+// maps to dst, or a possible peer when unresponsive hops came between.
+// Hop responsiveness, chaos perturbation, and network mapping are all
+// stable per address, so a hop's decision record is pure per (address,
+// config) no matter which trace it appears in.
+func inferTrace(w *inet.World, contentAS, dst inet.ASN, tr Trace, c *hopCounts, inf *ISPInference, lr *obs.LineageRecorder) {
 	hopRecord := func(h Hop, outcome, reason string, build func() []obs.LineageKV) {
 		group := fmt.Sprintf("isp=%d", dst)
 		if outcome == obs.LineageDropped {
@@ -396,60 +522,66 @@ func accountHops(w *inet.World, dst inet.ASN, tr Trace) {
 		}
 		lr.Record(fHops.Name(), group, h.Addr.String(), outcome, reason, build)
 	}
-	var unresp, unmapped, mapped, chaosSilent, chaosNoise int64
+	c.in += int64(len(tr.Hops))
+	// afterContent: the last responsive hop mapped to the hypergiant; gap:
+	// unresponsive hops have followed it.
+	afterContent, gap := false, false
 	for _, h := range tr.Hops {
-		switch {
-		case !h.Responded:
+		if !h.Responded {
 			if h.Chaos {
-				chaosSilent++
+				c.chaosSilent++
 				if lr != nil {
 					hopRecord(h, obs.LineageDropped, "chaos_silent", nil)
 				}
 			} else {
-				unresp++
+				c.unresp++
 				if lr != nil {
 					hopRecord(h, obs.LineageDropped, "unresponsive", nil)
 				}
 			}
+			gap = true
+			continue
+		}
+		owner, viaIXP, ok := mapHop(w, h)
+		switch {
+		case ok:
+			c.mapped++
+			if lr != nil {
+				hopRecord(h, obs.LineageKept, "mapped", func() []obs.LineageKV {
+					return []obs.LineageKV{
+						{K: "owner_as", V: fmt.Sprint(owner)},
+						{K: "via_ixp", V: fmt.Sprint(viaIXP)},
+						{K: "dst_isp", V: fmt.Sprint(dst)},
+					}
+				})
+			}
+		case h.Chaos:
+			c.chaosNoise++
+			if lr != nil {
+				hopRecord(h, obs.LineageDropped, "chaos_unmapped", nil)
+			}
 		default:
-			if owner, viaIXP, ok := mapHop(w, h); ok {
-				mapped++
-				if lr != nil {
-					owner, viaIXP := owner, viaIXP
-					hopRecord(h, obs.LineageKept, "mapped", func() []obs.LineageKV {
-						return []obs.LineageKV{
-							{K: "owner_as", V: fmt.Sprint(owner)},
-							{K: "via_ixp", V: fmt.Sprint(viaIXP)},
-							{K: "dst_isp", V: fmt.Sprint(dst)},
-						}
-					})
-				}
-			} else if h.Chaos {
-				chaosNoise++
-				if lr != nil {
-					hopRecord(h, obs.LineageDropped, "chaos_unmapped", nil)
+			c.unmapped++
+			if lr != nil {
+				hopRecord(h, obs.LineageDropped, "unmapped", nil)
+			}
+		}
+		if afterContent && ok && owner != contentAS && owner == dst {
+			if gap {
+				if inf.Class < ClassPossible {
+					inf.Class = ClassPossible
 				}
 			} else {
-				unmapped++
-				if lr != nil {
-					hopRecord(h, obs.LineageDropped, "unmapped", nil)
+				inf.Class = ClassPeer
+				if viaIXP {
+					inf.ViaIXP = true
+				} else {
+					inf.ViaPNI = true
 				}
 			}
 		}
+		afterContent, gap = ok && owner == contentAS, false
 	}
-	fHops.In(int64(len(tr.Hops)))
-	fHops.Out(mapped)
-	fHopsUnresponsive.Add(unresp)
-	fHopsUnmapped.Add(unmapped)
-	// Chaos reasons are bound lazily — only traces carrying perturbed hops
-	// register them, so clean snapshots have no chaos_* rows.
-	if chaosSilent > 0 {
-		fHops.Reason("chaos_silent").Add(chaosSilent)
-	}
-	if chaosNoise > 0 {
-		fHops.Reason("chaos_unmapped").Add(chaosNoise)
-	}
-	mHopsMapped.Add(mapped)
 }
 
 // mapHop resolves a responsive hop to its owning network: exchange fabric
@@ -463,53 +595,6 @@ func mapHop(w *inet.World, h Hop) (owner inet.ASN, viaIXP bool, ok bool) {
 	}
 	as, found := w.OwnerOf(h.Addr)
 	return as, false, found
-}
-
-func classifyTrace(w *inet.World, contentAS inet.ASN, target inet.ASN, tr Trace, inf *ISPInference) {
-	for i := 0; i < len(tr.Hops)-1; i++ {
-		h := tr.Hops[i]
-		if !h.Responded {
-			continue
-		}
-		owner, _, ok := mapHop(w, h)
-		if !ok || owner != contentAS {
-			continue
-		}
-		// Found a responsive hypergiant hop; look at what follows.
-		j := i + 1
-		sawGap := false
-		for j < len(tr.Hops) {
-			next := tr.Hops[j]
-			if !next.Responded {
-				sawGap = true
-				j++
-				continue
-			}
-			nOwner, viaIXP, nOK := mapHop(w, next)
-			if !nOK {
-				break
-			}
-			if nOwner == contentAS {
-				// Still inside the hypergiant; continue from here.
-				break
-			}
-			if nOwner == target {
-				if sawGap {
-					if inf.Class < ClassPossible {
-						inf.Class = ClassPossible
-					}
-				} else {
-					inf.Class = ClassPeer
-					if viaIXP {
-						inf.ViaIXP = true
-					} else {
-						inf.ViaPNI = true
-					}
-				}
-			}
-			break
-		}
-	}
 }
 
 // SurveyStats aggregates the §4.2.1 numbers.

@@ -67,7 +67,7 @@ func (p *Pipeline) peeringSurvey(ctx context.Context, hg traffic.HG) (*PeeringSu
 	root := p.span("peering-survey")
 	root.SetAttr("hypergiant", hg.String())
 	defer root.End()
-	w, d, err := p.deployment(hypergiant.Epoch2023)
+	_, d, err := p.deployment(hypergiant.Epoch2023)
 	if err != nil {
 		return nil, err
 	}
@@ -77,21 +77,16 @@ func (p *Pipeline) peeringSurvey(ctx context.Context, hg traffic.HG) (*PeeringSu
 	if p.Scale == ScaleTiny {
 		cfg.VMs = 24
 	}
+	// Each destination ISP's traces are classified as they are issued, so
+	// one span covers the survey and the inference.
 	sctx, sp := p.spanCtx(ctx, "peering-survey/traceroutes")
-	traces, err := tracert.SurveyContext(sctx, d, hg, cfg)
+	inf, n, err := tracert.SurveyInferContext(sctx, d, hg, cfg)
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	n := 0
-	for _, list := range traces {
-		n += len(list)
-	}
-	sp.SetAttr("traceroutes", n)
-	sp.End()
-	sp = p.span("peering-survey/infer")
-	inf := tracert.Infer(w, hg, d.ContentAS[hg], traces)
 	st := tracert.Stats(d, hg, inf)
+	sp.SetAttr("traceroutes", n)
 	sp.SetAttr("peers_total", st.PeersTotal)
 	sp.End()
 	return &PeeringSurveyResult{
