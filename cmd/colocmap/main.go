@@ -17,6 +17,7 @@ import (
 
 func main() {
 	common := cli.Register(flag.CommandLine)
+	common.PipelineFlags()
 	countries := flag.Int("countries", 10, "Figure 1 rows to print")
 	ccdf := flag.Bool("ccdf", false, "print the full Figure 2 CCDF series")
 	flag.Parse()

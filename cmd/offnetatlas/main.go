@@ -21,6 +21,7 @@ import (
 
 func main() {
 	common := cli.Register(flag.CommandLine)
+	common.PipelineFlags()
 	xi := flag.Float64("xi", 0.9, "OPTICS steepness for the facility clustering")
 	out := flag.String("o", "", "write the atlas CSV here (default: stats only)")
 	flag.Parse()

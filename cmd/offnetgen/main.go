@@ -13,7 +13,6 @@ import (
 	"offnetrisk/internal/cli"
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
-	"offnetrisk/internal/obs"
 )
 
 type serverDump struct {
@@ -66,16 +65,9 @@ func main() {
 	if err != nil {
 		fatal("invalid flags", err)
 	}
-	// World generation injects no faults, but the shared -chaos flag should
-	// still reject unknown profiles here like everywhere else.
-	if _, err := common.InjectorFromSpec(sp); err != nil {
-		fatal("invalid flags", err)
+	if err := common.StartDebug(ctx, logger); err != nil {
+		fatal("debug endpoint setup failed", err)
 	}
-	stopObs, err := common.Observability(ctx, obs.NewTracer(), logger)
-	if err != nil {
-		fatal("observability setup failed", err)
-	}
-	defer stopObs()
 
 	wcfg, err := common.WorldConfig()
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 
 func main() {
 	common := cli.Register(flag.CommandLine)
+	common.PipelineFlags()
 	records := flag.String("records", "", "also write the 2023 scan as NDJSON to this file")
 	from := flag.String("from", "", "re-run the 2023 inference over an NDJSON scan dump instead of scanning")
 	flag.Parse()

@@ -12,6 +12,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite each golden under testdata/ from the case that owns it")
 
+// minCoverage is the share of a run's wall time its root spans must cover.
+const minCoverage = 0.95
+
 // goldenCases is the determinism matrix: every case runs `reproduce -tiny
 // -seed 42` with its extra flags in a process of its own, and its manifest
 // must show no drift against the golden. The first case to name a golden
@@ -28,8 +31,13 @@ var goldenCases = []struct {
 	golden string
 	// lineage adds -lineage and queries the capture with explain.
 	lineage bool
+	// trace adds -trace and checks the exported timeline.
+	trace bool
 }{
 	{name: "plain", golden: "golden-plain.json"},
+	// The timeline export is observability only: the run's manifest is
+	// plain's.
+	{name: "trace", golden: "golden-plain.json", trace: true},
 	{name: "chaos", args: []string{"-chaos", "heavy", "-chaos-seed", "7"}, golden: "golden-chaos.json"},
 	{name: "lineage", golden: "golden-lineage.json", lineage: true},
 	// The trajectory digest is byte-identical at any worker count.
@@ -44,7 +52,9 @@ var goldenCases = []struct {
 
 // TestGoldenRuns is the golden-run determinism gate. Each case is its own
 // process, so the process-wide metrics registry and lineage recorder never
-// mix two runs. A golden holds only the fields obs.CompareManifests checks
+// mix two runs. Every case's root spans must cover at least minCoverage of
+// the run's wall time, so no stage runs unaccounted in the span tree. A
+// golden holds only the fields obs.CompareManifests checks
 // ((*obs.Manifest).Golden); regenerate them with
 //
 //	go test ./cmd/reproduce -run TestGoldenRuns -update
@@ -72,9 +82,13 @@ func TestGoldenRuns(t *testing.T) {
 			dir := t.TempDir()
 			manifest := filepath.Join(dir, "manifest.json")
 			capture := filepath.Join(dir, "lineage.jsonl")
+			trace := filepath.Join(dir, "trace.json")
 			args := append([]string{"-tiny", "-seed", "42", "-out", dir, "-manifest", manifest}, c.args...)
 			if c.lineage {
 				args = append(args, "-lineage", capture)
+			}
+			if c.trace {
+				args = append(args, "-trace", trace)
 			}
 			runTool(t, filepath.Join(bin, "reproduce"), args...)
 			if c.lineage {
@@ -89,6 +103,17 @@ func TestGoldenRuns(t *testing.T) {
 			got, err := obs.ReadManifest(manifest)
 			if err != nil {
 				t.Fatal(err)
+			}
+			var covered float64
+			for _, s := range got.Stages {
+				covered += s.DurMS
+			}
+			if covered < minCoverage*got.WallMS {
+				t.Errorf("root spans cover %.1f of %.1f ms wall (%.3f), want >= %.2f",
+					covered, got.WallMS, covered/got.WallMS, minCoverage)
+			}
+			if c.trace {
+				checkTrace(t, trace, got.Stages)
 			}
 			golden := filepath.Join("testdata", c.golden)
 			if *update {
@@ -109,6 +134,28 @@ func TestGoldenRuns(t *testing.T) {
 				t.Errorf("%d drift against %s:\n%s", len(res.Drift), golden, strings.Join(res.Drift, "\n"))
 			}
 		})
+	}
+}
+
+// checkTrace reads the -trace export, validates its schema, and requires a
+// span event for every root stage of the run's manifest.
+func checkTrace(t *testing.T, path string, stages []obs.SpanSnapshot) {
+	t.Helper()
+	tf, err := obs.ReadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateTrace(tf); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]bool{}
+	for _, e := range tf.SpanEvents() {
+		spans[e.Name] = true
+	}
+	for _, s := range stages {
+		if !spans[s.Name] {
+			t.Errorf("trace has no span event for root stage %q", s.Name)
+		}
 	}
 }
 

@@ -8,9 +8,11 @@
 // Stages run independently: a failing stage is recorded and the remaining
 // stages still run; the command exits non-zero if any stage failed. With
 // -manifest the run writes a JSON provenance document (seed, scale, span
-// tree, metric values); with -debug-addr it serves live /debug/pprof,
-// /debug/vars and /debug/obs pages while running. SIGINT cancels the
-// in-flight stage and shuts the debug endpoint down cleanly.
+// tree, metric values); with -debug-addr it serves the Go runtime's
+// /debug/pprof/ profiles while running. Every experiment stage records a
+// root span, so the manifest's span tree accounts for the run's wall time.
+// SIGINT cancels the in-flight stage and shuts the debug endpoint down
+// cleanly.
 package main
 
 import (
@@ -36,6 +38,8 @@ import (
 
 func main() {
 	common := cli.Register(flag.CommandLine)
+	common.PipelineFlags()
+	common.ReplayFlags()
 	outDir := flag.String("out", "out", "output directory")
 	manifestPath := flag.String("manifest", "", "write a JSON run manifest to this path")
 	flag.Parse()
@@ -172,6 +176,8 @@ func main() {
 		// Reachability plot of the busiest analyzed ISP: the raw material the
 		// ξ extraction works on (the OPTICS paper's signature diagram), read
 		// from the colocation result the stage above computed.
+		sp := tr.Start("reachability-plot")
+		defer sp.End()
 		col, err := p.ColocationContext(ctx)
 		if err != nil {
 			return err
@@ -245,6 +251,8 @@ func main() {
 	})
 
 	run("sensitivity-sweeps", func() error {
+		sp := tr.Start("sensitivity-sweeps")
+		defer sp.End()
 		var tables strings.Builder
 		for _, s := range []struct {
 			name   string

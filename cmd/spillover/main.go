@@ -17,6 +17,8 @@ import (
 
 func main() {
 	common := cli.Register(flag.CommandLine)
+	common.PipelineFlags()
+	common.ReplayFlags()
 	storm := flag.Bool("storm", false, "also run the perfect-storm scenario")
 	mitigate := flag.Bool("mitigate", false, "also run the §6 isolation what-if")
 	risk := flag.Bool("risk", false, "also run the Monte Carlo colocation-risk ablation")

@@ -56,18 +56,25 @@ func compileSite(s *Site) planSite {
 }
 
 // available is the site's serving capacity in the regime with the failed
-// facilities' shares removed.
+// facilities' shares removed. A site none of whose facilities survives
+// serves exactly 0: its shares need not sum to exactly 1, so 1-lost could
+// leave a sliver of either sign.
 func (s *planSite) available(burst bool, failed map[inet.FacilityID]bool) float64 {
 	avail := s.nominal
 	if burst {
 		avail = s.burst
 	}
 	if failed != nil {
-		lost := 0.0
+		lost, survives := 0.0, false
 		for _, fs := range s.shares {
 			if failed[fs.fid] {
 				lost += fs.share
+			} else {
+				survives = true
 			}
+		}
+		if !survives {
+			return 0
 		}
 		avail *= 1 - lost
 	}

@@ -17,27 +17,15 @@ import (
 // the differential oracle. It re-reads the model's maps on every call,
 // re-sorts each hypergiant's ISPs, and sums failed facility shares in map
 // iteration order, so it agrees with the plan bit for bit whenever at most
-// two facilities of any one site fail.
+// two facilities of any one site fail. It shares the plan's one rule for a
+// site whose facilities all failed (legacyAvailable).
 func legacyServe(m *Model, mult float64, scale map[traffic.HG]float64, failedFacilities map[inet.FacilityID]bool, burst bool) []Flow {
 	var flows []Flow
 	pool := make(map[traffic.HG]map[inet.ASN]float64)
 	for _, hg := range traffic.All {
 		pool[hg] = make(map[inet.ASN]float64, len(m.Upstream[hg]))
 		for as, site := range m.Upstream[hg] {
-			avail := site.NominalGbps
-			if burst {
-				avail = site.BurstGbps
-			}
-			if failedFacilities != nil {
-				lost := 0.0
-				for fid, share := range site.Facilities {
-					if failedFacilities[fid] {
-						lost += share
-					}
-				}
-				avail *= 1 - lost
-			}
-			pool[hg][as] = avail
+			pool[hg][as] = legacyAvailable(site, burst, failedFacilities)
 		}
 	}
 	for _, hg := range traffic.All {
@@ -55,19 +43,7 @@ func legacyServe(m *Model, mult float64, scale map[traffic.HG]float64, failedFac
 		for _, as := range isps {
 			site := m.Sites[hg][as]
 			demand := m.PeakDemand(hg, as) * mult * s
-			avail := site.NominalGbps
-			if burst {
-				avail = site.BurstGbps
-			}
-			if failedFacilities != nil {
-				lost := 0.0
-				for fid, share := range site.Facilities {
-					if failedFacilities[fid] {
-						lost += share
-					}
-				}
-				avail *= 1 - lost
-			}
+			avail := legacyAvailable(site, burst, failedFacilities)
 			offnet := math.Min(demand*m.cfg.Mix.OffnetFraction(hg), avail)
 			rest := demand - offnet
 			pni := math.Min(rest, m.PNIGbps[hg][as])
@@ -98,6 +74,31 @@ func legacyServe(m *Model, mult float64, scale map[traffic.HG]float64, failedFac
 		}
 	}
 	return flows
+}
+
+// legacyAvailable is a site's capacity in the regime with the failed
+// facilities' shares removed, summed in map order; a site with every
+// facility failed serves exactly 0.
+func legacyAvailable(site *Site, burst bool, failed map[inet.FacilityID]bool) float64 {
+	avail := site.NominalGbps
+	if burst {
+		avail = site.BurstGbps
+	}
+	if failed == nil {
+		return avail
+	}
+	lost, survives := 0.0, false
+	for fid, share := range site.Facilities {
+		if failed[fid] {
+			lost += share
+		} else {
+			survives = true
+		}
+	}
+	if !survives {
+		return 0
+	}
+	return avail * (1 - lost)
 }
 
 // sameFlowsBits reports the first flow where got and want differ in any
@@ -320,5 +321,42 @@ func TestFailedSharesSumInFacilityOrder(t *testing.T) {
 		if f := flows[0]; f.Offnet != 0 || f.Demand <= 0 {
 			t.Fatalf("pass %d: a site with every facility failed serves %v of %v Gbps offnet", i, f.Offnet, f.Demand)
 		}
+	}
+}
+
+// TestAllFacilitiesFailedServesZero: a multi-facility site, in-ISP or
+// upstream, whose facilities all failed has exactly +0 capacity in both
+// regimes. Its shares often sum to one ulp off 1, so scaling by 1-lost
+// would leave a sliver of either sign.
+func TestAllFacilitiesFailedServesZero(t *testing.T) {
+	cases := 0
+	for seed := int64(1); seed <= 30; seed++ {
+		_, m := buildModel(t, seed)
+		sites := make([]*planSite, 0, len(m.plan.flows)+len(m.plan.pools))
+		for i := range m.plan.flows {
+			sites = append(sites, &m.plan.flows[i].planSite)
+		}
+		for i := range m.plan.pools {
+			sites = append(sites, &m.plan.pools[i])
+		}
+		for _, s := range sites {
+			if len(s.shares) < 2 {
+				continue
+			}
+			failed := make(map[inet.FacilityID]bool, len(s.shares))
+			for _, fs := range s.shares {
+				failed[fs.fid] = true
+			}
+			for _, burst := range []bool{false, true} {
+				cases++
+				if v := s.available(burst, failed); math.Float64bits(v) != 0 {
+					t.Errorf("seed %d: site with %d facilities all failed (burst=%v) has capacity %g, want +0",
+						seed, len(s.shares), burst, v)
+				}
+			}
+		}
+	}
+	if cases == 0 {
+		t.Fatal("no multi-facility site on tiny seeds 1-30; the rule is not exercised")
 	}
 }

@@ -1,9 +1,13 @@
-// Package cli holds the flag surface shared by every command in cmd/: one
-// registration point so -seed, -tiny, -large, -scenario, -v, -workers,
-// -snapshot, -debug-addr, -events, -chaos and -chaos-seed are spelled,
-// defaulted and documented identically everywhere,
-// plus the common startup plumbing (logger, SIGINT-cancelled context, debug
-// endpoints and event streams wired to that context).
+// Package cli holds the flag surface shared by the commands in cmd/: every
+// shared flag is defined here, once, so it is spelled, defaulted and
+// documented identically everywhere, and each command registers only the
+// groups it acts on. Register installs the core flags every command reads
+// (-seed, -tiny, -large, -scenario, -list-scenarios, -v, -snapshot,
+// -debug-addr); PipelineFlags adds the group of commands that run a
+// Pipeline (-workers, -chaos, -chaos-seed, -trace, -events, -lineage);
+// ReplayFlags adds the temporal replay's -hours and -schedule. The package
+// also holds the common startup plumbing (logger, SIGINT-cancelled context,
+// debug endpoint and event streams wired to that context).
 package cli
 
 import (
@@ -24,7 +28,8 @@ import (
 	"offnetrisk/internal/scenario"
 )
 
-// Common is the flag set every command shares.
+// Common holds the shared flags' values. A field whose group the command
+// did not register keeps its zero value.
 type Common struct {
 	Seed          int64
 	Tiny          bool
@@ -32,22 +37,24 @@ type Common struct {
 	Scenario      string
 	ListScenarios bool
 	Verbose       bool
-	Workers       int
 	Snapshot      string
 	DebugAddr     string
-	Events        string
-	Trace         string
-	Lineage       string
-	Chaos         string
-	ChaosSeed     int64
-	Hours         int
-	Schedule      string
+
+	Workers   int
+	Chaos     string
+	ChaosSeed int64
+	Trace     string
+	Events    string
+	Lineage   string
+
+	Hours    int
+	Schedule string
 
 	fs   *flag.FlagSet
 	sink *obs.EventSink
 }
 
-// Register installs the shared flags on fs. Call before the command's own
+// Register installs the core flags on fs. Call before the command's own
 // flags and before flag.Parse.
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{fs: fs}
@@ -57,17 +64,30 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.Scenario, "scenario", "", "named scenario or spec-file path declaring the world (see -list-scenarios)")
 	fs.BoolVar(&c.ListScenarios, "list-scenarios", false, "list the compiled-in scenarios and exit")
 	fs.BoolVar(&c.Verbose, "v", false, "verbose (debug-level) logging")
-	fs.IntVar(&c.Workers, "workers", 0, "parallel workers for experiment stages (0 = GOMAXPROCS)")
 	fs.StringVar(&c.Snapshot, "snapshot", "", "world snapshot file: generate+spill on first run, stream back afterwards (validated against the scenario)")
-	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve /metrics, /debug/pprof, /debug/vars and /debug/obs on this address (e.g. localhost:6060)")
-	fs.StringVar(&c.Events, "events", "", "stream span start/end and funnel snapshots as JSONL to this file")
-	fs.StringVar(&c.Trace, "trace", "", "export the execution timeline as Perfetto-loadable trace-event JSON to this file")
-	fs.StringVar(&c.Lineage, "lineage", "", "record per-decision provenance and write it as JSONL to this file (query with cmd/explain)")
+	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve the Go runtime's /debug/pprof/ profiles on this address (e.g. localhost:6060)")
+	return c
+}
+
+// PipelineFlags installs the flags of commands that run a Pipeline: worker
+// count, fault injection, and the timeline, event-stream and lineage
+// captures. Call after Register and before flag.Parse.
+func (c *Common) PipelineFlags() {
+	fs := c.fs
+	fs.IntVar(&c.Workers, "workers", 0, "parallel workers for experiment stages (0 = GOMAXPROCS)")
 	fs.StringVar(&c.Chaos, "chaos", "off", "fault-injection profile: off, light or heavy (default: the scenario's)")
 	fs.Int64Var(&c.ChaosSeed, "chaos-seed", 7, "seed for the fault-injection streams (independent of -seed; default: the scenario's)")
+	fs.StringVar(&c.Trace, "trace", "", "export the execution timeline as Perfetto-loadable trace-event JSON to this file")
+	fs.StringVar(&c.Events, "events", "", "stream span start/end and funnel snapshots as JSONL to this file")
+	fs.StringVar(&c.Lineage, "lineage", "", "record per-decision provenance and write it as JSONL to this file (query with cmd/explain)")
+}
+
+// ReplayFlags installs the temporal replay's flags (see Temporal). Call
+// after Register and before flag.Parse.
+func (c *Common) ReplayFlags() {
+	fs := c.fs
 	fs.IntVar(&c.Hours, "hours", 0, "replay the temporal engine over this many clock hours (0 = off; implied 24 by -schedule)")
 	fs.StringVar(&c.Schedule, "schedule", "", "event-schedule file (demand steps, facility failures, capacity cuts, isolation) for the temporal replay")
-	return c
 }
 
 // HandleScenarioList prints the scenario registry and reports true when
@@ -183,8 +203,9 @@ func (c *Common) InjectorFromSpec(sp *scenario.Spec) (*chaos.Injector, error) {
 }
 
 // Pipeline builds the pipeline for the selected scenario, seed, scale,
-// workers and chaos profile. The error reports a flag conflict, an
-// unresolvable -scenario, or an invalid -chaos value.
+// workers and chaos profile; commands calling it register PipelineFlags.
+// The error reports a flag conflict, an unresolvable -scenario, or an
+// invalid -chaos value.
 func (c *Common) Pipeline() (*offnetrisk.Pipeline, error) {
 	sp, err := c.ScenarioSpec()
 	if err != nil {
@@ -202,10 +223,11 @@ func (c *Common) Pipeline() (*offnetrisk.Pipeline, error) {
 	return p, nil
 }
 
-// Temporal resolves -hours/-schedule to the replay horizon and the parsed
-// schedule. hours == 0 (and a nil schedule) means no temporal replay was
-// requested; -schedule alone implies a 24-hour horizon. Parse and
-// validation failures of the schedule file are returned as errors.
+// Temporal resolves the ReplayFlags -hours/-schedule to the replay horizon
+// and the parsed schedule. hours == 0 (and a nil schedule) means no
+// temporal replay was requested; -schedule alone implies a 24-hour horizon.
+// Parse and validation failures of the schedule file are returned as
+// errors.
 func (c *Common) Temporal() (hours int, sched *scenario.Schedule, err error) {
 	if c.Hours < 0 {
 		return 0, nil, fmt.Errorf("cli: -hours %d must be >= 0", c.Hours)
@@ -236,33 +258,33 @@ func (c *Common) Context() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// StartDebug serves the debug endpoints when -debug-addr is set and ties
-// their shutdown to ctx, closing the listener (and its accept goroutine)
-// when the command is cancelled. No-op with an empty address.
-func (c *Common) StartDebug(ctx context.Context, tr *obs.Tracer, logger *slog.Logger) error {
+// StartDebug serves the pprof endpoint when -debug-addr is set and ties its
+// shutdown to ctx, closing the listener (and its accept goroutine) when the
+// command is cancelled. No-op with an empty address.
+func (c *Common) StartDebug(ctx context.Context, logger *slog.Logger) error {
 	if c.DebugAddr == "" {
 		return nil
 	}
-	addr, stop, err := obs.ServeDebug(c.DebugAddr, tr)
+	addr, stop, err := obs.ServeDebug(c.DebugAddr)
 	if err != nil {
 		return err
 	}
 	context.AfterFunc(ctx, stop)
-	logger.Info("debug endpoint listening", "url", "http://"+addr+"/debug/obs")
+	logger.Info("debug endpoint listening", "url", "http://"+addr+"/debug/pprof/")
 	return nil
 }
 
 // Observability wires the optional observability surfaces in one call: the
-// -debug-addr endpoint (pprof, expvar, Prometheus /metrics, live /debug/obs
-// page), the -events JSONL stream attached to the tracer, the -trace
-// timeline recording whose Perfetto export is written at teardown, and the
-// -lineage provenance recorder whose JSONL capture is spilled at teardown.
+// -debug-addr pprof endpoint, the -events JSONL stream attached to the
+// tracer, the -trace timeline recording whose Perfetto export is written at
+// teardown, and the -lineage provenance recorder whose JSONL capture is
+// spilled at teardown. Commands calling it register PipelineFlags.
 // The returned close emits the final funnel snapshots, flushes the stream,
 // and writes the trace and lineage files; it is idempotent, also runs on ctx
 // cancellation (so ^C still leaves a complete stream, trace and lineage
 // capture behind), and must be deferred by the command.
 func (c *Common) Observability(ctx context.Context, tr *obs.Tracer, logger *slog.Logger) (func(), error) {
-	if err := c.StartDebug(ctx, tr, logger); err != nil {
+	if err := c.StartDebug(ctx, logger); err != nil {
 		return nil, err
 	}
 	var sink *obs.EventSink

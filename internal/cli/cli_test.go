@@ -4,6 +4,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,16 +13,53 @@ import (
 	"offnetrisk/internal/scenario"
 )
 
-// parse registers the shared flags on a fresh FlagSet and parses args,
-// mirroring what every cmd/ main does.
+// parse registers every shared flag group on a fresh FlagSet and parses
+// args, mirroring what cmd/reproduce does.
 func parse(t *testing.T, args ...string) *Common {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c := Register(fs)
+	c.PipelineFlags()
+	c.ReplayFlags()
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
 	return c
+}
+
+// TestFlagGroups pins which shared flags each group defines: Register alone
+// the core every command reads, and each group method exactly its own
+// names. flag panics on a redefinition, so registering all three on one
+// FlagSet also shows no name is defined by two groups.
+func TestFlagGroups(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	seen := map[string]bool{}
+	added := func() []string {
+		var names []string
+		fs.VisitAll(func(f *flag.Flag) {
+			if !seen[f.Name] {
+				seen[f.Name] = true
+				names = append(names, f.Name)
+			}
+		})
+		sort.Strings(names)
+		return names
+	}
+	c := Register(fs)
+	for _, step := range []struct {
+		group string
+		add   func()
+		want  []string
+	}{
+		{"Register", func() {}, []string{"debug-addr", "large", "list-scenarios", "scenario", "seed", "snapshot", "tiny", "v"}},
+		{"PipelineFlags", c.PipelineFlags, []string{"chaos", "chaos-seed", "events", "lineage", "trace", "workers"}},
+		{"ReplayFlags", c.ReplayFlags, []string{"hours", "schedule"}},
+	} {
+		step.add()
+		if got := added(); !reflect.DeepEqual(got, step.want) {
+			t.Errorf("%s added %v, want %v", step.group, got, step.want)
+		}
+	}
 }
 
 func TestTinyLargeConflict(t *testing.T) {

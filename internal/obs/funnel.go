@@ -113,7 +113,7 @@ type FunnelDrop struct {
 
 // FunnelSnapshot is one funnel's exported state: the per-stage accounting
 // that lands in the run manifest, the reproduce report, the event stream,
-// and the debug page.
+// and the trace's counter tracks.
 type FunnelSnapshot struct {
 	Name  string       `json:"name"`
 	Help  string       `json:"help,omitempty"`

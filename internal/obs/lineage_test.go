@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math/rand"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -184,28 +183,6 @@ func TestLineageManifestBuild(t *testing.T) {
 	m = BuildManifest("test", 42, "tiny", NewTracer(), time.Now())
 	if m.LineageDigest == "" || m.LineageDigest != r.Digest() {
 		t.Fatalf("lineage-on manifest digest = %q, want %q", m.LineageDigest, r.Digest())
-	}
-}
-
-// TestLineageDebugPage: the /debug/obs lineage section renders and escapes
-// caller-supplied strings.
-func TestLineageDebugPage(t *testing.T) {
-	r := NewLineageRecorder()
-	r.Record("s", "g", `<script>alert(1)</script>`, LineageKept, "ok", nil)
-	SetLineage(r)
-	defer SetLineage(nil)
-
-	rec := httptest.NewRecorder()
-	writeObsPage(rec, NewTracer(), time.Now())
-	body := rec.Body.String()
-	if !strings.Contains(body, "<h2>lineage</h2>") {
-		t.Fatal("lineage section missing from /debug/obs")
-	}
-	if strings.Contains(body, "<script>alert(1)</script>") {
-		t.Fatal("lineage subject rendered unescaped")
-	}
-	if !strings.Contains(body, "&lt;script&gt;") {
-		t.Fatal("escaped lineage subject missing from page")
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"math"
 	"sort"
 	"sync"
@@ -305,27 +304,4 @@ func (r *Registry) Snapshot() map[string]MetricValue {
 		}
 	}
 	return out
-}
-
-// Names returns the registered metric names, sorted.
-func (r *Registry) Names() []string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the Default registry under the expvar key
-// "offnetrisk_metrics" (idempotent; expvar.Publish panics on duplicates).
-func PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("offnetrisk_metrics", expvar.Func(func() any {
-			return Default.Snapshot()
-		}))
-	})
 }

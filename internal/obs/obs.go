@@ -1,9 +1,12 @@
 // Package obs is the reproduction's stdlib-only observability layer: a
 // nesting span tracer for per-stage wall time and allocation accounting, a
-// process-wide metrics registry (counters and fixed-bucket histograms)
-// exported via expvar, run manifests carrying provenance for every pipeline
-// run, and an opt-in HTTP debug endpoint serving pprof, expvar, and a live
-// span/progress page.
+// process-wide metrics registry (counters, fixed-bucket histograms and data
+// funnels), run manifests carrying provenance for every pipeline run, and an
+// opt-in HTTP debug endpoint serving the Go runtime's pprof profiles.
+//
+// The registry has three readers: the run manifest (and the REPORT sections
+// rendered from it), the counter tracks of the Perfetto trace export, and
+// the -events JSONL stream.
 //
 // Instrumentation is zero-cost when disabled: a nil *Tracer hands out nil
 // *Span values whose methods are all no-ops, and metrics are single atomic
@@ -412,7 +415,7 @@ func (s *Span) Elapsed() time.Duration {
 }
 
 // SpanSnapshot is an immutable copy of a span subtree, used by the manifest
-// and the live debug page. Zero fields are omitted from JSON, so a golden's
+// and the trace export. Zero fields are omitted from JSON, so a golden's
 // stages (Manifest.Golden) carry their names and nothing else.
 type SpanSnapshot struct {
 	Name       string         `json:"name"`

@@ -152,6 +152,9 @@ func SharedHeadroom(seed int64, values []float64) (Result, error) {
 		return res, err
 	}
 	hosts := d.HostingISPs()
+	// Headroom sizes links from the no-failure loads without changing them,
+	// so every point's scenarios share one baseline.
+	b := cascade.NewBaseline(m, d, cascade.DefaultScenario().DemandMult)
 	for _, v := range values {
 		start := time.Now()
 		var congested, scenarios int
@@ -164,7 +167,7 @@ func SharedHeadroom(seed int64, values []float64) (Result, error) {
 			sc := cascade.DefaultScenario()
 			sc.SharedHeadroom = v
 			sc.FailFacilities = map[inet.FacilityID]bool{fid: true}
-			rep := cascade.Simulate(m, d, sc)
+			rep := b.Simulate(sc)
 			scenarios++
 			if len(rep.CongestedIXPs())+len(rep.CongestedTransits()) > 0 {
 				congested++

@@ -1,8 +1,15 @@
 package sweep
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"offnetrisk/internal/cascade"
+	"offnetrisk/internal/hypergiant"
+	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 )
 
 func TestColocationPropensitySweep(t *testing.T) {
@@ -46,6 +53,72 @@ func TestSharedHeadroomSweep(t *testing.T) {
 	}
 	if res.Points[0].Metrics["congesting-frac"] <= 0 {
 		t.Error("no congestion even at 2% headroom")
+	}
+}
+
+// referenceSharedHeadroom is SharedHeadroom as it was before the sweep
+// shared one baseline: each scenario calls the one-shot cascade.Simulate,
+// which serves a fresh no-failure baseline.
+func referenceSharedHeadroom(seed int64, values []float64) (Result, error) {
+	res := Result{Name: "shared-headroom", Param: "headroom"}
+	sp := scenario.Default()
+	d, m, err := tinyWorld(sp, hypergiant.DeployConfigFromScenario(sp, seed))
+	if err != nil {
+		return res, err
+	}
+	hosts := d.HostingISPs()
+	for _, v := range values {
+		start := time.Now()
+		var congested, scenarios int
+		var collateral float64
+		for _, as := range hosts {
+			fid, n := cascade.TopFacility(d, as)
+			if n <= 0 {
+				continue
+			}
+			sc := cascade.DefaultScenario()
+			sc.SharedHeadroom = v
+			sc.FailFacilities = map[inet.FacilityID]bool{fid: true}
+			rep := cascade.Simulate(m, d, sc)
+			scenarios++
+			if len(rep.CongestedIXPs())+len(rep.CongestedTransits()) > 0 {
+				congested++
+			}
+			collateral += float64(len(rep.CollateralISPs))
+		}
+		res.Points = append(res.Points, Point{
+			Param: v,
+			Metrics: map[string]float64{
+				"congesting-frac": frac(congested, scenarios),
+				"collateral-isps": collateral / float64(max(scenarios, 1)),
+			},
+			ElapsedMS: msSince(start),
+		})
+	}
+	return res, nil
+}
+
+// TestSharedHeadroomMatchesReference: serving the no-failure baseline once
+// per sweep leaves every point equal to the per-scenario reference.
+func TestSharedHeadroomMatchesReference(t *testing.T) {
+	values := []float64{1.02, 1.05, 1.25, 1.5, 2.0}
+	for seed := int64(1); seed <= 6; seed++ {
+		got, err := SharedHeadroom(seed, values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceSharedHeadroom(seed, values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*Result{&got, &want} {
+			for i := range r.Points {
+				r.Points[i].ElapsedMS = 0
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: shared-baseline sweep differs from the reference:\n%s\nwant\n%s", seed, got, want)
+		}
 	}
 }
 
