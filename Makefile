@@ -104,11 +104,17 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario -run '^FuzzParseSchedule$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/coloc -run '^FuzzPairDistance$$' -fuzz '^FuzzPairDistance$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bgp -run '^FuzzPathFrom$$' -fuzz '^FuzzPathFrom$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rngutil -run '^FuzzNew$$' -fuzz '^FuzzNew$$' -fuzztime $(FUZZTIME)
 
 # Huge-tier smoke: generate the huge tier (generation only, no deployment),
 # spill it to a snapshot, and stream it back — bounded wall-clock proof that
-# 50k+-entity worlds build and load. Both runs print the same count line.
+# 50k+-entity worlds build and load. The second run must say streamed=true
+# and print the first run's count line otherwise unchanged. The snapshot
+# lives in a directory of its own, removed on exit.
 check-huge:
-	@rm -f /tmp/huge-smoke.ofnw
-	$(GO) run ./cmd/offnetgen -scenario huge -seed 42 -gen-only -snapshot /tmp/huge-smoke.ofnw
-	$(GO) run ./cmd/offnetgen -scenario huge -seed 42 -gen-only -snapshot /tmp/huge-smoke.ofnw
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	gen() { $(GO) run ./cmd/offnetgen -scenario huge -seed 42 -gen-only -snapshot "$$dir/huge.ofnw"; }; \
+	first=$$(gen); echo "$$first"; second=$$(gen); echo "$$second"; \
+	case "$$second" in *" streamed=true: "*) ;; *) echo "check-huge: the second run did not stream the snapshot" >&2; exit 1;; esac; \
+	counts() { echo "$$1" | sed 's/ streamed=[a-z]*:/ streamed=:/'; }; \
+	if [ "$$(counts "$$first")" != "$$(counts "$$second")" ]; then echo "check-huge: the two runs' count lines differ" >&2; exit 1; fi

@@ -85,7 +85,7 @@ func main() {
 	}
 
 	if *risk {
-		w, d, err := p.World2023()
+		_, d, err := p.World2023()
 		if err != nil {
 			fatal("world build failed", err)
 		}
@@ -106,12 +106,12 @@ func main() {
 			col.MeanHGs, col.MeanAffected/1e6)
 		fmt.Printf("  de-colocated:       %.2f hypergiants hit/outage, %.1fM users affected on average\n",
 			dec.MeanHGs, dec.MeanAffected/1e6)
-		_ = w
 	}
 
 	if *sweeps {
 		// Interactive use gets the timed rendering (wall-clock per sweep
-		// point, from the sweep's spans); REPORT.md keeps the untimed one.
+		// point, from time.Since around each one); REPORT.md keeps the
+		// untimed one.
 		fmt.Println()
 		if r, err := sweep.ColocationPropensity(common.Seed, []float64{0.3, 0.6, 0.86, 0.95}); err == nil {
 			fmt.Print(r.TimedString())

@@ -9,10 +9,14 @@ import (
 	"sort"
 )
 
-// New returns a rand.Rand seeded with the given seed. It exists so callers
-// never reach for the global source.
+// New returns a rand.Rand that yields exactly the stream of
+// rand.New(rand.NewSource(seed)). It exists so callers never reach for the
+// global source, and it seeds on demand: a stream that stops within 273
+// draws never fills math/rand's 607-word register (DESIGN.md §6).
 func New(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	s := new(source)
+	s.Seed(seed)
+	return rand.New(s)
 }
 
 // Derive mixes a base seed with one or more labels into the seed of an
@@ -151,10 +155,13 @@ func Descending(xs []float64) []float64 {
 	return xs
 }
 
-// Fast is a splitmix64 PRNG: far cheaper to seed than math/rand (whose
-// source initialization runs hundreds of iterations), which matters in hot
-// paths that need one independent deterministic stream per (site, target)
-// pair. Not cryptographic; statistical quality is ample for noise synthesis.
+// Fast is a splitmix64 PRNG for hot paths that need one independent
+// deterministic stream per (site, target) pair. Its state is one word and
+// NewFast inlines, so a stream that stays in its function allocates nothing,
+// and a draw is a few multiplies. A New stream allocates its source, each
+// draw goes through an interface call, and a stream that passes 273 draws
+// builds a 607-word register. Not cryptographic; statistical quality is
+// ample for noise synthesis.
 type Fast struct{ state uint64 }
 
 // NewFast returns a Fast seeded with the given value.
