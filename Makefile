@@ -105,6 +105,7 @@ fuzz-smoke:
 	$(GO) test ./internal/coloc -run '^FuzzPairDistance$$' -fuzz '^FuzzPairDistance$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bgp -run '^FuzzPathFrom$$' -fuzz '^FuzzPathFrom$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rngutil -run '^FuzzNew$$' -fuzz '^FuzzNew$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mlab -run '^FuzzProbeStat$$' -fuzz '^FuzzProbeStat$$' -fuzztime $(FUZZTIME)
 
 # Huge-tier smoke: generate the huge tier (generation only, no deployment),
 # spill it to a snapshot, and stream it back — bounded wall-clock proof that

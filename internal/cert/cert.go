@@ -88,12 +88,29 @@ func MatchPattern(pattern, name string) bool {
 // AnyNameMatches reports whether any certificate name matches any of the
 // patterns.
 func (c Certificate) AnyNameMatches(patterns []string) bool {
-	for _, n := range c.Names() {
+	_, ok := c.FirstNameMatching(patterns)
+	return ok
+}
+
+// FirstNameMatching returns the first of the certificate's names, in Names'
+// order (the CN when non-empty, then the SANs), that matches any of the
+// patterns. It reads the names in place.
+func (c Certificate) FirstNameMatching(patterns []string) (string, bool) {
+	matches := func(name string) bool {
 		for _, p := range patterns {
-			if MatchPattern(p, n) {
+			if MatchPattern(p, name) {
 				return true
 			}
 		}
+		return false
 	}
-	return false
+	if c.SubjectCN != "" && matches(c.SubjectCN) {
+		return c.SubjectCN, true
+	}
+	for _, n := range c.DNSNames {
+		if matches(n) {
+			return n, true
+		}
+	}
+	return "", false
 }

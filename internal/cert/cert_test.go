@@ -120,3 +120,34 @@ func TestAnyNameMatches(t *testing.T) {
 		t.Error("no patterns should match nothing")
 	}
 }
+
+// TestFirstNameMatching pins Names' order: the CN when non-empty, then the
+// SANs as listed, and the first name matching any pattern wins.
+func TestFirstNameMatching(t *testing.T) {
+	c := Certificate{
+		SubjectCN: "edge.example",
+		DNSNames:  []string{"a.nflxvideo.net", "b.fbcdn.net", "c.nflxvideo.net"},
+	}
+	for _, tc := range []struct {
+		cert     Certificate
+		patterns []string
+		want     string
+		ok       bool
+	}{
+		{c, []string{"*.fbcdn.net", "*.nflxvideo.net"}, "a.nflxvideo.net", true},
+		{c, []string{"*.fbcdn.net"}, "b.fbcdn.net", true},
+		{c, []string{"*.nflxvideo.net", "edge.example"}, "edge.example", true},
+		{c, []string{"*.googlevideo.com"}, "", false},
+		{c, nil, "", false},
+		{Certificate{DNSNames: []string{"x.fbcdn.net"}}, []string{"*.fbcdn.net"}, "x.fbcdn.net", true},
+		{Certificate{SubjectCN: "y.fbcdn.net"}, []string{"*.fbcdn.net"}, "y.fbcdn.net", true},
+	} {
+		got, ok := tc.cert.FirstNameMatching(tc.patterns)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("%+v.FirstNameMatching(%q) = %q, %v; want %q, %v", tc.cert, tc.patterns, got, ok, tc.want, tc.ok)
+		}
+		if got := tc.cert.AnyNameMatches(tc.patterns); got != tc.ok {
+			t.Errorf("%+v.AnyNameMatches(%q) = %v, want %v", tc.cert, tc.patterns, got, tc.ok)
+		}
+	}
+}

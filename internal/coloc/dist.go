@@ -234,47 +234,7 @@ func DistanceMatrixInto(ctx context.Context, m *DistMatrix, ms []*mlab.Measureme
 	opts := par.Options{Workers: workers, Name: "distance-matrix"}
 	err := par.ForEachLocal(ctx, blocks, opts, func() *PairScratch { return &PairScratch{} },
 		func(_ context.Context, b int, sc *PairScratch) error {
-			start := b * pairBlock
-			end := start + pairBlock
-			if end > pairs {
-				end = pairs
-			}
-			// Unrank the block's first flat cell into its (i, j) pair, then
-			// walk the triangle row-major: the flat index advances in
-			// lockstep, so each cell is written exactly once by one task.
-			i, rowStart := 0, 0
-			for rowStart+(n-1-i) <= start {
-				rowStart += n - 1 - i
-				i++
-			}
-			j := i + 1 + (start - rowStart)
-			lr := obs.ActiveLineage()
-			for k := start; k < end; k++ {
-				m.cells[k] = sc.PairDistance(ms[i].RTTms, ms[j].RTTms, sites, exclude)
-				if lr != nil {
-					// Sampled pair evidence. Every pair belongs to exactly one
-					// ISP's measurement set and one block task, so no two
-					// workers ever offer the same identity — the sample is
-					// deterministic at any worker count.
-					a, b, d := ms[i].Target, ms[j].Target, m.cells[k]
-					lr.Record(fPairs.Name(), fmt.Sprintf("isp=%d", a.ISP),
-						a.Addr.String()+"|"+b.Addr.String(),
-						obs.LineageKept, "distance", func() []obs.LineageKV {
-							return []obs.LineageKV{
-								{K: "distance_ms", V: fmt.Sprintf("%.6g", d)},
-								{K: "sites", V: fmt.Sprint(len(sites))},
-								{K: "exclude_frac", V: fmt.Sprintf("%g", exclude)},
-								{K: "hg_a", V: a.HG.String()},
-								{K: "hg_b", V: b.HG.String()},
-							}
-						})
-				}
-				j++
-				if j == n {
-					i++
-					j = i + 1
-				}
-			}
+			m.fillBlock(b, sc, ms, sites, exclude)
 			sc.FlushFunnel()
 			return nil
 		})
@@ -283,4 +243,46 @@ func DistanceMatrixInto(ctx context.Context, m *DistMatrix, ms []*mlab.Measureme
 	}
 	mDistancesComputed.Add(int64(pairs))
 	return nil
+}
+
+// fillBlock writes block b's cells. It unranks the block's first flat cell
+// into its (i, j) pair, then walks the triangle row-major: the flat index
+// advances in lockstep, so each cell is written exactly once by one task.
+func (m *DistMatrix) fillBlock(b int, sc *PairScratch, ms []*mlab.Measurement, sites []int, exclude float64) {
+	n := m.n
+	start := b * pairBlock
+	end := min(start+pairBlock, len(m.cells))
+	i, rowStart := 0, 0
+	for rowStart+(n-1-i) <= start {
+		rowStart += n - 1 - i
+		i++
+	}
+	j := i + 1 + (start - rowStart)
+	lr := obs.ActiveLineage()
+	for k := start; k < end; k++ {
+		m.cells[k] = sc.PairDistance(ms[i].RTTms, ms[j].RTTms, sites, exclude)
+		if lr != nil {
+			// Sampled pair evidence. Every pair belongs to exactly one
+			// ISP's measurement set and one block task, so no two
+			// workers ever offer the same identity — the sample is
+			// deterministic at any worker count.
+			a, b, d := ms[i].Target, ms[j].Target, m.cells[k]
+			lr.Record(fPairs.Name(), fmt.Sprintf("isp=%d", a.ISP),
+				a.Addr.String()+"|"+b.Addr.String(),
+				obs.LineageKept, "distance", func() []obs.LineageKV {
+					return []obs.LineageKV{
+						{K: "distance_ms", V: fmt.Sprintf("%.6g", d)},
+						{K: "sites", V: fmt.Sprint(len(sites))},
+						{K: "exclude_frac", V: fmt.Sprintf("%g", exclude)},
+						{K: "hg_a", V: a.HG.String()},
+						{K: "hg_b", V: b.HG.String()},
+					}
+				})
+		}
+		j++
+		if j == n {
+			i++
+			j = i + 1
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -220,38 +221,128 @@ func syntheticMeasurements(seed int64, n, sites int) ([]*mlab.Measurement, []int
 }
 
 // TestDistanceMatrixBlocksMatchPairDistance checks the balanced pair-block
-// fill cell by cell against direct PairDistance calls, bit for bit across
-// worker counts and at a size large enough to span multiple blocks (n=70 →
-// 2415 pairs > one 2048-cell block), and against the reference within the
-// summation-order bound.
+// fill cell by cell against direct PairDistance calls, bit for bit at 1, 3
+// and 8 workers, and against the reference within the summation-order
+// bound. The site lists are the identity, a strict ascending subset and an
+// out-of-order subset (a pair reads its sites in the list's order); the
+// vectors have NaN holes, sparse and dense; n=100 gives 4950 pairs, three
+// 2048-cell blocks. The coloc.pairs funnel must read the same in, out and
+// drop counts as the direct calls.
 func TestDistanceMatrixBlocksMatchPairDistance(t *testing.T) {
-	ms, sites := syntheticMeasurements(3, 70, 60)
-	direct := func(i, j int) float64 {
-		if i == j {
-			return 0
-		}
-		return PairDistance(ms[i].RTTms, ms[j].RTTms, sites, DiscrepancyExclusion)
+	const n, width = 100, 60
+	identity := make([]int, width)
+	for i := range identity {
+		identity[i] = i
 	}
-	for _, workers := range []int{1, 3, 8} {
-		dm, err := DistanceMatrixContext(context.Background(), ms, sites, DiscrepancyExclusion, workers)
-		if err != nil {
-			t.Fatal(err)
+	var ascending []int
+	for i := 0; i < width; i += 3 {
+		ascending = append(ascending, i, i+1)
+	}
+	outOfOrder := []int{41, 3, 17, 59, 0, 22, 8, 35, 12, 50, 29, 46, 5, 33, 57, 1}
+	dense, _ := syntheticMeasurements(4, n, width)
+	for _, m := range dense {
+		for s := 0; s < width; s += 4 {
+			m.RTTms[s] = math.NaN()
 		}
-		for i := 0; i < len(ms); i++ {
-			for j := 0; j < len(ms); j++ {
-				if want := direct(i, j); math.Float64bits(dm.At(i, j)) != math.Float64bits(want) {
-					t.Fatalf("workers=%d: cell %d,%d = %v, want %v", workers, i, j, dm.At(i, j), want)
+	}
+	sparse, _ := syntheticMeasurements(3, n, width)
+	for _, c := range []struct {
+		name  string
+		ms    []*mlab.Measurement
+		sites []int
+	}{
+		{"identity", sparse, identity},
+		{"ascending-subset", sparse, ascending},
+		{"out-of-order", sparse, outOfOrder},
+		{"dense-nan-out-of-order", dense, outOfOrder},
+		{"dense-nan-identity", dense, identity},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ms, sites := c.ms, c.sites
+			obs.Default.Reset()
+			direct := make([][]float64, n)
+			for i := range direct {
+				direct[i] = make([]float64, n)
+				for j := i + 1; j < n; j++ {
+					direct[i][j] = PairDistance(ms[i].RTTms, ms[j].RTTms, sites, DiscrepancyExclusion)
 				}
 			}
+			want := pairsFunnel(t)
+			for _, workers := range []int{1, 3, 8} {
+				obs.Default.Reset()
+				dm, err := DistanceMatrixContext(context.Background(), ms, sites, DiscrepancyExclusion, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := pairsFunnel(t); !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d: coloc.pairs %+v, direct calls %+v", workers, got, want)
+				}
+				for i := 0; i < n; i++ {
+					if d := dm.At(i, i); d != 0 {
+						t.Fatalf("workers=%d: diagonal %d = %v", workers, i, d)
+					}
+					for j := i + 1; j < n; j++ {
+						if got := dm.At(i, j); math.Float64bits(got) != math.Float64bits(direct[i][j]) {
+							t.Fatalf("workers=%d: cell %d,%d = %v, want %v", workers, i, j, got, direct[i][j])
+						}
+					}
+				}
+			}
+			if nanDrops(want) == 0 {
+				t.Fatal("no NaN sample among the pairs")
+			}
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					ref, kept := referencePairDistance(ms[i].RTTms, ms[j].RTTms, sites, DiscrepancyExclusion)
+					if got := direct[i][j]; !nearReference(got, ref, len(kept)) {
+						t.Fatalf("cell %d,%d = %v, want reference %v within %d·2⁻⁵² relative", i, j, got, ref, len(kept))
+					}
+				}
+			}
+		})
+	}
+}
+
+// pairsFunnel returns the coloc.pairs snapshot of the default registry.
+func pairsFunnel(t *testing.T) obs.FunnelSnapshot {
+	t.Helper()
+	for _, s := range obs.Default.FunnelSnapshots() {
+		if s.Name == fPairs.Name() {
+			return s
 		}
 	}
-	for i := 0; i < len(ms); i++ {
-		for j := i + 1; j < len(ms); j++ {
-			ref, kept := referencePairDistance(ms[i].RTTms, ms[j].RTTms, sites, DiscrepancyExclusion)
-			if got := direct(i, j); !nearReference(got, ref, len(kept)) {
-				t.Fatalf("cell %d,%d = %v, want reference %v within %d·2⁻⁵² relative", i, j, got, ref, len(kept))
-			}
+	t.Fatal("no coloc.pairs funnel")
+	return obs.FunnelSnapshot{}
+}
+
+// nanDrops returns the snapshot's nan_rtt drop count.
+func nanDrops(s obs.FunnelSnapshot) int64 {
+	for _, d := range s.Drops {
+		if d.Reason == "nan_rtt" {
+			return d.N
 		}
+	}
+	return 0
+}
+
+// TestDistanceMatrixFillZeroAlloc guards the reused matrix: once a fill has
+// grown its cells and pair scratch, filling every block again allocates
+// nothing. (The parallel fan-out's own bookkeeping, per call of
+// DistanceMatrixInto, is outside the matrix.)
+func TestDistanceMatrixFillZeroAlloc(t *testing.T) {
+	ms, sites := syntheticMeasurements(12, 79, 163)
+	var m DistMatrix
+	var sc PairScratch
+	fill := func() {
+		m.Reset(len(ms))
+		for b := 0; b*pairBlock < len(m.cells); b++ {
+			m.fillBlock(b, &sc, ms, sites, DiscrepancyExclusion)
+		}
+		sc.FlushFunnel()
+	}
+	fill()
+	if n := testing.AllocsPerRun(20, fill); n != 0 {
+		t.Fatalf("a warm fill allocates %v times, want 0", n)
 	}
 }
 
@@ -385,5 +476,33 @@ func BenchmarkPairDistance(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDistanceMatrix times one default-shaped ISP's fill into a reused
+// matrix on one worker: 79 offnets over 163 sites, 3081 pairs, with every
+// RTT present, as at an ISP's good sites.
+func BenchmarkDistanceMatrix(b *testing.B) {
+	r := rngutil.New(13)
+	ms := make([]*mlab.Measurement, 79)
+	for i := range ms {
+		v := make([]float64, 163)
+		for s := range v {
+			v[s] = r.Float64() * 40
+		}
+		ms[i] = &mlab.Measurement{RTTms: v}
+	}
+	sites := make([]int, 163)
+	for i := range sites {
+		sites[i] = i
+	}
+	var m DistMatrix
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DistanceMatrixInto(ctx, &m, ms, sites, DiscrepancyExclusion, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

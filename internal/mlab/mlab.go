@@ -14,9 +14,11 @@
 package mlab
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"offnetrisk/internal/chaos"
@@ -415,13 +417,13 @@ func facilityBase(f *inet.Facility, sites []Site) []float64 {
 }
 
 // probeScratch is the per-worker campaign state: the per-(site,target)
-// probe RTTs are collected into a reused slice, the speed-of-light check
-// keeps its lowest-RTT candidates in another, and a kept target's RTTs are
-// tallied into a ping.rtt_ms batch.
+// jitter draws of the surviving probes are collected into a reused slice,
+// the speed-of-light check keeps its lowest-RTT candidates in another, and a
+// kept target's RTTs are tallied into a ping.rtt_ms batch.
 type probeScratch struct {
-	got  []float64
-	low  []siteRTT
-	rtts *obs.HistogramBatch
+	draws []uint64
+	low   []siteRTT
+	rtts  *obs.HistogramBatch
 }
 
 func newProbeScratch() *probeScratch { return &probeScratch{rtts: mRTTHist.Batch()} }
@@ -431,9 +433,10 @@ func newProbeScratch() *probeScratch { return &probeScratch{rtts: mRTTHist.Batch
 // survive). base may be nil for anycast targets, which are located per-site.
 func measureServer(w *inet.World, s *hypergiant.Server, sites []Site, cfg Config, base []float64, sc *probeScratch) *Measurement {
 	rtts := make([]float64, len(sites))
-	if cap(sc.got) < cfg.Probes {
-		sc.got = make([]float64, 0, cfg.Probes)
+	if cap(sc.draws) < cfg.Probes {
+		sc.draws = make([]uint64, 0, cfg.Probes)
 	}
+	chaosOn := cfg.Chaos.Enabled()
 
 	// Anycast targets answer from several distinct locations.
 	var anycastLocs []geo.Point
@@ -477,56 +480,107 @@ func measureServer(w *inet.World, s *hypergiant.Server, sites []Site, cfg Config
 			cfg.Chaos.Stragglers.Inc()
 		}
 
-		got := sc.got[:0]
+		// Each probe takes a loss draw and, if it survives that, a jitter
+		// draw: the top 53 bits of one stream word, which Float64 would
+		// scale by 2⁻⁵³. Only the kept probe's draw becomes an RTT
+		// (probeStat).
+		draws := sc.draws[:0]
 		for p := 0; p < cfg.Probes; p++ {
 			if r.Float64() < cfg.ProbeLoss {
 				continue
 			}
-			// Queueing jitter: exponential-ish tail plus a small floor. The
-			// scale keeps the second-smallest-of-8 residual (~0.2 ms) well
-			// below typical inter-facility route-offset gaps (~2 ms), the
-			// separation the validated clustering technique relies on.
-			jitter := -0.8 * math.Log(1-r.Float64())
+			k := r.Uint64() >> 11
 			// Chaos probe loss is checked after the jitter draw so the
 			// natural stream advances exactly as in a clean run: dropping
 			// probe p never changes probe p+1's RTT.
-			if cfg.Chaos.ProbeLost(int64(s.Addr), int64(si), int64(p)) {
+			if chaosOn && cfg.Chaos.ProbeLost(int64(s.Addr), int64(si), int64(p)) {
 				cfg.Chaos.ProbesLost.Inc()
 				continue
 			}
-			got = append(got, floor+0.1+jitter)
+			draws = append(draws, k)
 		}
-		if len(got) < 2 {
-			rtts[si] = math.NaN()
-			continue
-		}
-		rtts[si] = orderStat(got, cfg.Stat)
+		rtts[si] = probeStat(floor, draws, cfg.Stat)
 	}
 	return &Measurement{Target: s, RTTms: rtts}
 }
 
-// orderStat returns the stat order statistic of the probe RTTs got (at
-// least two): the smallest and second-smallest in one pass, the ablation's
-// median by sorting got. Equal RTTs are bit-identical (probe RTTs are
-// positive, so no ±0 pair), so the pass returns the value a sort would put
-// at index 0 or 1.
-func orderStat(got []float64, stat Statistic) float64 {
-	if stat == StatMedian {
-		sort.Float64s(got)
-		return got[len(got)/2]
+// probeRTT is the RTT of a probe over a path with the given floor whose
+// jitter draw is k, the top 53 bits of a stream word (k < 2⁵³).
+func probeRTT(floor float64, k uint64) float64 {
+	// Queueing jitter: exponential-ish tail plus a small floor. The scale
+	// keeps the second-smallest-of-8 residual (~0.2 ms) well below typical
+	// inter-facility route-offset gaps (~2 ms), the separation the
+	// validated clustering technique relies on.
+	jitter := -0.8 * math.Log(1-float64(k)/(1<<53))
+	return floor + 0.1 + jitter
+}
+
+// drawGap is W: jitter draws at least this far apart have RTTs ordered as
+// the draws are. 1 − k·2⁻⁵³ is exact and log's slope is at least 1 on
+// (0, 1], so the exact logs of two such draws differ by at least 2⁻²¹,
+// while each computed log is within 1 ulp (< 2⁻⁴⁷, since |log| < 37) of
+// its exact value; scaling by −0.8 and adding the floor are correctly
+// rounded, hence monotone. This holds whatever the platform's log does
+// between the two, so no monotonicity of math.Log is assumed.
+const drawGap = 1 << 32
+
+// probeStat returns the stat order statistic of the RTTs probeRTT gives the
+// surviving probes' jitter draws (NaN when fewer than two survive): the
+// value sorting every RTT and indexing would return. It computes RTTs only
+// for the band of draws chained to the statistic's draw by gaps below
+// drawGap — outside the band, RTTs order as their draws do. For the second
+// smallest of 8 draws the band is that one draw on all but about 2⁻¹⁷ of
+// sites (two gaps, each below drawGap with probability ≈ 8·2⁻²¹): 17 of
+// the 2.7 million of the default seed-42 campaign. draws may be reordered.
+func probeStat(floor float64, draws []uint64, stat Statistic) float64 {
+	m := len(draws)
+	if m < 2 {
+		return math.NaN()
 	}
-	lo, second := math.Inf(1), math.Inf(1)
-	for _, v := range got {
-		if v < lo {
-			lo, second = v, lo
-		} else if v < second {
-			second = v
+	q := 1 // second smallest (Appendix A)
+	switch stat {
+	case StatMin:
+		q = 0
+	case StatMedian:
+		q = m / 2
+	}
+	if q <= 1 {
+		// The three smallest draws, branch-free; a missing third stays
+		// above every draw by more than drawGap.
+		a, b, c := ^uint64(0), ^uint64(0), ^uint64(0)
+		for _, k := range draws {
+			c = min(c, max(b, k))
+			b = min(b, max(a, k))
+			a = min(a, k)
+		}
+		if q == 0 && b-a >= drawGap {
+			return probeRTT(floor, a)
+		}
+		if q == 1 && b-a >= drawGap && c-b >= drawGap {
+			return probeRTT(floor, b)
 		}
 	}
-	if stat == StatMin {
-		return lo
+	slices.Sort(draws)
+	lo, hi := q, q
+	for lo > 0 && draws[lo]-draws[lo-1] < drawGap {
+		lo--
 	}
-	return second // second smallest (Appendix A)
+	for hi < m-1 && draws[hi+1]-draws[hi] < drawGap {
+		hi++
+	}
+	if lo == hi {
+		return probeRTT(floor, draws[q])
+	}
+	// The band's RTTs replace its draws, as float bits, and are sorted as
+	// floats; every draw below the band has an RTT at most the band's.
+	band := draws[lo : hi+1]
+	for i, k := range band {
+		band[i] = math.Float64bits(probeRTT(floor, k))
+	}
+	slices.SortFunc(band, func(x, y uint64) int {
+		return cmp.Compare(math.Float64frombits(x), math.Float64frombits(y))
+	})
+	return math.Float64frombits(band[q-lo])
 }
 
 // routeOffsetMs is the stable routing detour from a site toward a facility:

@@ -2,6 +2,8 @@ package mlab
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -416,10 +418,13 @@ func TestMeasureEmptyDeployment(t *testing.T) {
 	}
 }
 
+// referenceScratch is referenceMeasureServer's reused probe buffer.
+type referenceScratch struct{ got []float64 }
+
 // referenceMeasureServer is measureServer as it was before the one-pass
-// order statistic, kept verbatim as the oracle: it sorts every site's probe
-// RTTs and indexes the sorted slice.
-func referenceMeasureServer(w *inet.World, s *hypergiant.Server, sites []Site, cfg Config, base []float64, sc *probeScratch) *Measurement {
+// order statistic, kept verbatim as the oracle: it computes every surviving
+// probe's RTT, sorts a site's RTTs and indexes the sorted slice.
+func referenceMeasureServer(w *inet.World, s *hypergiant.Server, sites []Site, cfg Config, base []float64, sc *referenceScratch) *Measurement {
 	rtts := make([]float64, len(sites))
 	if cap(sc.got) < cfg.Probes {
 		sc.got = make([]float64, 0, cfg.Probes)
@@ -504,90 +509,332 @@ func referenceMeasureServer(w *inet.World, s *hypergiant.Server, sites []Site, c
 }
 
 // TestMeasureServerMatchesReference is the differential proof that the
-// one-pass order statistic picks the value the sort-based reference picks:
-// RTT vectors must be bit-identical for every Statistic at 1, 2, 3 and 8
-// probes, at the default probe loss and at a loss so high that many sites
-// keep fewer than two probes (NaN), clean and under heavy chaos
-// (stragglers, extra probe loss). It measures every anycast target and
-// every seventh other server of a tiny world.
+// draw-order kernel keeps the value the sort-based reference keeps: RTT
+// vectors must be bit-identical. The tiny case covers every Statistic at 1,
+// 2, 3 and 8 probes, at the default probe loss and at a loss so high that
+// many sites keep fewer than two probes (NaN), clean and under heavy chaos
+// (stragglers, extra probe loss), over every anycast target and every
+// seventh other server of a tiny world. The default case measures every
+// target of the default seed-42 world as the campaign does (second
+// smallest of 8 probes, 1% loss, chaos off).
 func TestMeasureServerMatchesReference(t *testing.T) {
-	const seed = 24
-	d := chaosDeployment(t, seed)
-	w := d.World
-	sites := Sites(163, seed)
-	var targets []*hypergiant.Server
-	for i, s := range d.Servers {
-		if s.Anycast || i%7 == 0 {
-			targets = append(targets, s)
+	t.Run("tiny-seed-24", func(t *testing.T) {
+		const seed = 24
+		d := chaosDeployment(t, seed)
+		var targets []*hypergiant.Server
+		for i, s := range d.Servers {
+			if s.Anycast || i%7 == 0 {
+				targets = append(targets, s)
+			}
 		}
-	}
+		sites := Sites(163, seed)
+		for _, chaosProfile := range []string{"off", "heavy"} {
+			for _, probes := range []int{1, 2, 3, 8} {
+				for _, loss := range []float64{0.01, 0.6} {
+					var nan, kept int
+					for _, stat := range []Statistic{StatSecondSmallest, StatMin, StatMedian} {
+						cfg := Config{Seed: seed, Probes: probes, Stat: stat, ProbeLoss: loss}
+						if chaosProfile != "off" {
+							cfg.Chaos = chaosInjector(t, chaosProfile, 11)
+						}
+						n, k := matchesReference(t, d.World, targets, sites, cfg.sanitized())
+						nan, kept = nan+n, kept+k
+					}
+					// The vectors must hold both outcomes wherever they can:
+					// one probe never yields an RTT, and 8 probes at 1% loss
+					// all but never lose a site.
+					if probes == 1 && kept != 0 {
+						t.Fatalf("chaos=%s probes=1: %d RTTs kept from single probes", chaosProfile, kept)
+					}
+					if probes > 1 && kept == 0 || probes > 1 && loss > 0.5 && nan == 0 {
+						t.Fatalf("chaos=%s probes=%d loss=%v: %d NaN and %d kept RTTs; want both",
+							chaosProfile, probes, loss, nan, kept)
+					}
+				}
+			}
+		}
+	})
+	t.Run("default-seed-42", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("measures every target of the default world")
+		}
+		const seed = 42
+		w := inet.Generate(inet.ConfigFromScenario(scenario.Default(), seed))
+		d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := ConfigFromScenario(scenario.Default(), seed).sanitized()
+		if cfg.Probes != 8 || cfg.ProbeLoss != 0.01 || cfg.Stat != StatSecondSmallest || cfg.Chaos != nil {
+			t.Fatalf("default campaign config %+v, want the second smallest of 8 probes at 1%% loss, chaos off", cfg)
+		}
+		if _, kept := matchesReference(t, w, d.Servers, Sites(163, seed), cfg); kept == 0 {
+			t.Fatal("no RTT kept")
+		}
+	})
+}
+
+// matchesReference measures every target with measureServer and with
+// referenceMeasureServer, fails on the first RTT whose bits differ, and
+// returns how many RTTs were NaN and how many kept.
+func matchesReference(t *testing.T, w *inet.World, targets []*hypergiant.Server, sites []Site, cfg Config) (nan, kept int) {
+	t.Helper()
 	bases := make(map[inet.FacilityID][]float64)
 	for _, s := range targets {
 		if !s.Anycast && bases[s.Facility] == nil {
 			bases[s.Facility] = facilityBase(w.Facilities[s.Facility], sites)
 		}
 	}
-	sc, refSc := newProbeScratch(), newProbeScratch()
-	for _, chaosProfile := range []string{"off", "heavy"} {
-		for _, probes := range []int{1, 2, 3, 8} {
-			for _, loss := range []float64{0.01, 0.6} {
-				var nan, kept int
-				for _, stat := range []Statistic{StatSecondSmallest, StatMin, StatMedian} {
-					cfg := Config{Seed: seed, Probes: probes, Stat: stat, ProbeLoss: loss}
-					if chaosProfile != "off" {
-						cfg.Chaos = chaosInjector(t, chaosProfile, 11)
-					}
-					cfg = cfg.sanitized()
-					for _, s := range targets {
-						got := measureServer(w, s, sites, cfg, bases[s.Facility], sc).RTTms
-						want := referenceMeasureServer(w, s, sites, cfg, bases[s.Facility], refSc).RTTms
-						for si := range want {
-							if math.Float64bits(got[si]) != math.Float64bits(want[si]) {
-								t.Fatalf("chaos=%s probes=%d loss=%v stat=%d target %v site %d: RTT %v, reference %v",
-									chaosProfile, probes, loss, stat, s.Addr, si, got[si], want[si])
+	sc, refSc := newProbeScratch(), &referenceScratch{}
+	for _, s := range targets {
+		got := measureServer(w, s, sites, cfg, bases[s.Facility], sc).RTTms
+		want := referenceMeasureServer(w, s, sites, cfg, bases[s.Facility], refSc).RTTms
+		for si := range want {
+			if math.Float64bits(got[si]) != math.Float64bits(want[si]) {
+				t.Fatalf("chaos=%v probes=%d loss=%v stat=%d target %v site %d: RTT %v, reference %v",
+					cfg.Chaos.Enabled(), cfg.Probes, cfg.ProbeLoss, cfg.Stat, s.Addr, si, got[si], want[si])
+			}
+			if math.IsNaN(want[si]) {
+				nan++
+			} else {
+				kept++
+			}
+		}
+	}
+	return nan, kept
+}
+
+// referenceProbeStat is the oracle for probeStat: it computes every draw's
+// RTT with the campaign's expression, sorts them and indexes the sorted
+// slice, as referenceMeasureServer does.
+func referenceProbeStat(floor float64, draws []uint64, stat Statistic) float64 {
+	if len(draws) < 2 {
+		return math.NaN()
+	}
+	got := make([]float64, 0, len(draws))
+	for _, k := range draws {
+		jitter := -0.8 * math.Log(1-float64(k)/(1<<53))
+		got = append(got, floor+0.1+jitter)
+	}
+	sort.Float64s(got)
+	switch stat {
+	case StatMin:
+		return got[0]
+	case StatMedian:
+		return got[len(got)/2]
+	default:
+		return got[1]
+	}
+}
+
+// probeStatAgrees runs probeStat on a copy of draws and returns an error
+// unless its bits equal the reference's (any NaN matches any NaN).
+func probeStatAgrees(floor float64, draws []uint64, stat Statistic) error {
+	want := referenceProbeStat(floor, draws, stat)
+	got := probeStat(floor, append([]uint64(nil), draws...), stat)
+	if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+		return fmt.Errorf("probeStat(%v, %#x, %d) = %v, reference %v", floor, draws, stat, got, want)
+	}
+	return nil
+}
+
+// statIndex is the sorted index the statistic keeps among m probes.
+func statIndex(stat Statistic, m int) int {
+	switch stat {
+	case StatMin:
+		return 0
+	case StatMedian:
+		return m / 2
+	}
+	return 1
+}
+
+// maxDraw is the largest jitter draw, 2⁵³ − 1.
+const maxDraw = 1<<53 - 1
+
+// TestProbeStatBandEdges checks the draw-order kernel on draws that runs
+// almost never produce: for 2 to 8 draws and every statistic, the gaps just
+// below and just above the kept index take 0, 1, W−1, W, W+1 or a wide gap,
+// the other gaps are wide, W−1 (chains of close draws that cross the kept
+// index) or 0, and the set starts at draw 0, sits mid-range or ends at
+// 2⁵³ − 1; each set is also tried in reverse and in a rotated order, since
+// probes arrive unsorted. Floors are 0, 0.1 and 300 ms.
+func TestProbeStatBandEdges(t *testing.T) {
+	const wide = 1 << 45
+	gaps := []uint64{0, 1, drawGap - 1, drawGap, drawGap + 1, wide}
+	cases := 0
+	for m := 2; m <= 8; m++ {
+		for _, stat := range []Statistic{StatSecondSmallest, StatMin, StatMedian} {
+			q := statIndex(stat, m)
+			for _, below := range gaps {
+				for _, above := range gaps {
+					for _, rest := range []uint64{wide, drawGap - 1, 0} {
+						// gap[i] separates sorted draws i and i+1.
+						gap := make([]uint64, m-1)
+						var span uint64
+						for i := range gap {
+							switch i {
+							case q - 1:
+								gap[i] = below
+							case q:
+								gap[i] = above
+							default:
+								gap[i] = rest
 							}
-							if math.IsNaN(want[si]) {
-								nan++
-							} else {
-								kept++
+							span += gap[i]
+						}
+						for _, first := range []uint64{0, 1 << 52, maxDraw - span} {
+							sorted := make([]uint64, m)
+							sorted[0] = first
+							for i, g := range gap {
+								sorted[i+1] = sorted[i] + g
+							}
+							for _, order := range [][]uint64{sorted, reversed(sorted), append(sorted[m/2:m:m], sorted[:m/2]...)} {
+								for _, floor := range []float64{0, 0.1, 300} {
+									if err := probeStatAgrees(floor, order, stat); err != nil {
+										t.Fatal(err)
+									}
+									cases++
+								}
 							}
 						}
 					}
 				}
-				// The vectors must hold both outcomes wherever they can: one
-				// probe never yields an RTT, and 8 probes at 1% loss all but
-				// never lose a site.
-				if probes == 1 && kept != 0 {
-					t.Fatalf("chaos=%s probes=1: %d RTTs kept from single probes", chaosProfile, kept)
+			}
+		}
+	}
+	// All draws equal, at both ends of the range and in between.
+	for m := 2; m <= 8; m++ {
+		for _, k := range []uint64{0, 1, drawGap, 1 << 52, maxDraw} {
+			draws := make([]uint64, m)
+			for i := range draws {
+				draws[i] = k
+			}
+			for _, stat := range []Statistic{StatSecondSmallest, StatMin, StatMedian} {
+				for _, floor := range []float64{0, 0.1, 300} {
+					if err := probeStatAgrees(floor, draws, stat); err != nil {
+						t.Fatal(err)
+					}
+					cases++
 				}
-				if probes > 1 && kept == 0 || probes > 1 && loss > 0.5 && nan == 0 {
-					t.Fatalf("chaos=%s probes=%d loss=%v: %d NaN and %d kept RTTs; want both",
-						chaosProfile, probes, loss, nan, kept)
-				}
+			}
+		}
+	}
+	// Fewer than two draws is NaN for every statistic.
+	for _, draws := range [][]uint64{nil, {5}} {
+		for _, stat := range []Statistic{StatSecondSmallest, StatMin, StatMedian} {
+			if v := probeStat(1, draws, stat); !math.IsNaN(v) {
+				t.Fatalf("probeStat(1, %v, %d) = %v, want NaN", draws, stat, v)
+			}
+		}
+	}
+	t.Logf("%d engineered draw sets agree with the reference", cases)
+}
+
+func reversed(s []uint64) []uint64 {
+	out := make([]uint64, len(s))
+	for i, v := range s {
+		out[len(s)-1-i] = v
+	}
+	return out
+}
+
+// TestOrderStatTies covers what measured probes almost never hold: equal
+// draws, hence equal RTTs. On probe sets of two to eight draws taken from
+// four levels, two of them closer than W, probeStat must keep what
+// computing every RTT, sorting and indexing keeps, for every Statistic.
+func TestOrderStatTies(t *testing.T) {
+	levels := []uint64{1 << 40, 1<<40 + drawGap - 1, 1 << 50, maxDraw}
+	r := rngutil.New(5)
+	for k := 0; k < 2000; k++ {
+		draws := make([]uint64, 2+r.Intn(7))
+		for i := range draws {
+			draws[i] = levels[r.Intn(len(levels))]
+		}
+		floor := 0.5 * float64(1+r.Intn(4))
+		for _, stat := range []Statistic{StatSecondSmallest, StatMin, StatMedian} {
+			if err := probeStatAgrees(floor, draws, stat); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 }
 
-// TestOrderStatTies covers what measured probes almost never hold: equal
-// RTTs. On quantized probe sets of two to eight values, orderStat must pick
-// what sorting and indexing picks, for every Statistic.
-func TestOrderStatTies(t *testing.T) {
-	r := rngutil.New(5)
-	for k := 0; k < 2000; k++ {
-		got := make([]float64, 2+r.Intn(7))
-		for i := range got {
-			got[i] = 0.5 * float64(1+r.Intn(4))
+// TestProbeStatRandomDraws compares the kernel with the reference on
+// random draw sets, uniform over the range and packed into windows of 2⁴⁰
+// and 2³⁴ where bands of several draws are common.
+func TestProbeStatRandomDraws(t *testing.T) {
+	r := rngutil.NewFast(17)
+	for k := 0; k < 30000; k++ {
+		draws := make([]uint64, 2+r.Intn(7))
+		window := []uint64{maxDraw, 1 << 40, 1 << 34}[k%3]
+		base := r.Uint64() >> 11 % (maxDraw - window + 1)
+		for i := range draws {
+			draws[i] = base + r.Uint64()%window
 		}
-		sorted := append([]float64(nil), got...)
-		sort.Float64s(sorted)
-		for stat, want := range map[Statistic]float64{
-			StatSecondSmallest: sorted[1], StatMin: sorted[0], StatMedian: sorted[len(sorted)/2],
-		} {
-			in := append([]float64(nil), got...)
-			if v := orderStat(in, stat); v != want {
-				t.Fatalf("orderStat(%v, %d) = %v, want %v", got, stat, v, want)
+		floor := r.Float64() * 300
+		for _, stat := range []Statistic{StatSecondSmallest, StatMin, StatMedian} {
+			if err := probeStatAgrees(floor, draws, stat); err != nil {
+				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// FuzzProbeStat decodes a floor from its IEEE-754 bits and up to 8 jitter
+// draws from 8-byte words: a word whose top bit is set places its draw
+// within 2³³ above the previous one, so bands of close draws are common,
+// and any other word is a draw of its own (its low 53 bits). The kernel
+// must keep the reference's bits for the decoded statistic.
+func FuzzProbeStat(f *testing.F) {
+	word := func(ws ...uint64) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	const next = 1 << 63 // the top bit: the draw follows the previous one
+	f.Add(math.Float64bits(12.5), uint8(0), word(7, 1<<50, 3<<48, 1<<52))
+	f.Add(math.Float64bits(0), uint8(0), word(1<<40, next|(drawGap-1), next|drawGap))
+	f.Fuzz(func(t *testing.T, floorBits uint64, stat uint8, raw []byte) {
+		var draws []uint64
+		for i := 0; i+8 <= len(raw) && len(draws) < 8; i += 8 {
+			w := binary.LittleEndian.Uint64(raw[i:])
+			k := w & maxDraw
+			if w&next != 0 && len(draws) > 0 {
+				k = min(draws[len(draws)-1]+w&(1<<33-1), maxDraw)
+			}
+			draws = append(draws, k)
+		}
+		if err := probeStatAgrees(math.Float64frombits(floorBits), draws, Statistic(stat%3)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkMeasureServer times one default-shaped target: the second
+// smallest of 8 probes at 1% loss from 163 sites.
+func BenchmarkMeasureServer(b *testing.B) {
+	const seed = 42
+	d, err := hypergiant.Deploy(inet.Generate(inet.TinyConfig(seed)), hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), seed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var target *hypergiant.Server
+	for _, s := range d.Servers {
+		if s.Responsive && !s.Anycast {
+			target = s
+			break
+		}
+	}
+	sites := Sites(163, seed)
+	cfg := ConfigFromScenario(scenario.Default(), seed).sanitized()
+	base := facilityBase(d.World.Facilities[target.Facility], sites)
+	sc := newProbeScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		measureServer(d.World, target, sites, cfg, base, sc)
 	}
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // FuzzRuleMatches drives arbitrary certificate fields through both rule
-// epochs: Matches must be total, and a rule with a RequireIssuer list must
+// epochs: Matches must be total, a rule with a RequireIssuer list must
 // never accept a certificate whose issuer is outside it — the check that
-// separates the 2021 methodology from lookalike certificates.
+// separates the 2021 methodology from lookalike certificates — and
+// MatchDetail must agree with referenceMatchDetail.
 func FuzzRuleMatches(f *testing.F) {
 	f.Add("Google LLC", "mirror.example.com", "*.c.example.net", "Google Trust Services")
 	f.Add("", "", "", "")
@@ -35,10 +36,15 @@ func FuzzRuleMatches(f *testing.F) {
 					r.HG, issuer, r.RequireIssuer)
 			}
 		}
-		// Matching must be deterministic for classification replays.
+		// Matching must be deterministic for classification replays, and
+		// report what the reference reports.
 		for _, r := range rules {
 			if r.Matches(c) != r.Matches(c) {
 				t.Fatalf("rule for %v unstable on %+v", r.HG, c)
+			}
+			got, ok := r.MatchDetail(c)
+			if want, wantOK := referenceMatchDetail(r, c); got != want || ok != wantOK {
+				t.Fatalf("rule %s on %+v: MatchDetail = %+v, %v; reference %+v, %v", r.ID, c, got, ok, want, wantOK)
 			}
 		}
 	})

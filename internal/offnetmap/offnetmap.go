@@ -14,6 +14,7 @@ package offnetmap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"offnetrisk/internal/cert"
@@ -76,7 +77,10 @@ type MatchInfo struct {
 }
 
 // MatchDetail reports whether the certificate satisfies the rule and, when it
-// does, which check matched.
+// does, which check matched. The certificate's names are its CN (when
+// non-empty) followed by its SANs, read in place: an exact-name match
+// reports the last matching name, a pattern match the first name that
+// matches any pattern.
 func (r Rule) MatchDetail(c cert.Certificate) (MatchInfo, bool) {
 	info := MatchInfo{RuleID: r.ID}
 	for _, org := range r.Orgs {
@@ -84,25 +88,19 @@ func (r Rule) MatchDetail(c cert.Certificate) (MatchInfo, bool) {
 			info.Via, info.Name = "org", c.SubjectOrg
 		}
 	}
-	if info.Via == "" {
-		for _, n := range c.Names() {
-			for _, e := range r.ExactNames {
-				if n == e {
-					info.Via, info.Name = "exact_name", n
-				}
+	if info.Via == "" && len(r.ExactNames) > 0 {
+		if c.SubjectCN != "" && slices.Contains(r.ExactNames, c.SubjectCN) {
+			info.Via, info.Name = "exact_name", c.SubjectCN
+		}
+		for _, n := range c.DNSNames {
+			if slices.Contains(r.ExactNames, n) {
+				info.Via, info.Name = "exact_name", n
 			}
 		}
 	}
-	if info.Via == "" && len(r.Patterns) > 0 && c.AnyNameMatches(r.Patterns) {
-		info.Via = "pattern"
-	patternName:
-		for _, n := range c.Names() {
-			for _, p := range r.Patterns {
-				if cert.MatchPattern(p, n) {
-					info.Name = n
-					break patternName
-				}
-			}
+	if info.Via == "" {
+		if n, ok := c.FirstNameMatching(r.Patterns); ok {
+			info.Via, info.Name = "pattern", n
 		}
 	}
 	if info.Via == "" {
