@@ -27,13 +27,16 @@ race:
 
 # Focused race pass over the concurrency-heavy layers (quick pre-commit),
 # then ten race runs of the test that publishes one histogram per value and
-# in batches from many goroutines at once, and five of the fused traceroute
+# in batches from many goroutines at once, five of the fused traceroute
 # survey, whose workers feed funnels, counters and the lineage recorder as
-# they classify.
+# they classify, and ten of the cascade sweeps, whose workers share one
+# read-only baseline and link index, each through its own scratch, with the
+# scenario kernel's reference test (tiny seeds, -short).
 race-obs:
 	$(GO) test -race ./internal/obs/... ./internal/par/...
 	$(GO) test -race -count=10 -run '^TestConcurrentHistogramSum$$' ./internal/obs
 	$(GO) test -race -count=5 -run '^TestSurveyInferMatchesSurveyThenInfer$$' ./internal/tracert
+	$(GO) test -race -short -count=10 -run '^(TestSweepsMatchPerScenarioSimulate|TestKernelMatchesReference)$$' ./internal/cascade
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -106,6 +109,7 @@ fuzz-smoke:
 	$(GO) test ./internal/bgp -run '^FuzzPathFrom$$' -fuzz '^FuzzPathFrom$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rngutil -run '^FuzzNew$$' -fuzz '^FuzzNew$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mlab -run '^FuzzProbeStat$$' -fuzz '^FuzzProbeStat$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cascade -run '^FuzzScenarioKernel$$' -fuzz '^FuzzScenarioKernel$$' -fuzztime $(FUZZTIME)
 
 # Huge-tier smoke: generate the huge tier (generation only, no deployment),
 # spill it to a snapshot, and stream it back — bounded wall-clock proof that

@@ -164,6 +164,7 @@ func Build(d *hypergiant.Deployment, cfg Config) *Model {
 		}
 	}
 	m.plan = m.compile()
+	m.plan.indexFacilities()
 	mModelsBuilt.Inc()
 	return m
 }
@@ -201,24 +202,46 @@ func (f Flow) SharedSpill() float64 { return f.IXP + f.UpstreamOffnet + f.Transi
 // capacity (nil for none). The split per layer follows the §4 spillover
 // order.
 func (m *Model) Serve(mult float64, scale map[traffic.HG]float64, failedFacilities map[inet.FacilityID]bool) []Flow {
-	return m.serve(mult, scale, failedFacilities, false)
+	return m.ServeInto(new(Buffers), mult, scale, failedFacilities, false)
 }
 
 // ServeBurst is Serve with offnets pushed to their short-term burst ceiling
 // — the regime of sudden spikes and failovers, where operators squeeze
 // whatever the boxes will give (the COVID data shows ≈20%% above nominal).
 func (m *Model) ServeBurst(mult float64, scale map[traffic.HG]float64, failedFacilities map[inet.FacilityID]bool) []Flow {
-	return m.serve(mult, scale, failedFacilities, true)
+	return m.ServeInto(new(Buffers), mult, scale, failedFacilities, true)
 }
 
-// ServeHour is the diurnal replay entry point: it serves the given clock
-// hour of the 24-hour demand curve, so a temporal-engine step at hour h is
-// exactly Serve(Diurnal[h%24], ...) — the differential-oracle identity the
-// engine's steady-state steps are tested against. burst selects the
-// short-term ceiling regime, as in ServeBurst.
-func (m *Model) ServeHour(hour int, scale map[traffic.HG]float64, failedFacilities map[inet.FacilityID]bool, burst bool) []Flow {
-	h := ((hour % 24) + 24) % 24
-	return m.serve(Diurnal[h], scale, failedFacilities, burst)
+// Buffers is the caller-owned memory of a serving pass: the flows it
+// returns and the capacity left at each offnet site. One goroutine reuses
+// one Buffers across passes, of any model; a pass overwrites everything it
+// reads, so no result depends on what the buffers held before.
+type Buffers struct {
+	flows []Flow
+	// caps holds each in-ISP site's capacity in the regime, in flow order,
+	// then each upstream pool's balance.
+	caps []float64
+}
+
+// ServeInto is ServeBurst (burst true) or Serve (burst false) into b,
+// allocating only when b is smaller than the model's plan. The returned
+// flows are b's: the next pass into b overwrites them.
+func (m *Model) ServeInto(b *Buffers, mult float64, scale map[traffic.HG]float64, failedFacilities map[inet.FacilityID]bool, burst bool) []Flow {
+	p := &m.plan
+	b.flows = resize(b.flows, len(p.flows))
+	b.caps = resize(b.caps, len(p.flows)+len(p.pools))
+	p.serve(b.flows, b.caps, mult, scale, failedFacilities, burst)
+	mFlowsServed.Add(int64(len(b.flows)))
+	return b.flows
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short; the caller overwrites every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Layer identifies one serving-capacity surface of the model for targeted
@@ -321,6 +344,10 @@ func (m *Model) WithCuts(cuts []Cut) *Model {
 			out.IXPPort[hg][as] = v * keep(hg, as, LayerIXP)
 		}
 	}
+	// Cuts scale capacities, never facility shares, and keep every site,
+	// so the cut plan numbers its sites as the receiver's does and shares
+	// its facility index.
 	out.plan = out.compile()
+	out.plan.sitesIn = m.plan.sitesIn
 	return out
 }

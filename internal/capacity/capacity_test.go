@@ -228,35 +228,6 @@ func TestCovidReportZeroGuards(t *testing.T) {
 	}
 }
 
-// TestServeHourMatchesDiurnal: ServeHour is exactly Serve at the diurnal
-// multiplier for that wall-clock hour, with hour wrapping mod 24 — the
-// identity the temporal engine's steady-state oracle leans on.
-func TestServeHourMatchesDiurnal(t *testing.T) {
-	_, m := buildModel(t, 3)
-	for h := 0; h < 24; h++ {
-		want := m.Serve(Diurnal[h], nil, nil)
-		got := m.ServeHour(h, nil, nil, false)
-		if len(got) != len(want) {
-			t.Fatalf("hour %d: %d flows vs %d", h, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("hour %d flow %d differs", h, i)
-			}
-		}
-	}
-	// Hours wrap: 25 ≡ 1, negative hours count back from midnight.
-	for _, pair := range [][2]int{{25, 1}, {-1, 23}, {48, 0}} {
-		a := m.ServeHour(pair[0], nil, nil, false)
-		b := m.ServeHour(pair[1], nil, nil, false)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("hour %d and %d should serve identically", pair[0], pair[1])
-			}
-		}
-	}
-}
-
 func sumPNI(flows []Flow) float64 {
 	var s float64
 	for _, f := range flows {

@@ -1,7 +1,6 @@
 package capacity
 
 import (
-	"math"
 	"sort"
 
 	"offnetrisk/internal/inet"
@@ -16,6 +15,11 @@ import (
 type plan struct {
 	flows []planFlow
 	pools []planSite
+	// sitesIn lists, per facility hosting offnets, the sites with a share
+	// in it: i < len(flows) is flows[i]'s site, len(flows)+j is pools[j].
+	// A failure recomputes only those sites' capacity. Every site has a
+	// share: Build sizes a site from its servers' facilities.
+	sitesIn map[inet.FacilityID][]int32
 }
 
 // planSite is one offnet site's capacity, with its facility shares in
@@ -81,6 +85,14 @@ func (s *planSite) available(burst bool, failed map[inet.FacilityID]bool) float6
 	return avail
 }
 
+// site is the plan's site i in sitesIn's numbering.
+func (p *plan) site(i int32) *planSite {
+	if n := int32(len(p.flows)); i >= n {
+		return &p.pools[i-n]
+	}
+	return &p.flows[i].planSite
+}
+
 // compile derives the serving plan from the model's maps.
 func (m *Model) compile() plan {
 	var p plan
@@ -116,15 +128,42 @@ func (m *Model) compile() plan {
 	return p
 }
 
-// serve runs one serving pass over the plan: each flow fills its offnet up
-// to the regime's capacity, then its PNI, then its IXP port, then drains
-// its providers' upstream pools greedily in flow order; what is left
-// travels transit. It allocates the returned flows and the pool balances.
-func (m *Model) serve(mult float64, scale map[traffic.HG]float64, failedFacilities map[inet.FacilityID]bool, burst bool) []Flow {
-	p := &m.plan
-	pool := make([]float64, len(p.pools))
-	for i := range p.pools {
-		pool[i] = p.pools[i].available(burst, failedFacilities)
+// indexFacilities builds the plan's sitesIn.
+func (p *plan) indexFacilities() {
+	p.sitesIn = make(map[inet.FacilityID][]int32)
+	for i := range int32(len(p.flows) + len(p.pools)) {
+		for _, fs := range p.site(i).shares {
+			p.sitesIn[fs.fid] = append(p.sitesIn[fs.fid], i)
+		}
+	}
+}
+
+// serve runs one serving pass over the plan into flows and caps, sized to
+// the plan: each flow fills its offnet up to the regime's capacity, then
+// its PNI, then its IXP port, then drains its providers' upstream pools
+// greedily in flow order; what is left travels transit.
+func (p *plan) serve(flows []Flow, caps []float64, mult float64, scale map[traffic.HG]float64, failedFacilities map[inet.FacilityID]bool, burst bool) {
+	for i := range p.flows {
+		caps[i] = p.flows[i].nominal
+		if burst {
+			caps[i] = p.flows[i].burst
+		}
+	}
+	pool := caps[len(p.flows):]
+	for j := range p.pools {
+		pool[j] = p.pools[j].nominal
+		if burst {
+			pool[j] = p.pools[j].burst
+		}
+	}
+	if failedFacilities != nil {
+		// A site with no share in a failed facility keeps avail*(1-0),
+		// which is avail: only the sites a failure touches change.
+		for fid := range failedFacilities {
+			for _, i := range p.sitesIn[fid] {
+				caps[i] = p.site(i).available(burst, failedFacilities)
+			}
+		}
 	}
 	var hgScale [traffic.NumHG]float64
 	for _, hg := range traffic.All {
@@ -133,16 +172,15 @@ func (m *Model) serve(mult float64, scale map[traffic.HG]float64, failedFaciliti
 			hgScale[hg] = v
 		}
 	}
-	flows := make([]Flow, len(p.flows))
 	for i := range p.flows {
 		pf := &p.flows[i]
 		demand := pf.peak * mult * hgScale[pf.hg]
 		// Offnets can serve at most the cacheable share of demand.
-		offnet := math.Min(demand*pf.offnetFrac, pf.available(burst, failedFacilities))
+		offnet := min(demand*pf.offnetFrac, caps[i])
 		rest := demand - offnet
-		pni := math.Min(rest, pf.pni)
+		pni := min(rest, pf.pni)
 		rest -= pni
-		ixp := math.Min(rest, pf.ixp)
+		ixp := min(rest, pf.ixp)
 		rest -= ixp
 		// Remaining spill heads to the ISP's providers; offnets hosted
 		// there absorb what their pools allow.
@@ -152,7 +190,7 @@ func (m *Model) serve(mult float64, scale map[traffic.HG]float64, failedFaciliti
 				break
 			}
 			if pool[j] > 0 {
-				take := math.Min(rest, pool[j])
+				take := min(rest, pool[j])
 				pool[j] -= take
 				upstream += take
 				rest -= take
@@ -164,6 +202,4 @@ func (m *Model) serve(mult float64, scale map[traffic.HG]float64, failedFaciliti
 			UpstreamOffnet: upstream, Transit: rest,
 		}
 	}
-	mFlowsServed.Add(int64(len(flows)))
-	return flows
 }

@@ -220,11 +220,13 @@ func randomCuts(r *rand.Rand, d *hypergiant.Deployment) []Cut {
 
 // TestPlanMatchesLegacyServe is the differential test of the compiled
 // serving plan: over 50 worlds, random multipliers, surges, cuts and
-// failures of one or two facilities per site, Serve, ServeBurst, ServeHour
+// failures of one or two facilities per site, Serve, ServeBurst, ServeInto
 // and the WithCuts model's serve equal the map-walking legacy serve bit for
-// bit.
+// bit. ServeInto reuses one Buffers across every world, so a pass that
+// read what an earlier pass left would show here.
 func TestPlanMatchesLegacyServe(t *testing.T) {
 	twoFailed := 0
+	var buf Buffers
 	for seed := int64(1); seed <= 50; seed++ {
 		d, m := buildModel(t, seed)
 		r := rngutil.New(seed)
@@ -237,7 +239,6 @@ func TestPlanMatchesLegacyServe(t *testing.T) {
 				failed = nil
 			}
 			burst := r.Intn(2) == 0
-			hour := r.Intn(72) - 24
 			cut := m.WithCuts(randomCuts(r, d))
 			for _, c := range []struct {
 				name      string
@@ -245,7 +246,7 @@ func TestPlanMatchesLegacyServe(t *testing.T) {
 			}{
 				{"Serve", m.Serve(mult, surge, failed), legacyServe(m, mult, surge, failed, false)},
 				{"ServeBurst", m.ServeBurst(mult, surge, failed), legacyServe(m, mult, surge, failed, true)},
-				{"ServeHour", m.ServeHour(hour, surge, failed, burst), legacyServe(m, Diurnal[((hour%24)+24)%24], surge, failed, burst)},
+				{"ServeInto", m.ServeInto(&buf, mult, surge, failed, burst), legacyServe(m, mult, surge, failed, burst)},
 				{"WithCuts", cut.ServeBurst(mult, surge, failed), legacyServe(cut, mult, surge, failed, true)},
 			} {
 				if i := sameFlowsBits(c.got, c.want); i >= 0 {
@@ -260,9 +261,94 @@ func TestPlanMatchesLegacyServe(t *testing.T) {
 	}
 }
 
+// referencePlanServe is the plan's serving pass before it staged site
+// capacities and patched only the sites a failure touches: every site
+// sums its failed shares on every pass, and the layers clip with
+// math.Min.
+func referencePlanServe(m *Model, mult float64, scale map[traffic.HG]float64, failedFacilities map[inet.FacilityID]bool, burst bool) []Flow {
+	p := &m.plan
+	pool := make([]float64, len(p.pools))
+	for i := range p.pools {
+		pool[i] = p.pools[i].available(burst, failedFacilities)
+	}
+	var hgScale [traffic.NumHG]float64
+	for _, hg := range traffic.All {
+		hgScale[hg] = 1.0
+		if v, ok := scale[hg]; ok {
+			hgScale[hg] = v
+		}
+	}
+	flows := make([]Flow, len(p.flows))
+	for i := range p.flows {
+		pf := &p.flows[i]
+		demand := pf.peak * mult * hgScale[pf.hg]
+		offnet := math.Min(demand*pf.offnetFrac, pf.available(burst, failedFacilities))
+		rest := demand - offnet
+		pni := math.Min(rest, pf.pni)
+		rest -= pni
+		ixp := math.Min(rest, pf.ixp)
+		rest -= ixp
+		var upstream float64
+		for _, j := range pf.provs {
+			if rest <= 0 {
+				break
+			}
+			if pool[j] > 0 {
+				take := math.Min(rest, pool[j])
+				pool[j] -= take
+				upstream += take
+				rest -= take
+			}
+		}
+		flows[i] = Flow{
+			HG: pf.hg, ISP: pf.isp,
+			Demand: demand, Offnet: offnet, PNI: pni, IXP: ixp,
+			UpstreamOffnet: upstream, Transit: rest,
+		}
+	}
+	return flows
+}
+
+// TestFailurePatchMatchesEverySiteSum: patching only the sites a failure
+// touches serves exactly what summing every site's failed shares served,
+// for failure sets of any size, sets that map facilities to false, an
+// empty set, and sites that lose every facility.
+func TestFailurePatchMatchesEverySiteSum(t *testing.T) {
+	var buf Buffers
+	for seed := int64(1); seed <= 20; seed++ {
+		d, m := buildModel(t, seed)
+		r := rngutil.New(seed)
+		var fids []inet.FacilityID
+		for fid := range m.plan.sitesIn {
+			fids = append(fids, fid)
+		}
+		sort.Slice(fids, func(i, j int) bool { return fids[i] < fids[j] })
+		for trial := 0; trial < 6; trial++ {
+			failed := make(map[inet.FacilityID]bool)
+			frac := []float64{0, 0.02, 0.1, 0.3, 0.7, 1}[trial]
+			for _, fid := range fids {
+				if r.Float64() < frac {
+					failed[fid] = r.Intn(4) != 0
+				}
+			}
+			surge := randomSurge(r)
+			cut := m.WithCuts(randomCuts(r, d))
+			for _, burst := range []bool{false, true} {
+				for _, mm := range []*Model{m, cut} {
+					want := referencePlanServe(mm, 1.1, surge, failed, burst)
+					if i := sameFlowsBits(mm.ServeInto(&buf, 1.1, surge, failed, burst), want); i >= 0 {
+						t.Fatalf("seed %d trial %d burst %v: flow %d differs from the every-site sum", seed, trial, burst, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestServeAllocs guards the serving plan's cost model: a pass allocates
-// its flows and its upstream pool balances and nothing per flow, so the
-// count is the same on a world five times larger.
+// its flows and its site capacities and nothing per flow, so the count is
+// the same on a world five times larger, and a pass into warm Buffers
+// allocates nothing.
 func TestServeAllocs(t *testing.T) {
 	small := inet.TinyConfig(5)
 	large := small
@@ -283,6 +369,10 @@ func TestServeAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(20, func() { m.ServeBurst(1.2, surge, failed) }); n != 2 {
 			t.Errorf("%d access ISPs: ServeBurst with failures allocates %v times per pass, want 2", cfg.AccessISPs, n)
+		}
+		var buf Buffers
+		if n := testing.AllocsPerRun(20, func() { m.ServeInto(&buf, 1.2, surge, failed, true) }); n != 0 {
+			t.Errorf("%d access ISPs: ServeInto into warm buffers allocates %v times per pass, want 0", cfg.AccessISPs, n)
 		}
 	}
 }

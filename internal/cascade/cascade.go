@@ -135,34 +135,36 @@ func Simulate(m *capacity.Model, d *hypergiant.Deployment, sc Scenario) *Report 
 }
 
 // TopFacility returns the ISP's facility hosting offnets from the most
-// hypergiants (ties: more servers), plus that hypergiant count — the
-// "single facility – perhaps even a single rack" the paper worries about.
+// hypergiants (ties: more servers, then the lowest ID), plus that
+// hypergiant count — the "single facility – perhaps even a single rack"
+// the paper worries about.
 func TopFacility(d *hypergiant.Deployment, as inet.ASN) (inet.FacilityID, int) {
 	type acc struct {
-		hgs     map[traffic.HG]bool
+		fid     inet.FacilityID
+		hgs     hgSet
 		servers int
 	}
-	per := make(map[inet.FacilityID]*acc)
+	// An ISP hosts offnets in a handful of facilities, so a linear scan of
+	// a small stack buffer beats a map.
+	var buf [8]acc
+	per := buf[:0]
 	for _, s := range d.ServersIn(as) {
-		a := per[s.Facility]
-		if a == nil {
-			a = &acc{hgs: make(map[traffic.HG]bool)}
-			per[s.Facility] = a
+		i := 0
+		for i < len(per) && per[i].fid != s.Facility {
+			i++
 		}
-		a.hgs[s.HG] = true
-		a.servers++
+		if i == len(per) {
+			per = append(per, acc{fid: s.Facility})
+		}
+		per[i].hgs |= 1 << s.HG
+		per[i].servers++
 	}
 	var best inet.FacilityID
 	bestHGs, bestServers := -1, -1
-	ids := make([]inet.FacilityID, 0, len(per))
-	for id := range per {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		a := per[id]
-		if len(a.hgs) > bestHGs || (len(a.hgs) == bestHGs && a.servers > bestServers) {
-			best, bestHGs, bestServers = id, len(a.hgs), a.servers
+	for _, a := range per {
+		n := a.hgs.count()
+		if n > bestHGs || n == bestHGs && (a.servers > bestServers || a.servers == bestServers && a.fid < best) {
+			best, bestHGs, bestServers = a.fid, n, a.servers
 		}
 	}
 	return best, bestHGs
@@ -183,9 +185,9 @@ type SweepStats struct {
 }
 
 // SweepContext fails the top facility of each given ISP in turn and
-// aggregates, one scenario simulation per task on a bounded worker pool.
-// The no-failure baseline is built once and shared read-only by every task;
-// a scenario only reads the model, deployment and baseline, and the stats
+// aggregates, one scenario per task on a bounded worker pool. The
+// no-failure baseline is built once and shared read-only by every task,
+// each worker runs its scenarios through its own Scratch, and the stats
 // are commutative sums, so the aggregate is identical at any worker count.
 func SweepContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment, isps []inet.ASN, workers int) (SweepStats, error) {
 	type outcome struct {
@@ -194,20 +196,18 @@ func SweepContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployme
 		congested bool
 	}
 	b := NewBaseline(m, d, DefaultScenario().DemandMult)
-	outs, err := par.Map(ctx, len(isps), par.Options{Workers: workers, Name: "facility-sweep"},
-		func(_ context.Context, i int) (outcome, error) {
+	outs, err := par.MapLocal(ctx, len(isps), par.Options{Workers: workers, Name: "facility-sweep"}, newWorker,
+		func(_ context.Context, i int, wk *worker) (outcome, error) {
 			fid, nHGs := TopFacility(d, isps[i])
 			if nHGs <= 0 {
 				return outcome{}, nil
 			}
-			sc := DefaultScenario()
-			sc.FailFacilities = map[inet.FacilityID]bool{fid: true}
-			rep := b.Simulate(sc)
+			t := b.Tally(&wk.s, wk.failing(DefaultScenario(), fid))
 			return outcome{
 				ok:        true,
 				hgs:       float64(nHGs),
-				coll:      float64(len(rep.CollateralISPs)),
-				congested: len(rep.CongestedIXPs()) > 0 || len(rep.CongestedTransits()) > 0,
+				coll:      float64(t.CollateralISPs),
+				congested: t.Congested,
 			}, nil
 		})
 	if err != nil {
@@ -232,4 +232,21 @@ func SweepContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployme
 		st.CongestionFraction /= float64(st.Scenarios)
 	}
 	return st, nil
+}
+
+// worker is one sweep worker's reusable state: its scratch and the failure
+// set its scenarios fail, rewritten per scenario.
+type worker struct {
+	s    Scratch
+	fail map[inet.FacilityID]bool
+}
+
+func newWorker() *worker { return &worker{fail: make(map[inet.FacilityID]bool)} }
+
+// failing returns sc failing just fid, through the worker's failure set.
+func (wk *worker) failing(sc Scenario, fid inet.FacilityID) Scenario {
+	clear(wk.fail)
+	wk.fail[fid] = true
+	sc.FailFacilities = wk.fail
+	return sc
 }

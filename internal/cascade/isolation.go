@@ -37,84 +37,24 @@ type IsolatedReport struct {
 	IsolatedCollateralISPs map[inet.ASN]bool
 }
 
-// IsolatedCollateralUsers sums users behind the isolated collateral set.
-func (r *IsolatedReport) IsolatedCollateralUsers(w *inet.World) float64 {
-	return w.UsersInISPs(r.IsolatedCollateralISPs)
-}
-
-// SimulateIsolated runs the scenario twice over the same flows: once with
-// the plain shared-fate model (the Report) and once with per-hypergiant
-// capacity slices on every shared link.
-func SimulateIsolated(m *capacity.Model, d *hypergiant.Deployment, sc Scenario) *IsolatedReport {
-	sc = sc.sanitized()
-	b := NewBaseline(m, d, sc.DemandMult)
-	return b.AssessIsolated(b.Simulate(sc))
-}
-
 // AssessIsolated re-evaluates a report the baseline assessed under
 // per-hypergiant capacity slices without re-serving the flows, so the
 // temporal engine can toggle isolation mid-trajectory over the step it
-// already assessed.
+// already assessed. It reruns the scenario kernel over the report's flows
+// and scenario, which Assess produced, with the per-hypergiant loads on.
 func (b *Baseline) AssessIsolated(rep *Report) *IsolatedReport {
+	b.checkFlows(rep.Flows)
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	b.run(s, rep.Scenario, rep.Flows, true)
 	out := &IsolatedReport{
 		Report:                 rep,
-		IsolatedCollateralISPs: make(map[inet.ASN]bool),
+		OffendingHGs:           s.offend.list(),
+		IsolatedCollateralISPs: make(map[inet.ASN]bool, s.iso),
 	}
-	w := b.d.World
-
-	// Per-(link, hypergiant) scenario loads; the baseline's are precomputed.
-	ixpHG := ixpLoadsByHG(b.m, rep.Flows)
-	trHG := transitLoadsByHG(w, rep.Flows)
-
-	// Isolation is work-conserving: unused capacity is shareable, so a
-	// hypergiant only offends when the link is actually congested AND its
-	// own load exceeds its slice (baseline share × link capacity).
-	var offend hgSet
-	ixpOffenders := make(map[inet.IXPID]hgSet)
-	for id, l := range rep.IXPLoad {
-		if !l.Congested() {
-			continue
-		}
-		if o := offenders(ixpHG[id], slicesOf(b.ixpHG[id], l.CapacityGbps)); o != 0 {
-			offend |= o
-			ixpOffenders[id] = o
-		}
-	}
-	trOffenders := make(map[inet.ASN]hgSet)
-	for as, l := range rep.TransitLoad {
-		if !l.Congested() {
-			continue
-		}
-		if o := offenders(trHG[as], slicesOf(b.transitHG[as], l.CapacityGbps)); o != 0 {
-			offend |= o
-			trOffenders[as] = o
-		}
-	}
-	for _, hg := range traffic.All {
-		if offend.has(hg) {
-			out.OffendingHGs = append(out.OffendingHGs, hg)
-		}
-	}
-
-	// Collateral under isolation: only flows of an offending hypergiant on
-	// the link where it offends.
-	for _, f := range rep.Flows {
-		if rep.DirectISPs[f.ISP] {
-			continue
-		}
-		if f.IXP > 0 {
-			if id, ok := b.m.IXPIDOf[f.HG][f.ISP]; ok && ixpOffenders[id].has(f.HG) {
-				out.IsolatedCollateralISPs[f.ISP] = true
-			}
-		}
-		if f.Transit+f.UpstreamOffnet > 0 {
-			if isp, ok := w.ISPs[f.ISP]; ok {
-				for _, prov := range isp.Providers {
-					if trOffenders[prov].has(f.HG) {
-						out.IsolatedCollateralISPs[f.ISP] = true
-					}
-				}
-			}
+	for i, mark := range s.isps {
+		if mark&ispIsolated != 0 {
+			out.IsolatedCollateralISPs[b.idx.isps[i]] = true
 		}
 	}
 	return out
@@ -170,8 +110,9 @@ type MitigationStats struct {
 
 // MitigationSweepContext runs the §4.3 sweep under both regimes on a
 // worker pool. The no-failure baseline is built once and shared read-only,
-// each ISP's shared-vs-isolated scenario pair is one task, and the
-// aggregates are commutative sums, so the stats match at any worker count.
+// each ISP's shared-vs-isolated scenario pair is one task through its
+// worker's Scratch, and the aggregates are commutative sums, so the stats
+// match at any worker count.
 func MitigationSweepContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment, isps []inet.ASN, workers int) (MitigationStats, error) {
 	type outcome struct {
 		ok               bool
@@ -192,8 +133,8 @@ func MitigationSweepContext(ctx context.Context, m *capacity.Model, d *hypergian
 		}
 	}
 	b := NewBaseline(m, d, DefaultScenario().DemandMult)
-	outs, err := par.Map(ctx, len(isps), par.Options{Workers: workers, Name: "mitigation-sweep"},
-		func(_ context.Context, i int) (outcome, error) {
+	outs, err := par.MapLocal(ctx, len(isps), par.Options{Workers: workers, Name: "mitigation-sweep"}, newWorker,
+		func(_ context.Context, i int, wk *worker) (outcome, error) {
 			as := isps[i]
 			fid, nHGs := TopFacility(d, as)
 			if nHGs <= 0 {
@@ -202,13 +143,13 @@ func MitigationSweepContext(ctx context.Context, m *capacity.Model, d *hypergian
 			}
 			sc := DefaultScenario()
 			sc.SharedHeadroom = 1.1
-			sc.FailFacilities = map[inet.FacilityID]bool{fid: true}
-			rep := b.AssessIsolated(b.Simulate(sc))
+			b.simulateInto(&wk.s, wk.failing(sc, fid), true)
+			shared, isolated, offend := wk.s.collateral, wk.s.iso, wk.s.offend
 			o := outcome{
 				ok:          true,
-				shared:      float64(len(rep.CollateralISPs)),
-				isolated:    float64(len(rep.IsolatedCollateralISPs)),
-				neutralized: len(rep.CollateralISPs) > 0 && len(rep.IsolatedCollateralISPs) == 0,
+				shared:      float64(shared),
+				isolated:    float64(isolated),
+				neutralized: shared > 0 && isolated == 0,
 			}
 			var evidence func() []obs.LineageKV
 			if lr != nil {
@@ -216,10 +157,10 @@ func MitigationSweepContext(ctx context.Context, m *capacity.Model, d *hypergian
 					kvs := []obs.LineageKV{
 						{K: "failed_facility", V: fmt.Sprint(fid)},
 						{K: "hgs_at_facility", V: fmt.Sprint(nHGs)},
-						{K: "collateral_shared", V: fmt.Sprint(len(rep.CollateralISPs))},
-						{K: "collateral_isolated", V: fmt.Sprint(len(rep.IsolatedCollateralISPs))},
+						{K: "collateral_shared", V: fmt.Sprint(shared)},
+						{K: "collateral_isolated", V: fmt.Sprint(isolated)},
 					}
-					for _, hg := range rep.OffendingHGs {
+					for _, hg := range offend.list() {
 						kvs = append(kvs, obs.LineageKV{K: "offender", V: hg.String()})
 					}
 					return kvs

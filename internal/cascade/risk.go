@@ -6,7 +6,6 @@ import (
 
 	"offnetrisk/internal/capacity"
 	"offnetrisk/internal/hypergiant"
-	"offnetrisk/internal/inet"
 	"offnetrisk/internal/par"
 	"offnetrisk/internal/rngutil"
 )
@@ -36,28 +35,14 @@ type RiskCurve struct {
 	Curve   []RiskPoint
 }
 
-// AtLeast evaluates the exceedance probability at a user count: the
-// probability mass of trials with at least that many affected users.
-func (r RiskCurve) AtLeast(users float64) float64 {
-	// Curve is ascending in Users with non-increasing Prob.
-	for _, p := range r.Curve {
-		if p.Users >= users {
-			return p.Prob
-		}
-	}
-	return 0
-}
-
 // MonteCarloContext samples `trials` scenarios, each failing k uniformly
 // random offnet-hosting facilities at peak, and returns the exceedance
 // curve of affected users. Each trial draws its facility sample from an
 // independent substream derived from (seed, trial), so the curve is
 // invariant to worker count and scheduling. Trials run concurrently on a
-// worker pool against one shared no-failure baseline and merge in trial
-// order.
+// worker pool against one shared no-failure baseline, each worker through
+// its own Scratch, and merge in trial order.
 func MonteCarloContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment, k, trials int, seed int64, workers int) (RiskCurve, error) {
-	w := d.World
-
 	// Facilities actually hosting offnets.
 	facHGs := hgsByFacility(d)
 	if k > len(facHGs) {
@@ -73,18 +58,19 @@ func MonteCarloContext(ctx context.Context, m *capacity.Model, d *hypergiant.Dep
 		hgs      float64
 		affected float64
 	}
-	outs, err := par.Map(ctx, trials, par.Options{Workers: workers, Name: "risk-trials"},
-		func(_ context.Context, trial int) (outcome, error) {
+	outs, err := par.MapLocal(ctx, trials, par.Options{Workers: workers, Name: "risk-trials"}, newWorker,
+		func(_ context.Context, trial int, wk *worker) (outcome, error) {
 			r := rngutil.New(rngutil.Derive(seed, 0x415c, int64(trial)))
-			sc := DefaultScenario()
-			sc.FailFacilities = make(map[inet.FacilityID]bool, k)
+			clear(wk.fail)
 			for _, idx := range rngutil.SampleWithoutReplacement(r, len(facs), k) {
-				sc.FailFacilities[facs[idx]] = true
+				wk.fail[facs[idx]] = true
 			}
-			rep := b.Simulate(sc)
+			sc := DefaultScenario()
+			sc.FailFacilities = wk.fail
+			t := b.Tally(&wk.s, sc)
 			return outcome{
-				hgs:      float64(len(rep.HGsImpacted)),
-				affected: rep.DirectUsers(w) + rep.CollateralUsers(w),
+				hgs:      float64(t.HGsImpacted),
+				affected: t.DirectUsers + t.CollateralUsers,
 			}, nil
 		})
 	if err != nil {

@@ -9,7 +9,8 @@ import (
 
 // FuzzExtractMetro checks the PTR geohint extractor is total, canonical
 // (every extracted metro exists in the catalogue under its own code), and
-// case-insensitive — the properties the atlas majority vote relies on.
+// case-insensitive — the properties the atlas majority vote relies on —
+// and that its in-place scan agrees with the split-based reference.
 func FuzzExtractMetro(f *testing.F) {
 	f.Add("cache-google-03.lhr2.as10014.example.net")
 	f.Add("a23-45.deploy.akamaitechnologies.com")
@@ -19,6 +20,7 @@ func FuzzExtractMetro(f *testing.F) {
 	f.Add("LHR-nyc_fra3")
 	f.Add("no-geohint-here.example")
 	f.Fuzz(func(t *testing.T, hostname string) {
+		sameExtraction(t, hostname)
 		m, ok := ExtractMetro(hostname)
 		if !ok {
 			if m.Code != "" {

@@ -88,32 +88,40 @@ func ExtractMetro(hostname string) (geo.Metro, bool) {
 
 // extractMetroDetail is ExtractMetro with the failure reason spelled out for
 // lineage records: "no_geo_token" when no catalogue code appears in any
-// label, "ambiguous_token" when distinct codes disagree.
+// label, "ambiguous_token" when distinct codes disagree. It walks the
+// tokens between '.', '-' and '_' in place, keeping only the first code
+// and whether a later one disagrees, so a lower-case hostname costs no
+// allocation.
 func extractMetroDetail(hostname string) (geo.Metro, string, bool) {
-	labels := strings.Split(strings.ToLower(hostname), ".")
-	var found []geo.Metro
-	for _, label := range labels {
-		for _, part := range strings.FieldsFunc(label, func(r rune) bool { return r == '-' || r == '_' }) {
-			code := trimDigits(part)
-			if len(code) != 3 {
-				continue
-			}
+	host := strings.ToLower(hostname)
+	var first geo.Metro
+	found, ambiguous := false, false
+	for start := 0; start < len(host); {
+		end := start
+		for end < len(host) && host[end] != '.' && host[end] != '-' && host[end] != '_' {
+			end++
+		}
+		if code := trimDigits(host[start:end]); len(code) == 3 {
 			if m, ok := geo.MetroByCode(code); ok {
-				found = append(found, m)
+				switch {
+				case !found:
+					first, found = m, true
+				case m.Code != first.Code:
+					// Multiple distinct tokens are ambiguous (HOIHO would
+					// score them; we require agreement).
+					ambiguous = true
+				}
 			}
 		}
+		start = end + 1
 	}
-	if len(found) == 0 {
+	switch {
+	case !found:
 		return geo.Metro{}, "no_geo_token", false
+	case ambiguous:
+		return geo.Metro{}, "ambiguous_token", false
 	}
-	// Multiple distinct tokens are ambiguous (HOIHO would score them; we
-	// require agreement).
-	for _, m := range found[1:] {
-		if m.Code != found[0].Code {
-			return geo.Metro{}, "ambiguous_token", false
-		}
-	}
-	return found[0], "", true
+	return first, "", true
 }
 
 func trimDigits(s string) string {

@@ -153,8 +153,11 @@ func SharedHeadroom(seed int64, values []float64) (Result, error) {
 	}
 	hosts := d.HostingISPs()
 	// Headroom sizes links from the no-failure loads without changing them,
-	// so every point's scenarios share one baseline.
+	// so every point's scenarios share one baseline, and one scratch runs
+	// them all.
 	b := cascade.NewBaseline(m, d, cascade.DefaultScenario().DemandMult)
+	var s cascade.Scratch
+	fail := make(map[inet.FacilityID]bool, 1)
 	for _, v := range values {
 		start := time.Now()
 		var congested, scenarios int
@@ -164,15 +167,17 @@ func SharedHeadroom(seed int64, values []float64) (Result, error) {
 			if n <= 0 {
 				continue
 			}
+			clear(fail)
+			fail[fid] = true
 			sc := cascade.DefaultScenario()
 			sc.SharedHeadroom = v
-			sc.FailFacilities = map[inet.FacilityID]bool{fid: true}
-			rep := b.Simulate(sc)
+			sc.FailFacilities = fail
+			t := b.Tally(&s, sc)
 			scenarios++
-			if len(rep.CongestedIXPs())+len(rep.CongestedTransits()) > 0 {
+			if t.Congested {
 				congested++
 			}
-			collateral += float64(len(rep.CollateralISPs))
+			collateral += float64(t.CollateralISPs)
 		}
 		res.Points = append(res.Points, Point{
 			Param: v,

@@ -94,10 +94,6 @@ func TestSteadyStateMatchesServe(t *testing.T) {
 			if st.Burst {
 				t.Fatalf("seed %d hour %d: steady state must not burst", seed, st.Hour)
 			}
-			// ServeHour is the same entry point the engine's identity relies on.
-			if got := m.ServeHour(st.Hour, nil, nil, false); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d hour %d: ServeHour diverges from Serve", seed, st.Hour)
-			}
 		}
 	}
 }
