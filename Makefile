@@ -29,14 +29,16 @@ race:
 # then ten race runs of the test that publishes one histogram per value and
 # in batches from many goroutines at once, five of the fused traceroute
 # survey, whose workers feed funnels, counters and the lineage recorder as
-# they classify, and ten of the cascade sweeps, whose workers share one
+# they classify, ten of the cascade sweeps, whose workers share one
 # read-only baseline and link index, each through its own scratch, with the
-# scenario kernel's reference test (tiny seeds, -short).
+# scenario kernel's reference test (tiny seeds, -short), and five of the
+# temporal engine against its reference loop (tiny seeds, -short).
 race-obs:
 	$(GO) test -race ./internal/obs/... ./internal/par/...
 	$(GO) test -race -count=10 -run '^TestConcurrentHistogramSum$$' ./internal/obs
 	$(GO) test -race -count=5 -run '^TestSurveyInferMatchesSurveyThenInfer$$' ./internal/tracert
 	$(GO) test -race -short -count=10 -run '^(TestSweepsMatchPerScenarioSimulate|TestKernelMatchesReference)$$' ./internal/cascade
+	$(GO) test -race -short -count=5 -run '^TestRunMatchesReference$$' ./internal/temporal
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -95,8 +95,9 @@ type Model struct {
 	IXPIDOf map[traffic.HG]map[inet.ASN]inet.IXPID
 
 	// plan is the flat serving plan compiled from the maps above by Build
-	// and WithCuts; serving reads only the plan, so the maps are a
-	// read-only description of the model once it is built.
+	// and scaled from the receiver's by WithCuts; serving reads only the
+	// plan, so the maps are a read-only description of the model once it
+	// is built.
 	plan plan
 }
 
@@ -292,11 +293,12 @@ func (c Cut) hits(hg traffic.HG, as inet.ASN) bool {
 }
 
 // WithCuts returns a model with the cuts applied multiplicatively; the
-// receiver is never mutated (sites and capacity maps are deep-copied and the
-// serving plan recompiled), so a temporal engine can re-derive the cut model
-// whenever its active-cut set changes while the pristine baseline model
-// stays untouched. An empty cut list returns the receiver itself, keeping
-// uncut serving bit-identical.
+// receiver is never mutated (sites and capacity maps are deep-copied, and
+// the serving plan is the receiver's with its capacities scaled by the
+// same factors), so a temporal engine can re-derive the cut model whenever
+// its active-cut set changes while the pristine baseline model stays
+// untouched. An empty cut list returns the receiver itself, keeping uncut
+// serving bit-identical.
 func (m *Model) WithCuts(cuts []Cut) *Model {
 	if len(cuts) == 0 {
 		return m
@@ -344,10 +346,6 @@ func (m *Model) WithCuts(cuts []Cut) *Model {
 			out.IXPPort[hg][as] = v * keep(hg, as, LayerIXP)
 		}
 	}
-	// Cuts scale capacities, never facility shares, and keep every site,
-	// so the cut plan numbers its sites as the receiver's does and shares
-	// its facility index.
-	out.plan = out.compile()
-	out.plan.sitesIn = m.plan.sitesIn
+	out.plan = m.plan.scaled(keep, m.PNIGbps, m.IXPPort)
 	return out
 }

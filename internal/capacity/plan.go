@@ -1,6 +1,7 @@
 package capacity
 
 import (
+	"slices"
 	"sort"
 
 	"offnetrisk/internal/inet"
@@ -8,13 +9,14 @@ import (
 )
 
 // plan is a Model compiled for serving. Every lookup the map-based model
-// description needs per flow is resolved once, at Build or WithCuts time,
-// so a serving pass is one walk over two slices: the in-ISP flows in serve
-// order (traffic.All, then ascending ASN) and the upstream pools those
-// flows drain.
+// description needs per flow is resolved once, at Build time, so a serving
+// pass is one walk over two slices: the in-ISP flows in serve order
+// (traffic.All, then ascending ASN) and the upstream pools those flows
+// drain, in the same order. WithCuts scales a compiled plan rather than
+// compiling its own.
 type plan struct {
 	flows []planFlow
-	pools []planSite
+	pools []planPool
 	// sitesIn lists, per facility hosting offnets, the sites with a share
 	// in it: i < len(flows) is flows[i]'s site, len(flows)+j is pools[j].
 	// A failure recomputes only those sites' capacity. Every site has a
@@ -28,6 +30,13 @@ type plan struct {
 type planSite struct {
 	nominal, burst float64
 	shares         []facilityShare
+}
+
+// planPool is one upstream offnet site, hosted by transit network as.
+type planPool struct {
+	planSite
+	hg traffic.HG
+	as inet.ASN
 }
 
 type facilityShare struct {
@@ -88,7 +97,7 @@ func (s *planSite) available(burst bool, failed map[inet.FacilityID]bool) float6
 // site is the plan's site i in sitesIn's numbering.
 func (p *plan) site(i int32) *planSite {
 	if n := int32(len(p.flows)); i >= n {
-		return &p.pools[i-n]
+		return &p.pools[i-n].planSite
 	}
 	return &p.flows[i].planSite
 }
@@ -101,7 +110,7 @@ func (m *Model) compile() plan {
 		poolOf[hg] = make(map[inet.ASN]int, len(m.Upstream[hg]))
 		for _, as := range inet.SortedASNs(m.Upstream[hg]) {
 			poolOf[hg][as] = len(p.pools)
-			p.pools = append(p.pools, compileSite(m.Upstream[hg][as]))
+			p.pools = append(p.pools, planPool{planSite: compileSite(m.Upstream[hg][as]), hg: hg, as: as})
 		}
 	}
 	for _, hg := range traffic.All {
@@ -126,6 +135,44 @@ func (m *Model) compile() plan {
 		}
 	}
 	return p
+}
+
+// scaled returns the plan of a cut model: each site's nominal and burst
+// capacity multiplied by keep at the offnet layer (a pool's network is its
+// transit host), and each flow's PNI and IXP caps by keep at their own
+// layer, but only where pni or ixp lists the flow's (hypergiant, ISP): an
+// absent cap compiles to 0 from the cut model's maps whatever keep says,
+// even NaN. Cuts scale capacities, never facility shares, demand or
+// providers, and keep every site, so the scaled plan numbers its sites as
+// p does and shares p's facility shares, provider lists and facility
+// index.
+func (p *plan) scaled(keep func(traffic.HG, inet.ASN, Layer) float64, pni, ixp map[traffic.HG]map[inet.ASN]float64) plan {
+	out := plan{
+		flows:   slices.Clone(p.flows),
+		pools:   slices.Clone(p.pools),
+		sitesIn: p.sitesIn,
+	}
+	for i := range out.flows {
+		f := &out.flows[i]
+		f.scale(keep(f.hg, f.isp, LayerOffnet))
+		if _, ok := pni[f.hg][f.isp]; ok {
+			f.pni *= keep(f.hg, f.isp, LayerPNI)
+		}
+		if _, ok := ixp[f.hg][f.isp]; ok {
+			f.ixp *= keep(f.hg, f.isp, LayerIXP)
+		}
+	}
+	for j := range out.pools {
+		pl := &out.pools[j]
+		pl.scale(keep(pl.hg, pl.as, LayerOffnet))
+	}
+	return out
+}
+
+// scale multiplies the site's capacity in both regimes by k.
+func (s *planSite) scale(k float64) {
+	s.nominal *= k
+	s.burst *= k
 }
 
 // indexFacilities builds the plan's sitesIn.

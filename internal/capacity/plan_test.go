@@ -1,8 +1,10 @@
 package capacity
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -261,6 +263,185 @@ func TestPlanMatchesLegacyServe(t *testing.T) {
 	}
 }
 
+// referenceWithCuts is WithCuts as it was before it scaled the receiver's
+// plan: it deep-copies the maps with the cuts applied and compiles the cut
+// model's plan from them.
+func referenceWithCuts(m *Model, cuts []Cut) *Model {
+	if len(cuts) == 0 {
+		return m
+	}
+	out := &Model{
+		cfg:      m.cfg,
+		dep:      m.dep,
+		Sites:    make(map[traffic.HG]map[inet.ASN]*Site),
+		Upstream: make(map[traffic.HG]map[inet.ASN]*Site),
+		PNIGbps:  make(map[traffic.HG]map[inet.ASN]float64),
+		IXPPort:  make(map[traffic.HG]map[inet.ASN]float64),
+		IXPIDOf:  m.IXPIDOf,
+	}
+	keep := func(hg traffic.HG, as inet.ASN, layer Layer) float64 {
+		k := 1.0
+		for _, c := range cuts {
+			if c.Layer != layer || !c.hits(hg, as) {
+				continue
+			}
+			f := math.Min(math.Max(c.Frac, 0), 1)
+			k *= 1 - f
+		}
+		return k
+	}
+	cloneSites := func(src map[inet.ASN]*Site, hg traffic.HG) map[inet.ASN]*Site {
+		dst := make(map[inet.ASN]*Site, len(src))
+		for as, s := range src {
+			cp := *s // Facilities map is read-only downstream; share it.
+			k := keep(hg, as, LayerOffnet)
+			cp.NominalGbps *= k
+			cp.BurstGbps *= k
+			dst[as] = &cp
+		}
+		return dst
+	}
+	for _, hg := range traffic.All {
+		out.Sites[hg] = cloneSites(m.Sites[hg], hg)
+		out.Upstream[hg] = cloneSites(m.Upstream[hg], hg)
+		out.PNIGbps[hg] = make(map[inet.ASN]float64, len(m.PNIGbps[hg]))
+		for as, v := range m.PNIGbps[hg] {
+			out.PNIGbps[hg][as] = v * keep(hg, as, LayerPNI)
+		}
+		out.IXPPort[hg] = make(map[inet.ASN]float64, len(m.IXPPort[hg]))
+		for as, v := range m.IXPPort[hg] {
+			out.IXPPort[hg][as] = v * keep(hg, as, LayerIXP)
+		}
+	}
+	// Cuts scale capacities, never facility shares, and keep every site,
+	// so the cut plan numbers its sites as the receiver's does and shares
+	// its facility index.
+	out.plan = out.compile()
+	out.plan.sitesIn = m.plan.sitesIn
+	return out
+}
+
+// samePlanSite reports how two compiled sites differ, or "".
+func samePlanSite(got, want *planSite) string {
+	if !sameBits(got.nominal, want.nominal) || !sameBits(got.burst, want.burst) {
+		return fmt.Sprintf("capacity %v/%v, want %v/%v", got.nominal, got.burst, want.nominal, want.burst)
+	}
+	if !slices.Equal(got.shares, want.shares) {
+		return fmt.Sprintf("shares %v, want %v", got.shares, want.shares)
+	}
+	return ""
+}
+
+// samePlan compares two compiled plans field by field, floats bit for
+// bit, and reports the first difference.
+func samePlan(got, want *plan) error {
+	if len(got.flows) != len(want.flows) || len(got.pools) != len(want.pools) {
+		return fmt.Errorf("%d flows and %d pools, want %d and %d", len(got.flows), len(got.pools), len(want.flows), len(want.pools))
+	}
+	for i := range want.flows {
+		g, w := &got.flows[i], &want.flows[i]
+		if g.hg != w.hg || g.isp != w.isp || !slices.Equal(g.provs, w.provs) ||
+			!sameBits(g.peak, w.peak) || !sameBits(g.offnetFrac, w.offnetFrac) ||
+			!sameBits(g.pni, w.pni) || !sameBits(g.ixp, w.ixp) {
+			return fmt.Errorf("flow %d is %v/AS%d pni %v ixp %v, want %v/AS%d pni %v ixp %v",
+				i, g.hg, g.isp, g.pni, g.ixp, w.hg, w.isp, w.pni, w.ixp)
+		}
+		if d := samePlanSite(&g.planSite, &w.planSite); d != "" {
+			return fmt.Errorf("flow %d: %s", i, d)
+		}
+	}
+	for j := range want.pools {
+		g, w := &got.pools[j], &want.pools[j]
+		if g.hg != w.hg || g.as != w.as {
+			return fmt.Errorf("pool %d is %v/AS%d, want %v/AS%d", j, g.hg, g.as, w.hg, w.as)
+		}
+		if d := samePlanSite(&g.planSite, &w.planSite); d != "" {
+			return fmt.Errorf("pool %d: %s", j, d)
+		}
+	}
+	return nil
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// edgeCuts adds the cuts plan scaling has to get right to random ones: an
+// all-hypergiant NaN cut on a random layer, NaN cuts on the first
+// (hypergiant, ISP) of each hypergiant's sites that PNIGbps or IXPPort
+// does not list, and an offnet cut scoped to the transit network hosting
+// an upstream pool.
+func edgeCuts(r *rand.Rand, m *Model) []Cut {
+	cuts := []Cut{{Layer: Layer(r.Intn(3)), AllHGs: true, Frac: math.NaN()}}
+	for _, hg := range traffic.All {
+		for _, as := range inet.SortedASNs(m.Sites[hg]) {
+			_, pni := m.PNIGbps[hg][as]
+			_, ixp := m.IXPPort[hg][as]
+			if !pni {
+				cuts = append(cuts, Cut{Layer: LayerPNI, HG: hg, ISP: as, Frac: math.NaN()})
+			}
+			if !ixp {
+				cuts = append(cuts, Cut{Layer: LayerIXP, HG: hg, ISP: as, Frac: math.NaN()})
+			}
+			if !pni || !ixp {
+				break
+			}
+		}
+		if ups := inet.SortedASNs(m.Upstream[hg]); len(ups) > 0 {
+			cuts = append(cuts, Cut{Layer: LayerOffnet, HG: hg, ISP: ups[r.Intn(len(ups))], Frac: r.Float64()})
+		}
+	}
+	return cuts
+}
+
+// TestWithCutsScalesPlan: the cut model's plan, scaled from the
+// receiver's, equals the plan compiled from the cut maps bit for bit, and
+// so do the flows each serves, over 50 worlds with random cuts, NaN
+// fractions, cuts on (hypergiant, ISP) keys absent from PNIGbps or
+// IXPPort, and ISP-scoped offnet cuts on transit-hosted pools, applied to
+// the built model and to a cut model in turn.
+func TestWithCutsScalesPlan(t *testing.T) {
+	absent := 0
+	for seed := int64(1); seed <= 50; seed++ {
+		d, m := buildModel(t, seed)
+		r := rngutil.New(rngutil.Derive(seed, rngutil.Label("capacity.cuts")))
+		for trial := 0; trial < 4; trial++ {
+			cuts := randomCuts(r, d)
+			if trial%2 == 1 {
+				cuts = append(cuts, edgeCuts(r, m)...)
+			}
+			base, refBase := m, m
+			if trial >= 2 {
+				first := randomCuts(r, d)
+				base, refBase = m.WithCuts(first), referenceWithCuts(m, first)
+			}
+			got, want := base.WithCuts(cuts), referenceWithCuts(refBase, cuts)
+			if len(cuts) == 0 {
+				if got != base {
+					t.Fatalf("seed %d trial %d: an empty cut list must return the receiver", seed, trial)
+				}
+				continue
+			}
+			if err := samePlan(&got.plan, &want.plan); err != nil {
+				t.Fatalf("seed %d trial %d: %v", seed, trial, err)
+			}
+			failed, _ := randomFailures(r, m)
+			surge := randomSurge(r)
+			for _, burst := range []bool{false, true} {
+				if i := sameFlowsBits(got.ServeInto(new(Buffers), 0.9, surge, failed, burst), want.ServeInto(new(Buffers), 0.9, surge, failed, burst)); i >= 0 {
+					t.Fatalf("seed %d trial %d burst %v: flow %d differs from the recompiled plan's", seed, trial, burst, i)
+				}
+			}
+			for _, c := range cuts {
+				if _, listed := m.PNIGbps[c.HG][c.ISP]; c.Layer == LayerPNI && !c.AllHGs && c.ISP != 0 && !listed && math.IsNaN(c.Frac) {
+					absent++
+				}
+			}
+		}
+	}
+	if absent == 0 {
+		t.Fatal("no NaN cut on an absent PNI key; the absent-key rule is not exercised")
+	}
+}
+
 // referencePlanServe is the plan's serving pass before it staged site
 // capacities and patched only the sites a failure touches: every site
 // sums its failed shares on every pass, and the layers clip with
@@ -427,7 +608,7 @@ func TestAllFacilitiesFailedServesZero(t *testing.T) {
 			sites = append(sites, &m.plan.flows[i].planSite)
 		}
 		for i := range m.plan.pools {
-			sites = append(sites, &m.plan.pools[i])
+			sites = append(sites, &m.plan.pools[i].planSite)
 		}
 		for _, s := range sites {
 			if len(s.shares) < 2 {

@@ -220,6 +220,9 @@ type Scratch struct {
 	// isps holds the ispDirect, ispCollateral and ispIsolated marks per
 	// dense ISP.
 	isps []uint8
+	// owners lists the owners of the failed facilities found in the
+	// world, with repeats, whether or not they are world ISPs.
+	owners []inet.ASN
 
 	hit, offend     hgSet
 	congested       bool
@@ -236,6 +239,9 @@ type links struct {
 	// link.
 	seen, congested []bool
 	offenders       []hgSet
+	// util is each link's utilization as the Report lists it; only
+	// AssessInto fills it.
+	util []float64
 }
 
 const (
@@ -254,6 +260,7 @@ func (l *links) size(n int) {
 	l.seen = make([]bool, n)
 	l.congested = make([]bool, n)
 	l.offenders = make([]hgSet, n)
+	l.util = make([]float64, n)
 }
 
 func (l *links) reset() {
@@ -294,6 +301,7 @@ func (s *Scratch) size(idx *linkIndex) {
 		s.isps = make([]uint8, len(idx.isps))
 	}
 	clear(s.isps)
+	s.owners = s.owners[:0]
 	s.hit, s.offend, s.congested, s.collateral, s.iso = 0, 0, false, 0, 0
 }
 
@@ -331,6 +339,7 @@ func (b *Baseline) run(s *Scratch, sc Scenario, flows []capacity.Flow, isolated 
 	// false, and hypergiants with servers in a failed one.
 	for fid, failed := range sc.FailFacilities {
 		if f, ok := w.Facilities[fid]; ok {
+			s.owners = append(s.owners, f.Owner)
 			if i, ok := idx.isp(f.Owner); ok {
 				s.isps[i] |= ispDirect
 			}
@@ -456,14 +465,13 @@ func (b *Baseline) Simulate(sc Scenario) *Report {
 }
 
 // Assess derives the full congestion report of serving splits the caller
-// already computed from the baseline's model or a cut of it (the temporal
-// engine serves once per clock step and hands the result here): shared-link
+// already computed from the baseline's model or a cut of it: shared-link
 // loads, capacities sized from baseline×headroom, and the direct and
 // collateral ISP sets. The scenario runs at the baseline's multiplier,
 // whatever its DemandMult says. b.Simulate(sc) is exactly
-// b.Assess(sc, m.ServeBurst(...)), so engine trajectories and closed-form
-// sweeps agree bit-for-bit by construction. Assess panics when flows are
-// not in the baseline's serving order.
+// b.Assess(sc, m.ServeBurst(...)), its production caller; the temporal
+// engine reads the same kernel pass through AssessInto. Assess panics when
+// flows are not in the baseline's serving order.
 func (b *Baseline) Assess(sc Scenario, flows []capacity.Flow) *Report {
 	mScenariosSimulated.Inc()
 	sc = sc.sanitized()
@@ -489,16 +497,14 @@ func (b *Baseline) Assess(sc Scenario, flows []capacity.Flow) *Report {
 			rep.DirectISPs[f.Owner] = true
 		}
 	}
-	// The report lists every exchange a flow loaded or the baseline
-	// loads, and every provider that load reached.
 	for x, id := range idx.ixps {
-		if s.ixp.seen[x] || b.ixp[x] > 0 {
-			rep.IXPLoad[id] = LinkLoad{LoadGbps: s.ixp.load[x], CapacityGbps: s.ixp.cap[x]}
+		if l, ok := b.ixpLink(s, x); ok {
+			rep.IXPLoad[id] = l
 		}
 	}
 	for t, as := range idx.transits {
-		if s.transit.seen[t] {
-			rep.TransitLoad[as] = LinkLoad{LoadGbps: s.transit.load[t], CapacityGbps: s.transit.cap[t]}
+		if l, ok := s.transitLink(t); ok {
+			rep.TransitLoad[as] = l
 		}
 	}
 	for i, mark := range s.isps {
@@ -509,12 +515,31 @@ func (b *Baseline) Assess(sc Scenario, flows []capacity.Flow) *Report {
 	return rep
 }
 
+// ixpLink is exchange x's load after the scratch's run, and whether the
+// report lists it: every exchange a flow loaded or the baseline loads.
+func (b *Baseline) ixpLink(s *Scratch, x int) (LinkLoad, bool) {
+	if !s.ixp.seen[x] && !(b.ixp[x] > 0) {
+		return LinkLoad{}, false
+	}
+	return LinkLoad{LoadGbps: s.ixp.load[x], CapacityGbps: s.ixp.cap[x]}, true
+}
+
+// transitLink is provider t's load after the scratch's run, and whether
+// the report lists it: every provider a flow's load reached.
+func (s *Scratch) transitLink(t int) (LinkLoad, bool) {
+	if !s.transit.seen[t] {
+		return LinkLoad{}, false
+	}
+	return LinkLoad{LoadGbps: s.transit.load[t], CapacityGbps: s.transit.cap[t]}, true
+}
+
 // scratchPool lends Assess and AssessIsolated a scratch for the length of
 // one call; the report they build copies what it keeps out of it.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// Tally is what a sweep reads from one scenario: the counts and user sums
-// of the Report that Simulate would build.
+// Tally is what a sweep or the temporal engine reads from one scenario:
+// the counts and sums of the Report that Simulate or Assess would build,
+// and of the IsolatedReport.
 type Tally struct {
 	// Congested reports whether any shared link is at or past capacity.
 	Congested bool
@@ -523,6 +548,18 @@ type Tally struct {
 	HGsImpacted, CollateralISPs int
 	// DirectUsers and CollateralUsers are the Report's user sums.
 	DirectUsers, CollateralUsers float64
+	// DirectISPs is len(Report.DirectISPs): the distinct owners of the
+	// listed facilities found in the world, world ISPs or not.
+	DirectISPs int
+	// CongestedIXPs and CongestedTransits are the lengths of the Report's
+	// CongestedIXPs() and CongestedTransits().
+	CongestedIXPs, CongestedTransits int
+	// OverloadGbps sums load minus capacity over the congested exchanges,
+	// ascending, then the congested providers, ascending.
+	OverloadGbps float64
+	// IsolatedCollateralISPs is len(IsolatedReport.IsolatedCollateralISPs)
+	// after an isolated run, and 0 otherwise.
+	IsolatedCollateralISPs int
 }
 
 // Tally runs the scenario as Simulate does, through s, and returns its
@@ -530,8 +567,32 @@ type Tally struct {
 // nothing.
 func (b *Baseline) Tally(s *Scratch, sc Scenario) Tally {
 	b.simulateInto(s, sc, false)
-	t := Tally{Congested: s.congested, HGsImpacted: s.hit.count(), CollateralISPs: s.collateral}
+	return b.tally(s)
+}
+
+// tally reads the counts of the scratch's run against the baseline.
+func (b *Baseline) tally(s *Scratch) Tally {
+	t := Tally{
+		Congested:              s.congested,
+		HGsImpacted:            s.hit.count(),
+		CollateralISPs:         s.collateral,
+		IsolatedCollateralISPs: s.iso,
+	}
 	t.DirectUsers, t.CollateralUsers = s.users(b.idx)
+	slices.Sort(s.owners)
+	t.DirectISPs = len(slices.Compact(s.owners))
+	for x, congested := range s.ixp.congested {
+		if congested {
+			t.CongestedIXPs++
+			t.OverloadGbps += s.ixp.load[x] - s.ixp.cap[x]
+		}
+	}
+	for i, congested := range s.transit.congested {
+		if congested {
+			t.CongestedTransits++
+			t.OverloadGbps += s.transit.load[i] - s.transit.cap[i]
+		}
+	}
 	return t
 }
 
@@ -541,4 +602,49 @@ func (b *Baseline) simulateInto(s *Scratch, sc Scenario, isolated bool) {
 	mScenariosSimulated.Inc()
 	flows := b.m.ServeInto(&s.serve, b.mult, sc.Surge, sc.FailFacilities, true)
 	b.run(s, sc.sanitized(), flows, isolated)
+}
+
+// LinkView is the shared links after a kernel run, each kind in the link
+// index's ascending order: every exchange of the world by ID and every
+// provider a flow's ISP has by ASN. Utilization is the LinkLoad the
+// Report lists, through LinkLoad.Utilization, and 0 for a link the Report
+// does not list, as a map miss gives. A view AssessInto returns aliases
+// its scratch: it is read-only and holds until the scratch runs again.
+type LinkView struct {
+	IXPs                               []inet.IXPID
+	Transits                           []inet.ASN
+	IXPCongested, TransitCongested     []bool
+	IXPUtilization, TransitUtilization []float64
+}
+
+// AssessInto is Assess through the caller's scratch, without the report:
+// it returns the report's counts and its shared links. With isolated the
+// same pass is also AssessIsolated's, so the tally adds the isolated
+// collateral count while the loads, congested links and collateral count
+// stay Assess's. As in Assess, the flows are the caller's, served from the
+// baseline's model or a WithCuts model of it, the scenario runs at the
+// baseline's multiplier, and flows out of the baseline's serving order
+// panic. Once s is warm it allocates nothing.
+func (b *Baseline) AssessInto(s *Scratch, sc Scenario, flows []capacity.Flow, isolated bool) (Tally, LinkView) {
+	mScenariosSimulated.Inc()
+	sc = sc.sanitized()
+	sc.DemandMult = b.mult
+	b.checkFlows(flows)
+	b.run(s, sc, flows, isolated)
+	for x := range s.ixp.util {
+		l, _ := b.ixpLink(s, x)
+		s.ixp.util[x] = l.Utilization()
+	}
+	for t := range s.transit.util {
+		l, _ := s.transitLink(t)
+		s.transit.util[t] = l.Utilization()
+	}
+	return b.tally(s), LinkView{
+		IXPs:               b.idx.ixps,
+		Transits:           b.idx.transits,
+		IXPCongested:       s.ixp.congested,
+		TransitCongested:   s.transit.congested,
+		IXPUtilization:     s.ixp.util,
+		TransitUtilization: s.transit.util,
+	}
 }

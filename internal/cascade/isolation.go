@@ -26,7 +26,8 @@ var fMitigation = obs.NewFunnel("cascade.mitigation",
 // hypergiants' traffic (and their ISPs) stay clean.
 
 // IsolatedReport extends a Report with per-hypergiant accounting under
-// capacity isolation.
+// capacity isolation. Only tests build one: AssessIsolated's callers are
+// the temporal engine's reference loop and this package's kernel tests.
 type IsolatedReport struct {
 	*Report
 	// OffendingHGs exceeded their slice on some shared link.
@@ -38,10 +39,13 @@ type IsolatedReport struct {
 }
 
 // AssessIsolated re-evaluates a report the baseline assessed under
-// per-hypergiant capacity slices without re-serving the flows, so the
-// temporal engine can toggle isolation mid-trajectory over the step it
-// already assessed. It reruns the scenario kernel over the report's flows
-// and scenario, which Assess produced, with the per-hypergiant loads on.
+// per-hypergiant capacity slices without re-serving the flows. It reruns
+// the scenario kernel over the report's flows and scenario, which Assess
+// produced, with the per-hypergiant loads on. It has no production caller:
+// the temporal engine gets the same counts from one isolated AssessInto
+// pass, and AssessIsolated stays as the report form its reference loop
+// (internal/temporal's referenceRun) and this package's kernel tests
+// compare against.
 func (b *Baseline) AssessIsolated(rep *Report) *IsolatedReport {
 	b.checkFlows(rep.Flows)
 	s := scratchPool.Get().(*Scratch)

@@ -1,9 +1,11 @@
 package cascade
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -111,6 +113,66 @@ func sameTally(got Tally, want *Report, w *inet.World) error {
 	return nil
 }
 
+// sameAssessInto runs AssessInto over the flows and compares its tally
+// and link view with the reference's report of the same flows and, when
+// isolated, its isolated report.
+func sameAssessInto(b *Baseline, s *Scratch, sc Scenario, flows []capacity.Flow, isolated bool, want *Report, wantIso *IsolatedReport, w *inet.World) error {
+	got, v := b.AssessInto(s, sc, flows, isolated)
+	if err := sameTally(got, want, w); err != nil {
+		return err
+	}
+	congIXPs, congTrs := want.CongestedIXPs(), want.CongestedTransits()
+	overload := 0.0
+	for _, id := range congIXPs {
+		l := want.IXPLoad[id]
+		overload += l.LoadGbps - l.CapacityGbps
+	}
+	for _, as := range congTrs {
+		l := want.TransitLoad[as]
+		overload += l.LoadGbps - l.CapacityGbps
+	}
+	isoColl := 0
+	if isolated {
+		isoColl = len(wantIso.IsolatedCollateralISPs)
+	}
+	if got.DirectISPs != len(want.DirectISPs) || got.CongestedIXPs != len(congIXPs) ||
+		got.CongestedTransits != len(congTrs) || !sameBits(got.OverloadGbps, overload) ||
+		got.IsolatedCollateralISPs != isoColl {
+		return fmt.Errorf("AssessInto tally %+v, want %d direct, %d+%d congested, overload %v, %d isolated collateral",
+			got, len(want.DirectISPs), len(congIXPs), len(congTrs), overload, isoColl)
+	}
+	if err := sameView("IXP", v.IXPs, v.IXPCongested, v.IXPUtilization, want.IXPLoad); err != nil {
+		return err
+	}
+	return sameView("transit", v.Transits, v.TransitCongested, v.TransitUtilization, want.TransitLoad)
+}
+
+// sameView compares one kind of link in an AssessInto view with the
+// report's map: ascending IDs, each link congested as its LinkLoad is and
+// with its utilization bit for bit (0 for a link the map lacks), and every
+// link of the map in the view.
+func sameView[K cmp.Ordered](kind string, ids []K, congested []bool, util []float64, want map[K]LinkLoad) error {
+	if !slices.IsSorted(ids) || len(congested) != len(ids) || len(util) != len(ids) {
+		return fmt.Errorf("%s view: %d IDs (sorted %v), %d flags, %d utilizations",
+			kind, len(ids), slices.IsSorted(ids), len(congested), len(util))
+	}
+	listed := 0
+	for i, id := range ids {
+		l, ok := want[id]
+		if ok {
+			listed++
+		}
+		if congested[i] != l.Congested() || !sameBits(util[i], l.Utilization()) {
+			return fmt.Errorf("%s link %v: congested %v, utilization %v; want %v, %v",
+				kind, id, congested[i], util[i], l.Congested(), l.Utilization())
+		}
+	}
+	if listed != len(want) {
+		return fmt.Errorf("the view holds %d of the report's %d %s links", listed, len(want), kind)
+	}
+	return nil
+}
+
 // kernelCase is one world's baseline pair: the kernel's and the
 // reference's at the same multiplier.
 type kernelCase struct {
@@ -129,8 +191,8 @@ func newKernelCase(d *hypergiant.Deployment, m *capacity.Model, mult float64) *k
 }
 
 // check runs one scenario through every kernel entry point and the
-// reference: Simulate, Tally, AssessIsolated and the isolated counts path
-// the mitigation sweep reads.
+// reference: Simulate, Tally, AssessIsolated, the isolated counts path
+// the mitigation sweep reads, and AssessInto with and without isolation.
 func (c *kernelCase) check(sc Scenario) error {
 	got, want := c.b.Simulate(sc), c.rb.Simulate(sc)
 	if err := sameReport(got, want); err != nil {
@@ -142,6 +204,11 @@ func (c *kernelCase) check(sc Scenario) error {
 	wantIso := c.rb.AssessIsolated(want)
 	if err := sameIsolated(c.b.AssessIsolated(got), wantIso); err != nil {
 		return fmt.Errorf("AssessIsolated: %w", err)
+	}
+	for _, isolated := range []bool{false, true} {
+		if err := sameAssessInto(c.b, &c.s, sc, got.Flows, isolated, want, wantIso, c.d.World); err != nil {
+			return fmt.Errorf("AssessInto (isolated %v): %w", isolated, err)
+		}
 	}
 	c.b.simulateInto(&c.s, sc, true)
 	if c.s.collateral != len(want.CollateralISPs) || c.s.iso != len(wantIso.IsolatedCollateralISPs) ||
@@ -352,7 +419,8 @@ func reversed(flows []capacity.Flow) []capacity.Flow {
 }
 
 // TestScenarioKernelAllocs: a warm counts-path scenario, shared fate or
-// isolated, with failures and a surge, allocates nothing.
+// isolated, with failures and a surge, allocates nothing, and neither does
+// a warm AssessInto over flows the caller served.
 func TestScenarioKernelAllocs(t *testing.T) {
 	d, m := setup(t, 1)
 	b := NewBaseline(m, d, 1.0)
@@ -367,6 +435,10 @@ func TestScenarioKernelAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { b.simulateInto(&s, sc, true) }); n != 0 {
 		t.Errorf("a warm isolated scenario allocates %v times, want 0", n)
+	}
+	flows := m.ServeBurst(1.0, sc.Surge, sc.FailFacilities)
+	if n := testing.AllocsPerRun(20, func() { b.AssessInto(&s, sc, flows, true) }); n != 0 {
+		t.Errorf("a warm isolated AssessInto allocates %v times, want 0", n)
 	}
 }
 

@@ -1,65 +1,45 @@
-package cascade_test
+package cascade
 
 import (
-	"context"
-	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"offnetrisk/internal/capacity"
-	"offnetrisk/internal/cascade"
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/rngutil"
 	"offnetrisk/internal/scenario"
-	"offnetrisk/internal/temporal"
+	"offnetrisk/internal/traffic"
 )
 
-// stepSchedule is a seeded schedule that exercises every kind of step the
-// engine assesses: demand steps, facility failures, capacity cuts on each
-// layer (served by WithCuts models) and isolation toggles, over two days.
-func stepSchedule(r *rand.Rand, d *hypergiant.Deployment) *scenario.Schedule {
-	seen := make(map[inet.FacilityID]bool)
-	var facs []inet.FacilityID
-	for _, s := range d.Servers {
-		if !seen[s.Facility] {
-			seen[s.Facility] = true
-			facs = append(facs, s.Facility)
+// stepCuts is one capacity cut per serving layer, as a schedule's cut
+// windows give them: on one hypergiant or all of them, and on one hosting
+// ISP or every network.
+func stepCuts(r *rand.Rand, d *hypergiant.Deployment) []capacity.Cut {
+	hosts := d.HostingISPs()
+	var cuts []capacity.Cut
+	for _, layer := range []capacity.Layer{capacity.LayerOffnet, capacity.LayerPNI, capacity.LayerIXP} {
+		c := capacity.Cut{Layer: layer, Frac: 0.3 + 0.7*r.Float64()}
+		if i := r.Intn(len(traffic.All) + 1); i < len(traffic.All) {
+			c.HG = traffic.All[i]
+		} else {
+			c.AllHGs = true
 		}
+		if r.Intn(2) == 0 {
+			c.ISP = hosts[r.Intn(len(hosts))]
+		}
+		cuts = append(cuts, c)
 	}
-	sort.Slice(facs, func(i, j int) bool { return facs[i] < facs[j] })
-	hgs := []string{"google", "netflix", "meta", "akamai"}
-	s := &scenario.Schedule{Version: scenario.ScheduleVersion, Name: "kernel-steps"}
-	win := func() (float64, float64) {
-		return math.Round(r.Float64()*80) / 2, 2 + math.Round(r.Float64()*16)/2
-	}
-	for _, i := range rngutil.SampleWithoutReplacement(r, len(hgs), 2) {
-		at, dur := win()
-		s.Events = append(s.Events, scenario.TimedEvent{AtHours: at, DurationHours: dur,
-			DemandStep: &scenario.DemandStep{HG: hgs[i], Multiplier: 1 + r.Float64()*2}})
-	}
-	for _, i := range rngutil.SampleWithoutReplacement(r, len(facs), min(3, len(facs))) {
-		at, dur := win()
-		s.Events = append(s.Events, scenario.TimedEvent{AtHours: at, DurationHours: dur,
-			FacilityFailure: &scenario.FacilityFailure{Facility: int(facs[i])}})
-	}
-	for _, layer := range scenario.ScheduleLayers {
-		at, dur := win()
-		s.Events = append(s.Events, scenario.TimedEvent{AtHours: at, DurationHours: dur,
-			CapacityCut: &scenario.CapacityCut{Layer: layer, HG: hgs[r.Intn(len(hgs))], CutFraction: 0.3 + r.Float64()*0.7}})
-	}
-	for i, on := range []bool{true, false} {
-		s.Events = append(s.Events, scenario.TimedEvent{AtHours: float64(24*i) + math.Round(r.Float64()*22),
-			Isolation: &scenario.IsolationToggle{Enabled: on}})
-	}
-	return s
+	return cuts
 }
 
-// TestTemporalStepsMatchReference compares every step the temporal engine
-// assesses — steady, burst and cut steps, with and without isolation — with
-// the reference assessment of the same flows, at tiny seeds 1-30 and
-// default seed 42 (skipped under -short).
+// TestTemporalStepsMatchReference drives AssessInto, the temporal engine's
+// kernel entry, over the kinds of step the engine evaluates: steady steps
+// on an hour's baseline flows, burst steps with failures and surges, and
+// steps served by a WithCuts model, each with and without isolation. Every
+// count and every link of the view must match the reference assessment of
+// the same flows, at tiny seeds 1-30 and default seed 42 (skipped under
+// -short).
 func TestTemporalStepsMatchReference(t *testing.T) {
 	cfgs := make([]inet.Config, 0, 31)
 	for seed := int64(1); seed <= 30; seed++ {
@@ -68,41 +48,66 @@ func TestTemporalStepsMatchReference(t *testing.T) {
 	if !testing.Short() {
 		cfgs = append(cfgs, inet.ConfigFromScenario(scenario.Default(), 42))
 	}
-	var burst, cut, isolated int
+	kinds := []string{"steady", "burst", "cut"}
+	var seen [3][2]int
+	congested, isoCollateral := 0, 0
 	for _, cfg := range cfgs {
-		d, err := hypergiant.Deploy(inet.Generate(cfg), hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(scenario.Default(), cfg.Seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := capacity.Build(d, capacity.ConfigFromScenario(scenario.Default(), cfg.Seed))
-		sched := stepSchedule(rngutil.New(rngutil.Derive(cfg.Seed, rngutil.Label("cascade.kernel.steps"))), d)
-		eng, err := temporal.New(m, d, sched, temporal.Config{Hours: 48})
-		if err != nil {
-			t.Fatal(err)
-		}
-		traj, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := cascade.NewReferenceChecker(m, d)
-		for _, st := range traj.Steps {
-			if err := ref.Check(st.Report, st.IsoReport); err != nil {
-				t.Fatalf("seed %d t=%g: %v", cfg.Seed, st.AtHours, err)
+		d, m := buildWorld(t, cfg)
+		r := rngutil.New(rngutil.Derive(cfg.Seed, rngutil.Label("cascade.kernel.steps")))
+		first := NewBaseline(m, d, capacity.Diurnal[0])
+		facs := first.facilities()
+		var bs [24]*Baseline
+		var rbs [24]*referenceBaseline
+		var s Scratch
+		for step := 0; step < 48; step++ {
+			h := r.Intn(24)
+			mult := capacity.Diurnal[h]
+			if bs[h] == nil {
+				bs[h], rbs[h] = first.At(mult), newReferenceBaseline(m, d, mult, hgsByFacility(d))
 			}
-			if st.Burst {
-				burst++
+			sc := Scenario{DemandMult: mult, SharedHeadroom: 1.02 + r.Float64()}
+			flows := bs[h].Flows
+			kind := r.Intn(len(kinds))
+			if kind > 0 {
+				sc.FailFacilities = make(map[inet.FacilityID]bool)
+				for _, i := range rngutil.SampleWithoutReplacement(r, len(facs), r.Intn(min(4, len(facs)+1))) {
+					sc.FailFacilities[facs[i]] = true
+				}
+				sc.Surge = make(map[traffic.HG]float64)
+				for _, hg := range traffic.All {
+					if r.Intn(2) == 0 {
+						sc.Surge[hg] = 1 + 2*r.Float64()
+					}
+				}
+				served := m
+				if kind == 2 {
+					served = m.WithCuts(stepCuts(r, d))
+				}
+				flows = served.ServeBurst(mult, sc.Surge, sc.FailFacilities)
 			}
-			if st.IsoReport != nil {
-				isolated++
+			isolated := r.Intn(2) == 0
+			want := rbs[h].Assess(sc, flows)
+			var wantIso *IsolatedReport
+			iso := 0
+			if isolated {
+				wantIso, iso = rbs[h].AssessIsolated(want), 1
+				isoCollateral += len(wantIso.IsolatedCollateralISPs)
 			}
-		}
-		for _, ev := range traj.Events {
-			if ev.Kind == "capacity_cut_start" {
-				cut++
+			if err := sameAssessInto(bs[h], &s, sc, flows, isolated, want, wantIso, d.World); err != nil {
+				t.Fatalf("seed %d step %d (%s, isolated %v): %v", cfg.Seed, step, kinds[kind], isolated, err)
+			}
+			seen[kind][iso]++
+			if len(want.CongestedIXPs())+len(want.CongestedTransits()) > 0 {
+				congested++
 			}
 		}
 	}
-	if burst == 0 || cut == 0 || isolated == 0 {
-		t.Fatalf("%d burst steps, %d cuts, %d isolated steps: some step kind is not exercised", burst, cut, isolated)
+	for kind, n := range seen {
+		if n[0] == 0 || n[1] == 0 {
+			t.Fatalf("%s steps: %d shared, %d isolated; some step kind is not exercised", kinds[kind], n[0], n[1])
+		}
+	}
+	if congested == 0 || isoCollateral == 0 {
+		t.Fatalf("%d congested steps, %d isolated collateral ISPs: congestion is not exercised", congested, isoCollateral)
 	}
 }

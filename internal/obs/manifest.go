@@ -31,7 +31,10 @@ type Manifest struct {
 	// from (-snapshot); omitted when the world was synthesized in memory.
 	Snapshot string `json:"snapshot,omitempty"`
 	// StartedAt/WallMS describe the run itself, not the experiments: they
-	// vary run to run and are excluded from determinism comparisons.
+	// vary run to run and are excluded from determinism comparisons. The
+	// wall ends where BuildManifest starts, so it leaves out the manifest's
+	// own bookkeeping (snapshots, profile, lineage digest), which no stage
+	// span can cover.
 	StartedAt string                 `json:"started_at,omitempty"`
 	WallMS    float64                `json:"wall_ms,omitempty"`
 	Stages    []SpanSnapshot         `json:"stages"`
@@ -66,8 +69,10 @@ type Manifest struct {
 
 // BuildManifest assembles a manifest from a finished (or in-flight) tracer
 // and the Default metrics registry. start anchors stage offsets and WallMS;
-// pass the time the run began.
+// pass the time the run began. The run ends on entry, before the
+// manifest's own bookkeeping.
 func BuildManifest(tool string, seed int64, scale string, tr *Tracer, start time.Time) *Manifest {
+	end := time.Now()
 	m := &Manifest{
 		Tool:      tool,
 		Seed:      seed,
@@ -87,7 +92,7 @@ func BuildManifest(tool string, seed int64, scale string, tr *Tracer, start time
 	}
 	if !start.IsZero() {
 		m.StartedAt = start.UTC().Format(time.RFC3339)
-		m.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
+		m.WallMS = float64(end.Sub(start)) / float64(time.Millisecond)
 	}
 	return m
 }

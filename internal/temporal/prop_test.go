@@ -85,28 +85,29 @@ func facilitiesOf(d *hypergiant.Deployment) []inet.FacilityID {
 	return ids
 }
 
-func checkConservation(t *testing.T, schedule int, st *Step) {
+// checkConservation checks the flows of a reference step and the
+// aggregate Run reported for it.
+func checkConservation(t *testing.T, schedule int, rs *referenceStep, agg Aggregate) {
 	t.Helper()
-	for _, f := range st.Flows {
+	for _, f := range rs.Flows {
 		sum := f.Offnet + f.PNI + f.IXP + f.UpstreamOffnet + f.Transit
 		if math.Abs(sum-f.Demand) > 1e-6*math.Max(1, f.Demand) {
 			t.Fatalf("schedule %d t=%g: flow %v/%d not conserved: %v != %v",
-				schedule, st.AtHours, f.HG, f.ISP, sum, f.Demand)
+				schedule, rs.AtHours, f.HG, f.ISP, sum, f.Demand)
 		}
 	}
-	agg := st.Agg.Offnet + st.Agg.PNI + st.Agg.IXP + st.Agg.UpstreamOffnet +
-		st.Agg.Transit + st.Agg.Unserved
-	if math.Abs(agg-st.Agg.Demand) > 1e-6*math.Max(1, st.Agg.Demand) {
+	total := agg.Offnet + agg.PNI + agg.IXP + agg.UpstreamOffnet + agg.Transit + agg.Unserved
+	if math.Abs(total-agg.Demand) > 1e-6*math.Max(1, agg.Demand) {
 		t.Fatalf("schedule %d t=%g: aggregate not conserved: %v != %v",
-			schedule, st.AtHours, agg, st.Agg.Demand)
+			schedule, rs.AtHours, total, agg.Demand)
 	}
-	if st.Agg.Unserved != 0 {
+	if agg.Unserved != 0 {
 		t.Fatalf("schedule %d t=%g: unserved %v in a model whose transit sink is unbounded",
-			schedule, st.AtHours, st.Agg.Unserved)
+			schedule, rs.AtHours, agg.Unserved)
 	}
 }
 
-func checkUtilization(t *testing.T, schedule int, st *Step) {
+func checkUtilization(t *testing.T, schedule int, st *referenceStep) {
 	t.Helper()
 	for id, l := range st.Report.IXPLoad {
 		if !l.Congested() && l.LoadGbps > l.CapacityGbps {
@@ -126,8 +127,11 @@ func checkUtilization(t *testing.T, schedule int, st *Step) {
 	}
 }
 
-func collateralSet(st *Step) map[inet.ASN]bool { return st.Report.CollateralISPs }
+func collateralSet(st *referenceStep) map[inet.ASN]bool { return st.Report.CollateralISPs }
 
+// TestPropertiesOverRandomSchedules checks the properties on the reference
+// loop's full steps, and conservation on the aggregates Run reports, which
+// must equal the reference's.
 func TestPropertiesOverRandomSchedules(t *testing.T) {
 	const schedules = 200
 	const perWorld = 20
@@ -146,20 +150,28 @@ func TestPropertiesOverRandomSchedules(t *testing.T) {
 		// congested and collateral sets must shrink set-wise as headroom
 		// grows.
 		var trajs []*Trajectory
+		var refs [][]referenceStep
 		for _, hr := range headrooms {
-			trajs = append(trajs, mustRun(t, m, d, sched, Config{Hours: 24, SharedHeadroom: hr}))
+			cfg := Config{Hours: 24, SharedHeadroom: hr}
+			traj := mustRun(t, m, d, sched, cfg)
+			ref, steps := mustReference(t, m, d, sched, cfg)
+			if err := sameTrajectory(traj, ref); err != nil {
+				t.Fatalf("schedule %d headroom %v: %v", i, hr, err)
+			}
+			trajs = append(trajs, traj)
+			refs = append(refs, steps)
 		}
-		for k := 1; k < len(trajs); k++ {
-			if len(trajs[k].Steps) != len(trajs[0].Steps) {
+		for k := 1; k < len(refs); k++ {
+			if len(refs[k]) != len(refs[0]) {
 				t.Fatalf("schedule %d: step counts differ across headrooms", i)
 			}
 		}
-		for s := range trajs[0].Steps {
-			st := &trajs[0].Steps[s]
-			checkConservation(t, i, st)
+		for s := range refs[0] {
+			st := &refs[0][s]
+			checkConservation(t, i, st, trajs[0].Steps[s].Agg)
 			checkUtilization(t, i, st)
-			for k := 1; k < len(trajs); k++ {
-				lo, hi := &trajs[k-1].Steps[s], &trajs[k].Steps[s]
+			for k := 1; k < len(refs); k++ {
+				lo, hi := &refs[k-1][s], &refs[k][s]
 				checkUtilization(t, i, hi)
 				for as := range collateralSet(hi) {
 					if !collateralSet(lo)[as] {

@@ -10,14 +10,18 @@
 // The engine is deterministic by construction: events are ordered by
 // (timestamp, sequence number) on a heap, sequence numbers are assigned in
 // a fixed construction order, the serving model and cascade assessment are
-// the same pure functions the closed-form sweeps call (capacity.ServeBurst
-// and cascade.Baseline.Assess, against one no-failure cascade.Baseline per
-// clock hour, built on first use), and no wall-clock or map-iteration
-// order reaches the trajectory. The SHA-256 trajectory digest is therefore
-// byte-identical at any -workers setting, and the closed-form
-// pipeline remains the differential oracle: an empty schedule reproduces
-// capacity.Serve hour by hour, and a scheduled facility failure lands on
-// cascade.Simulate's report bit-exactly.
+// the kernels the closed-form sweeps run (capacity.Model.ServeInto in the
+// burst regime, and cascade.Baseline.AssessInto, the kernel pass behind
+// Assess and Simulate, against one no-failure cascade.Baseline per clock
+// hour, built on first use), and no wall-clock or map-iteration order
+// reaches the trajectory. An undisturbed step depends only on its clock
+// hour and isolation, so each such pair is evaluated once per run and
+// reused. A trajectory keeps each step's aggregate, not its flows or
+// reports. The SHA-256 trajectory digest is therefore byte-identical at
+// any -workers setting, and the closed-form pipeline remains the
+// differential oracle: an empty schedule reproduces capacity.Serve hour by
+// hour, and a scheduled facility failure lands on cascade.Simulate's
+// report bit-exactly.
 package temporal
 
 import (
@@ -25,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"offnetrisk/internal/capacity"
@@ -134,12 +139,20 @@ type state struct {
 	isolated bool
 }
 
+func newState() *state {
+	return &state{
+		failures: make(map[inet.FacilityID]int),
+		steps:    make(map[int]bool),
+		cuts:     make(map[int]bool),
+	}
+}
+
 func (st *state) disturbed() bool {
 	return len(st.failures) > 0 || len(st.steps) > 0 || len(st.cuts) > 0
 }
 
-// failedSet renders the counted failures as the map capacity.ServeBurst
-// expects; nil when nothing is dark.
+// failedSet renders the counted failures as the map serving expects; nil
+// when nothing is dark.
 func (st *state) failedSet() map[inet.FacilityID]bool {
 	var out map[inet.FacilityID]bool
 	for fid, n := range st.failures {
@@ -219,6 +232,34 @@ func (st *state) cutSet(sched *scenario.Schedule) []capacity.Cut {
 // the state, then evaluates the world once at that instant — serving split,
 // congestion assessment, onset/clearance detection, isolation accounting.
 func (e *Engine) Run(ctx context.Context) (*Trajectory, error) {
+	h := e.items()
+	traj := &Trajectory{Hours: e.cfg.Hours, ScheduleName: e.scheduleName()}
+	st := newState()
+	cur := e.base
+	var ev evaluator
+	for h.Len() > 0 {
+		if err := ctx.Err(); err != nil {
+			return traj, err
+		}
+		at, cutsChanged := e.advance(h, traj, st)
+		if cutsChanged {
+			cur = e.base.WithCuts(st.cutSet(e.sched))
+		}
+		hour := int(math.Floor(at))
+		o := ev.evaluate(e, st, cur, hour%24)
+		mOnsets.Add(int64(ev.emitEdges(traj, e.cfg.Sink, at, o.links)))
+		traj.Steps = append(traj.Steps, Step{AtHours: at, Hour: hour, Agg: o.agg})
+		agg := o.agg
+		traj.append(e.cfg.Sink, Event{AtHours: at, Kind: "flows", Hour: hour, Agg: &agg})
+		mSteps.Inc()
+	}
+	mEvents.Add(int64(len(traj.Events)))
+	return traj, nil
+}
+
+// items builds the run's event heap: every hourly tick of the horizon,
+// then every schedule item inside it.
+func (e *Engine) items() *itemHeap {
 	h := &itemHeap{}
 	seq := 0
 	push := func(it item) {
@@ -251,95 +292,163 @@ func (e *Engine) Run(ctx context.Context) (*Trajectory, error) {
 			}
 		}
 	}
+	return h
+}
 
-	traj := &Trajectory{Hours: e.cfg.Hours, ScheduleName: e.scheduleName()}
-	st := &state{
-		failures: make(map[inet.FacilityID]int),
-		steps:    make(map[int]bool),
-		cuts:     make(map[int]bool),
-	}
-	cur := e.base
-	// One no-failure baseline per clock hour, built on first use; later
-	// hours share the first one's facility index.
-	var baselines [24]*cascade.Baseline
-	var first *cascade.Baseline
-	prevCongIXP := make(map[inet.IXPID]bool)
-	prevCongTr := make(map[inet.ASN]bool)
-
-	for h.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return traj, err
-		}
-		at := h.peekAt()
-		hour := int(math.Floor(at))
-		cutsChanged := false
-		for h.Len() > 0 && h.peekAt() == at {
-			it := heap.Pop(h).(item)
-			switch it.kind {
-			case itemTick:
-				traj.append(e.cfg.Sink, Event{
-					AtHours: at, Kind: "tick", Hour: it.hour,
-					Value: capacity.Diurnal[it.hour%24],
-				})
-			case itemStart, itemEnd:
-				cutsChanged = e.applyWindow(traj, st, it, at) || cutsChanged
-			case itemToggle:
-				en := e.sched.Events[it.ev].Isolation.Enabled
-				st.isolated = en
-				kind := "isolation_off"
-				if en {
-					kind = "isolation_on"
-				}
-				traj.append(e.cfg.Sink, Event{AtHours: at, Kind: kind})
+// advance pops every item at the earliest timestamp, applies it to the
+// state and records its event; returns the timestamp and whether the
+// active cut set changed.
+func (e *Engine) advance(h *itemHeap, traj *Trajectory, st *state) (at float64, cutsChanged bool) {
+	at = h.peekAt()
+	for h.Len() > 0 && h.peekAt() == at {
+		it := heap.Pop(h).(item)
+		switch it.kind {
+		case itemTick:
+			traj.append(e.cfg.Sink, Event{
+				AtHours: at, Kind: "tick", Hour: it.hour,
+				Value: capacity.Diurnal[it.hour%24],
+			})
+		case itemStart, itemEnd:
+			cutsChanged = e.applyWindow(traj, st, it, at) || cutsChanged
+		case itemToggle:
+			en := e.sched.Events[it.ev].Isolation.Enabled
+			st.isolated = en
+			kind := "isolation_off"
+			if en {
+				kind = "isolation_on"
 			}
+			traj.append(e.cfg.Sink, Event{AtHours: at, Kind: kind})
 		}
-		if cutsChanged {
-			cur = e.base.WithCuts(st.cutSet(e.sched))
-		}
-
-		// Evaluate the world at this instant.
-		hIdx := hour % 24
-		mult := capacity.Diurnal[hIdx]
-		baseline := baselines[hIdx]
-		if baseline == nil {
-			if first == nil {
-				first = cascade.NewBaseline(e.base, e.dep, mult)
-				baseline = first
-			} else {
-				baseline = first.At(mult)
-			}
-			baselines[hIdx] = baseline
-		}
-		burst := st.disturbed()
-		scale := st.scaleSet(e.sched)
-		failed := st.failedSet()
-		flows := baseline.Flows
-		if burst {
-			flows = cur.ServeBurst(mult, scale, failed)
-		}
-		sc := cascade.Scenario{
-			FailFacilities: failed,
-			Surge:          scale,
-			DemandMult:     mult,
-			SharedHeadroom: e.cfg.SharedHeadroom,
-		}
-		rep := baseline.Assess(sc, flows)
-		var iso *cascade.IsolatedReport
-		if st.isolated {
-			iso = baseline.AssessIsolated(rep)
-		}
-
-		onsets := e.emitCongestionEdges(traj, at, rep, prevCongIXP, prevCongTr)
-		mOnsets.Add(int64(onsets))
-
-		step := buildStep(at, hour, burst, st.isolated, flows, rep, iso)
-		traj.Steps = append(traj.Steps, step)
-		agg := step.Agg
-		traj.append(e.cfg.Sink, Event{AtHours: at, Kind: "flows", Hour: hour, Agg: &agg})
-		mSteps.Inc()
 	}
-	mEvents.Add(int64(len(traj.Events)))
-	return traj, nil
+	return at, cutsChanged
+}
+
+// outcome is what one evaluated step reports: its aggregate and its
+// shared links.
+type outcome struct {
+	agg   Aggregate
+	links cascade.LinkView
+}
+
+// evaluator is one run's memory for evaluating steps: the no-failure
+// baseline of each clock hour, built on first use (later hours share the
+// first one's link index), the scratch and serving buffers every kernel
+// pass reuses, each undisturbed (clock hour, isolation) outcome once
+// evaluated, and the previous step's congested links.
+type evaluator struct {
+	baselines       [24]*cascade.Baseline
+	first           *cascade.Baseline
+	s               cascade.Scratch
+	buf             capacity.Buffers
+	steady          [24][2]*outcome
+	prevIXP, prevTr []bool
+}
+
+// evaluate assesses the world at clock hour h (of the day) in the state.
+// An undisturbed step serves its hour's baseline flows under the scenario
+// (no failure, no surge, Diurnal[h], headroom), so its outcome depends
+// only on (h, isolation): it is evaluated once and reused. A disturbed
+// step serves the cut model in the burst regime into the reused buffers.
+// Both run one kernel pass against the hour's baseline.
+func (ev *evaluator) evaluate(e *Engine, st *state, cur *capacity.Model, h int) outcome {
+	mult := capacity.Diurnal[h]
+	b := ev.baselines[h]
+	if b == nil {
+		if ev.first == nil {
+			ev.first = cascade.NewBaseline(e.base, e.dep, mult)
+			b = ev.first
+		} else {
+			b = ev.first.At(mult)
+		}
+		ev.baselines[h] = b
+	}
+	burst := st.disturbed()
+	iso := 0
+	if st.isolated {
+		iso = 1
+	}
+	if !burst && ev.steady[h][iso] != nil {
+		return *ev.steady[h][iso]
+	}
+	sc := cascade.Scenario{DemandMult: mult, SharedHeadroom: e.cfg.SharedHeadroom}
+	flows := b.Flows
+	if burst {
+		sc.Surge = st.scaleSet(e.sched)
+		sc.FailFacilities = st.failedSet()
+		flows = cur.ServeInto(&ev.buf, mult, sc.Surge, sc.FailFacilities, true)
+	}
+	t, links := b.AssessInto(&ev.s, sc, flows, st.isolated)
+	o := outcome{agg: aggregate(flows, t, burst, st.isolated), links: links}
+	if !burst {
+		// The view aliases the scratch, which the next pass overwrites.
+		o.links.IXPCongested = slices.Clone(links.IXPCongested)
+		o.links.TransitCongested = slices.Clone(links.TransitCongested)
+		o.links.IXPUtilization = slices.Clone(links.IXPUtilization)
+		o.links.TransitUtilization = slices.Clone(links.TransitUtilization)
+		ev.steady[h][iso] = &o
+	}
+	return o
+}
+
+// aggregate is a step's Aggregate: its flows summed in flow order, and
+// its congestion counts from the kernel's tally.
+func aggregate(flows []capacity.Flow, t cascade.Tally, burst, isolated bool) Aggregate {
+	a := Aggregate{
+		OverloadGbps:           t.OverloadGbps,
+		CongestedIXPs:          t.CongestedIXPs,
+		CongestedTransits:      t.CongestedTransits,
+		DirectISPs:             t.DirectISPs,
+		CollateralISPs:         t.CollateralISPs,
+		IsolatedCollateralISPs: t.IsolatedCollateralISPs,
+		Burst:                  burst,
+		Isolated:               isolated,
+	}
+	for i := range flows {
+		f := &flows[i]
+		a.Demand += f.Demand
+		a.Offnet += f.Offnet
+		a.PNI += f.PNI
+		a.IXP += f.IXP
+		a.UpstreamOffnet += f.UpstreamOffnet
+		a.Transit += f.Transit
+	}
+	return a
+}
+
+// emitEdges diffs the step's congested links against the previous step's
+// and emits onset and clearance events in a fixed order (exchange onsets,
+// then provider onsets, then exchange clears, then provider clears, each
+// ascending), valued at the step's utilization; returns the onset count.
+// The step's flags become the previous step's.
+func (ev *evaluator) emitEdges(traj *Trajectory, sink *obs.EventSink, at float64, l cascade.LinkView) int {
+	if ev.prevIXP == nil {
+		ev.prevIXP = make([]bool, len(l.IXPs))
+		ev.prevTr = make([]bool, len(l.Transits))
+	}
+	ixp := func(i int) Event { return Event{IXP: int(l.IXPs[i]), Value: l.IXPUtilization[i]} }
+	transit := func(i int) Event { return Event{Transit: uint32(l.Transits[i]), Value: l.TransitUtilization[i]} }
+	onsets := edges(traj, sink, at, "congestion_onset", l.IXPCongested, ev.prevIXP, ixp)
+	onsets += edges(traj, sink, at, "congestion_onset", l.TransitCongested, ev.prevTr, transit)
+	edges(traj, sink, at, "congestion_clear", ev.prevIXP, l.IXPCongested, ixp)
+	edges(traj, sink, at, "congestion_clear", ev.prevTr, l.TransitCongested, transit)
+	copy(ev.prevIXP, l.IXPCongested)
+	copy(ev.prevTr, l.TransitCongested)
+	return onsets
+}
+
+// edges appends a kind event for each link, ascending, set in now but not
+// in before; returns how many.
+func edges(traj *Trajectory, sink *obs.EventSink, at float64, kind string, now, before []bool, link func(int) Event) int {
+	n := 0
+	for i, on := range now {
+		if on && !before[i] {
+			ev := link(i)
+			ev.AtHours, ev.Kind = at, kind
+			traj.append(sink, ev)
+			n++
+		}
+	}
+	return n
 }
 
 // applyWindow applies one window start/end to the state and records its
@@ -386,75 +495,6 @@ func (e *Engine) applyWindow(traj *Trajectory, st *state, it item, at float64) b
 		return true
 	}
 	return false
-}
-
-// emitCongestionEdges diffs the congested link sets against the previous
-// step and emits onset/clearance events in a fixed order (IXP onsets, then
-// transit onsets, then IXP clears, then transit clears, each ascending);
-// returns the onset count. prev maps are updated in place.
-func (e *Engine) emitCongestionEdges(traj *Trajectory, at float64, rep *cascade.Report, prevIXP map[inet.IXPID]bool, prevTr map[inet.ASN]bool) int {
-	onsets := 0
-	curIXP := make(map[inet.IXPID]bool)
-	for _, id := range rep.CongestedIXPs() {
-		curIXP[id] = true
-		if !prevIXP[id] {
-			onsets++
-			traj.append(e.cfg.Sink, Event{
-				AtHours: at, Kind: "congestion_onset", IXP: int(id),
-				Value: rep.IXPLoad[id].Utilization(),
-			})
-		}
-	}
-	curTr := make(map[inet.ASN]bool)
-	for _, as := range rep.CongestedTransits() {
-		curTr[as] = true
-		if !prevTr[as] {
-			onsets++
-			traj.append(e.cfg.Sink, Event{
-				AtHours: at, Kind: "congestion_onset", Transit: uint32(as),
-				Value: rep.TransitLoad[as].Utilization(),
-			})
-		}
-	}
-	clearedIXP := make([]inet.IXPID, 0)
-	for id := range prevIXP {
-		if !curIXP[id] {
-			clearedIXP = append(clearedIXP, id)
-		}
-	}
-	sort.Slice(clearedIXP, func(i, j int) bool { return clearedIXP[i] < clearedIXP[j] })
-	for _, id := range clearedIXP {
-		traj.append(e.cfg.Sink, Event{
-			AtHours: at, Kind: "congestion_clear", IXP: int(id),
-			Value: rep.IXPLoad[id].Utilization(),
-		})
-	}
-	clearedTr := make([]inet.ASN, 0)
-	for as := range prevTr {
-		if !curTr[as] {
-			clearedTr = append(clearedTr, as)
-		}
-	}
-	sort.Slice(clearedTr, func(i, j int) bool { return clearedTr[i] < clearedTr[j] })
-	for _, as := range clearedTr {
-		traj.append(e.cfg.Sink, Event{
-			AtHours: at, Kind: "congestion_clear", Transit: uint32(as),
-			Value: rep.TransitLoad[as].Utilization(),
-		})
-	}
-	for id := range prevIXP {
-		delete(prevIXP, id)
-	}
-	for id := range curIXP {
-		prevIXP[id] = true
-	}
-	for as := range prevTr {
-		delete(prevTr, as)
-	}
-	for as := range curTr {
-		prevTr[as] = true
-	}
-	return onsets
 }
 
 func (e *Engine) scheduleName() string {

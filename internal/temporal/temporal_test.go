@@ -74,24 +74,29 @@ func servedFacility(t testing.TB, d *hypergiant.Deployment) inet.FacilityID {
 	return best
 }
 
-// The steady-state differential oracle: with an empty schedule the engine's
-// flows at each hour h must equal capacity.Model.Serve(Diurnal[h], ...)
-// bit-exactly, across 100 derived seeds (ISSUE 10 acceptance criterion).
+// The steady-state differential oracle: with an empty schedule the
+// engine's flows at each hour h must equal capacity.Model.Serve(Diurnal[h],
+// ...) bit-exactly, across 100 derived seeds. The reference loop keeps the
+// flows; Run's aggregate must be their flow-order sums.
 func TestSteadyStateMatchesServe(t *testing.T) {
 	base := int64(42)
 	for i := 0; i < 100; i++ {
 		seed := rngutil.Derive(base, rngutil.Label("temporal.oracle"), int64(i))
 		d, m := buildWorld(t, seed)
 		traj := mustRun(t, m, d, nil, Config{Hours: 24})
-		if len(traj.Steps) != 24 {
-			t.Fatalf("seed %d: %d steps, want 24", seed, len(traj.Steps))
+		_, ref := mustReference(t, m, d, nil, Config{Hours: 24})
+		if len(traj.Steps) != 24 || len(ref) != 24 {
+			t.Fatalf("seed %d: %d and %d reference steps, want 24", seed, len(traj.Steps), len(ref))
 		}
-		for _, st := range traj.Steps {
+		for k, st := range traj.Steps {
 			want := m.Serve(capacity.Diurnal[st.Hour%24], nil, nil)
-			if !reflect.DeepEqual(st.Flows, want) {
+			if !reflect.DeepEqual(ref[k].Flows, want) {
 				t.Fatalf("seed %d hour %d: engine flows diverge from Serve", seed, st.Hour)
 			}
-			if st.Burst {
+			if !sameSums(st.Agg, want) {
+				t.Fatalf("seed %d hour %d: aggregate %+v is not Serve's sums", seed, st.Hour, st.Agg)
+			}
+			if st.Agg.Burst || ref[k].Burst {
 				t.Fatalf("seed %d hour %d: steady state must not burst", seed, st.Hour)
 			}
 		}
@@ -100,7 +105,9 @@ func TestSteadyStateMatchesServe(t *testing.T) {
 
 // The failure differential oracle: a scheduled facility failure must land on
 // cascade.Simulate's report — flows, congested IXP/transit sets, direct and
-// collateral ISP sets — bit-exactly, across 100 derived seeds.
+// collateral ISP sets — bit-exactly, across 100 derived seeds. The
+// reference loop keeps the report; Run's aggregate must be the one
+// Simulate's report gives.
 func TestFailureTrajectoryMatchesSimulate(t *testing.T) {
 	base := int64(42)
 	const failAt = 5
@@ -117,9 +124,11 @@ func TestFailureTrajectoryMatchesSimulate(t *testing.T) {
 			}},
 		}
 		traj := mustRun(t, m, d, sched, Config{Hours: 12})
-		for _, st := range traj.Steps {
+		_, ref := mustReference(t, m, d, sched, Config{Hours: 12})
+		for k, st := range traj.Steps {
+			rs := &ref[k]
 			if st.AtHours < failAt {
-				if st.Burst {
+				if st.Agg.Burst || rs.Burst {
 					t.Fatalf("seed %d t=%g: burst before the failure", seed, st.AtHours)
 				}
 				continue
@@ -130,22 +139,25 @@ func TestFailureTrajectoryMatchesSimulate(t *testing.T) {
 				SharedHeadroom: 1.25,
 			}
 			want := cascade.Simulate(m, d, sc)
-			if !reflect.DeepEqual(st.Flows, want.Flows) {
+			if !reflect.DeepEqual(rs.Flows, want.Flows) {
 				t.Fatalf("seed %d t=%g: flows diverge from Simulate", seed, st.AtHours)
 			}
-			if !reflect.DeepEqual(st.Report.CongestedIXPs(), want.CongestedIXPs()) {
+			if !reflect.DeepEqual(rs.Report.CongestedIXPs(), want.CongestedIXPs()) {
 				t.Fatalf("seed %d t=%g: congested IXPs %v vs %v",
-					seed, st.AtHours, st.Report.CongestedIXPs(), want.CongestedIXPs())
+					seed, st.AtHours, rs.Report.CongestedIXPs(), want.CongestedIXPs())
 			}
-			if !reflect.DeepEqual(st.Report.CongestedTransits(), want.CongestedTransits()) {
+			if !reflect.DeepEqual(rs.Report.CongestedTransits(), want.CongestedTransits()) {
 				t.Fatalf("seed %d t=%g: congested transits %v vs %v",
-					seed, st.AtHours, st.Report.CongestedTransits(), want.CongestedTransits())
+					seed, st.AtHours, rs.Report.CongestedTransits(), want.CongestedTransits())
 			}
-			if !reflect.DeepEqual(st.Report.DirectISPs, want.DirectISPs) {
+			if !reflect.DeepEqual(rs.Report.DirectISPs, want.DirectISPs) {
 				t.Fatalf("seed %d t=%g: direct ISPs diverge", seed, st.AtHours)
 			}
-			if !reflect.DeepEqual(st.Report.CollateralISPs, want.CollateralISPs) {
+			if !reflect.DeepEqual(rs.Report.CollateralISPs, want.CollateralISPs) {
 				t.Fatalf("seed %d t=%g: collateral ISPs diverge", seed, st.AtHours)
+			}
+			if wantAgg := buildStep(st.AtHours, st.Hour, true, false, want.Flows, want, nil).Agg; !sameAgg(st.Agg, wantAgg) {
+				t.Fatalf("seed %d t=%g: aggregate %+v, Simulate's %+v", seed, st.AtHours, st.Agg, wantAgg)
 			}
 		}
 	}
@@ -181,8 +193,8 @@ func TestEventOrderingAndDigest(t *testing.T) {
 	}
 	// Isolation from t=5 onward only.
 	for _, st := range traj.Steps {
-		if st.Isolated != (st.AtHours >= 5) {
-			t.Fatalf("t=%g: isolated=%v", st.AtHours, st.Isolated)
+		if st.Agg.Isolated != (st.AtHours >= 5) {
+			t.Fatalf("t=%g: isolated=%v", st.AtHours, st.Agg.Isolated)
 		}
 	}
 	// Re-running is byte-identical.
@@ -253,30 +265,50 @@ func TestCapacityCutShiftsServing(t *testing.T) {
 		}},
 	}
 	traj := mustRun(t, m, d, sched, Config{Hours: 8})
-	var inWindow, outWindow *Step
-	for i := range traj.Steps {
-		st := &traj.Steps[i]
+	_, ref := mustReference(t, m, d, sched, Config{Hours: 8})
+	inWindow, outWindow := -1, -1
+	for i, st := range traj.Steps {
 		switch {
 		case st.AtHours >= 2 && st.AtHours < 5:
-			inWindow = st
+			inWindow = i
 		case st.AtHours >= 5:
-			if outWindow == nil {
-				outWindow = st
+			if outWindow < 0 {
+				outWindow = i
 			}
 		}
 	}
-	if inWindow == nil || outWindow == nil {
+	if inWindow < 0 || outWindow < 0 {
 		t.Fatal("missing steps around the cut window")
 	}
-	if inWindow.Agg.PNI != 0 {
-		t.Fatalf("PNI served %.3f Gbps during a 100%% PNI cut", inWindow.Agg.PNI)
+	if pni := traj.Steps[inWindow].Agg.PNI; pni != 0 {
+		t.Fatalf("PNI served %.3f Gbps during a 100%% PNI cut", pni)
 	}
-	if outWindow.Agg.PNI <= 0 {
-		t.Fatalf("PNI did not recover after the cut window (%.3f Gbps)", outWindow.Agg.PNI)
+	out := traj.Steps[outWindow]
+	if out.Agg.PNI <= 0 {
+		t.Fatalf("PNI did not recover after the cut window (%.3f Gbps)", out.Agg.PNI)
 	}
-	// After the window the state is quiet again: flows equal the baseline.
-	want := m.Serve(capacity.Diurnal[outWindow.Hour%24], nil, nil)
-	if !reflect.DeepEqual(outWindow.Flows, want) {
+	// After the window the state is quiet again: flows equal the baseline,
+	// and so do the sums Run reports.
+	want := m.Serve(capacity.Diurnal[out.Hour%24], nil, nil)
+	if !reflect.DeepEqual(ref[outWindow].Flows, want) {
 		t.Fatal("post-window flows diverge from the pristine baseline")
+	}
+	if !sameSums(out.Agg, want) {
+		t.Fatal("post-window aggregate is not the pristine baseline's sums")
+	}
+}
+
+// TestAppendWithoutSinkAllocs: with no event sink attached, recording an
+// event builds no stream attributes, so it allocates nothing once the
+// event slice has room.
+func TestAppendWithoutSinkAllocs(t *testing.T) {
+	traj := &Trajectory{Events: make([]Event, 0, 1)}
+	agg := &Aggregate{Demand: 1}
+	n := testing.AllocsPerRun(100, func() {
+		traj.Events = traj.Events[:0]
+		traj.append(nil, Event{AtHours: 1, Kind: "flows", Hour: 1, Agg: agg})
+	})
+	if n != 0 {
+		t.Fatalf("appending an event without a sink allocates %v times, want 0", n)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"strings"
 
-	"offnetrisk/internal/capacity"
-	"offnetrisk/internal/cascade"
 	"offnetrisk/internal/obs"
 )
 
@@ -61,18 +59,13 @@ type Aggregate struct {
 	Isolated               bool `json:"isolated,omitempty"`
 }
 
-// Step is one evaluation of the world at an event timestamp, with the full
-// serving split and cascade report retained for tests and reporting (only
-// the Aggregate reaches the digest).
+// Step is one evaluation of the world at an event timestamp: its time,
+// its clock hour and its aggregate, which is what reports and the digest
+// read.
 type Step struct {
-	AtHours   float64
-	Hour      int
-	Burst     bool
-	Isolated  bool
-	Flows     []capacity.Flow
-	Report    *cascade.Report
-	IsoReport *cascade.IsolatedReport
-	Agg       Aggregate
+	AtHours float64
+	Hour    int
+	Agg     Aggregate
 }
 
 // Trajectory is one engine run: every event in (timestamp, seq) order plus
@@ -89,64 +82,26 @@ type Trajectory struct {
 func (t *Trajectory) append(sink *obs.EventSink, ev Event) {
 	ev.Seq = len(t.Events)
 	t.Events = append(t.Events, ev)
-	sink.Emit(obs.Event{Type: "temporal", Attrs: map[string]any{"event": ev}})
+	if sink != nil {
+		sink.Emit(obs.Event{Type: "temporal", Attrs: map[string]any{"event": ev}})
+	}
 }
 
 // Digest returns the canonical SHA-256 of the trajectory: each event
-// JSON-marshaled on its own line, in order. Go's float formatting is the
-// shortest round-trip representation, so identical float values — which the
-// determinism contract guarantees across -workers — give identical
-// bytes.
+// JSON-marshaled on its own line, in order (an Encoder writes Marshal's
+// bytes and a newline). Go's float formatting is the shortest round-trip
+// representation, so identical float values — which the determinism
+// contract guarantees across -workers — give identical bytes.
 func (t *Trajectory) Digest() string {
 	h := sha256.New()
-	for _, ev := range t.Events {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			// Event is a plain data struct; Marshal cannot fail on it.
+	enc := json.NewEncoder(h)
+	for i := range t.Events {
+		if err := enc.Encode(&t.Events[i]); err != nil {
+			// Event is a plain data struct; encoding cannot fail on it.
 			panic(fmt.Sprintf("temporal: marshal event: %v", err))
 		}
-		h.Write(b)
-		h.Write([]byte{'\n'})
 	}
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
-}
-
-// buildStep assembles one Step and its digest-facing aggregate.
-func buildStep(at float64, hour int, burst, isolated bool, flows []capacity.Flow, rep *cascade.Report, iso *cascade.IsolatedReport) Step {
-	st := Step{
-		AtHours: at, Hour: hour, Burst: burst, Isolated: isolated,
-		Flows: flows, Report: rep, IsoReport: iso,
-	}
-	for _, f := range flows {
-		st.Agg.Demand += f.Demand
-		st.Agg.Offnet += f.Offnet
-		st.Agg.PNI += f.PNI
-		st.Agg.IXP += f.IXP
-		st.Agg.UpstreamOffnet += f.UpstreamOffnet
-		st.Agg.Transit += f.Transit
-	}
-	// Sum overload in sorted link order: float accumulation order must not
-	// depend on map iteration or the digest loses byte-identity.
-	congIXPs := rep.CongestedIXPs()
-	congTrs := rep.CongestedTransits()
-	for _, id := range congIXPs {
-		l := rep.IXPLoad[id]
-		st.Agg.OverloadGbps += l.LoadGbps - l.CapacityGbps
-	}
-	for _, as := range congTrs {
-		l := rep.TransitLoad[as]
-		st.Agg.OverloadGbps += l.LoadGbps - l.CapacityGbps
-	}
-	st.Agg.CongestedIXPs = len(congIXPs)
-	st.Agg.CongestedTransits = len(congTrs)
-	st.Agg.DirectISPs = len(rep.DirectISPs)
-	st.Agg.CollateralISPs = len(rep.CollateralISPs)
-	st.Agg.Burst = burst
-	st.Agg.Isolated = isolated
-	if iso != nil {
-		st.Agg.IsolatedCollateralISPs = len(iso.IsolatedCollateralISPs)
-	}
-	return st
 }
 
 // Summary renders the trajectory for reports: horizon, event totals,
