@@ -31,14 +31,16 @@ race:
 # survey, whose workers feed funnels, counters and the lineage recorder as
 # they classify, ten of the cascade sweeps, whose workers share one
 # read-only baseline and link index, each through its own scratch, with the
-# scenario kernel's reference test (tiny seeds, -short), and five of the
-# temporal engine against its reference loop (tiny seeds, -short).
+# scenario kernel's reference test (tiny seeds, -short), five of the
+# temporal engine against its reference loop (tiny seeds, -short), and ten
+# of the world's and deployment's ordered views read from many goroutines.
 race-obs:
 	$(GO) test -race ./internal/obs/... ./internal/par/...
 	$(GO) test -race -count=10 -run '^TestConcurrentHistogramSum$$' ./internal/obs
 	$(GO) test -race -count=5 -run '^TestSurveyInferMatchesSurveyThenInfer$$' ./internal/tracert
 	$(GO) test -race -short -count=10 -run '^(TestSweepsMatchPerScenarioSimulate|TestKernelMatchesReference)$$' ./internal/cascade
 	$(GO) test -race -short -count=5 -run '^TestRunMatchesReference$$' ./internal/temporal
+	$(GO) test -race -count=10 -run '^TestViewsConcurrentReads$$' ./internal/inet
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -53,7 +54,9 @@ var goldenCases = []struct {
 // TestGoldenRuns is the golden-run determinism gate. Each case is its own
 // process, so the process-wide metrics registry and lineage recorder never
 // mix two runs. Every case's root spans must cover at least minCoverage of
-// the run's wall time, so no stage runs unaccounted in the span tree. A
+// the run's wall time, so no stage runs unaccounted in the span tree. At
+// most one case per processor runs its tools at a time, which bounds how
+// many processes share the processors while they are timed. A
 // golden holds only the fields obs.CompareManifests checks
 // ((*obs.Manifest).Golden); regenerate them with
 //
@@ -65,6 +68,7 @@ func TestGoldenRuns(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".", "../explain").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
 	owner := map[string]string{}
 	for _, c := range goldenCases {
 		if _, ok := owner[c.golden]; !ok {
@@ -90,15 +94,19 @@ func TestGoldenRuns(t *testing.T) {
 			if c.trace {
 				args = append(args, "-trace", trace)
 			}
-			runTool(t, filepath.Join(bin, "reproduce"), args...)
-			if c.lineage {
-				// A populated Table 1 cell must come back with its evidence
-				// chain (explain exits 1 on no match), and -list must read
-				// the capture's summary.
-				explain := filepath.Join(bin, "explain")
-				runTool(t, explain, "-lineage", capture, "-isp", "10000", "-hg", "Akamai")
-				runTool(t, explain, "-lineage", capture, "-list")
-			}
+			slots <- struct{}{}
+			func() {
+				defer func() { <-slots }()
+				runTool(t, filepath.Join(bin, "reproduce"), args...)
+				if c.lineage {
+					// A populated Table 1 cell must come back with its
+					// evidence chain (explain exits 1 on no match), and
+					// -list must read the capture's summary.
+					explain := filepath.Join(bin, "explain")
+					runTool(t, explain, "-lineage", capture, "-isp", "10000", "-hg", "Akamai")
+					runTool(t, explain, "-lineage", capture, "-list")
+				}
+			}()
 
 			got, err := obs.ReadManifest(manifest)
 			if err != nil {
@@ -108,6 +116,7 @@ func TestGoldenRuns(t *testing.T) {
 			for _, s := range got.Stages {
 				covered += s.DurMS
 			}
+			t.Logf("root spans cover %.3f of the wall", covered/got.WallMS)
 			if covered < minCoverage*got.WallMS {
 				t.Errorf("root spans cover %.1f of %.1f ms wall (%.3f), want >= %.2f",
 					covered, got.WallMS, covered/got.WallMS, minCoverage)

@@ -9,8 +9,10 @@
 // stages still run; the command exits non-zero if any stage failed. With
 // -manifest the run writes a JSON provenance document (seed, scale, span
 // tree, metric values); with -debug-addr it serves the Go runtime's
-// /debug/pprof/ profiles while running. Every experiment stage records a
-// root span, so the manifest's span tree accounts for the run's wall time.
+// /debug/pprof/ profiles while running. Every stage records a root span over
+// its experiment and the report section and figures it renders (the
+// Pipeline method's own span nests inside), so the manifest's span tree
+// accounts for the run's wall time.
 // SIGINT cancels the in-flight stage and shuts the debug endpoint down
 // cleanly.
 package main
@@ -101,7 +103,10 @@ func main() {
 		}
 		logger.Info("running stage", "stage", stage)
 		t0 := time.Now()
-		if err := fn(); err != nil {
+		sp := tr.Start(stage)
+		err := fn()
+		sp.End()
+		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				logger.Warn("stage cancelled", "stage", stage)
 				return
@@ -176,8 +181,6 @@ func main() {
 		// Reachability plot of the busiest analyzed ISP: the raw material the
 		// ξ extraction works on (the OPTICS paper's signature diagram), read
 		// from the colocation result the stage above computed.
-		sp := tr.Start("reachability-plot")
-		defer sp.End()
 		col, err := p.ColocationContext(ctx)
 		if err != nil {
 			return err
@@ -251,8 +254,6 @@ func main() {
 	})
 
 	run("sensitivity-sweeps", func() error {
-		sp := tr.Start("sensitivity-sweeps")
-		defer sp.End()
 		var tables strings.Builder
 		for _, s := range []struct {
 			name   string

@@ -447,6 +447,7 @@ func TestUserWeightedSumsAscendingASN(t *testing.T) {
 		a.PerISP[as] = &ISPResult{ASN: as, Users: users,
 			PerXi: map[float64]*XiResult{0.1: {TrafficHHI: hhi, BestShare: share}}}
 	}
+	w.Reindex()
 	total, big := 1e16+8.0, 5e15+8.0
 	for i := 0; i < 50; i++ {
 		if one, two, _, _ := GlobalUserShares(w, hosting); one != 1 || two != 1 {

@@ -82,6 +82,33 @@ func (s *PairScratch) PairDistance(a, b []float64, sites []int, exclude float64)
 	s.diffs = diffs
 	s.fIn += int64(len(sites))
 	s.fNaN += int64(len(sites) - len(diffs))
+	return s.mean(diffs, exclude)
+}
+
+// signBit is the IEEE-754 sign bit; clearing it is math.Abs.
+const signBit = 1 << 63
+
+// rowDistance is PairDistance over two gathered rows (each vector's RTTs
+// at the sites, in site order) that hold no NaN: every site is kept, and
+// the discrepancies fill the buffer in the same order, so the result is
+// PairDistance's bit for bit.
+func (s *PairScratch) rowDistance(a, b []float64, exclude float64) float64 {
+	if cap(s.diffs) < len(a) {
+		s.diffs = make([]uint64, len(a))
+	}
+	diffs := s.diffs[:len(a)]
+	b = b[:len(a)]
+	for k, x := range a {
+		diffs[k] = math.Float64bits(x-b[k]) &^ signBit
+	}
+	s.diffs = diffs
+	s.fIn += int64(len(a))
+	return s.mean(diffs, exclude)
+}
+
+// mean drops the exclude fraction of largest discrepancies and averages
+// the rest; +Inf when there is none.
+func (s *PairScratch) mean(diffs []uint64, exclude float64) float64 {
 	if len(diffs) == 0 {
 		return math.Inf(1)
 	}
@@ -161,6 +188,12 @@ func partitionBelow(s []uint64, p uint64) int {
 type DistMatrix struct {
 	n     int
 	cells []float64 // row-major strict upper triangle; see index
+
+	// rows holds each point's RTTs at the fill's sites, width values per
+	// point, gathered once per fill; clean marks the rows without a NaN.
+	rows  []float64
+	width int
+	clean []bool
 }
 
 // NewDistMatrix returns an n×n matrix with all off-diagonal cells zero.
@@ -179,6 +212,36 @@ func (m *DistMatrix) Reset(n int) {
 		m.cells = make([]float64, cells)
 	}
 	m.cells = m.cells[:cells]
+}
+
+// gather copies each measurement's RTTs at sites into its row, testing each
+// for NaN once, reusing the row storage when it is large enough.
+func (m *DistMatrix) gather(ms []*mlab.Measurement, sites []int) {
+	m.width = len(sites)
+	need := len(ms) * m.width
+	if cap(m.rows) < need {
+		m.rows = make([]float64, need)
+	}
+	m.rows = m.rows[:need]
+	if cap(m.clean) < len(ms) {
+		m.clean = make([]bool, len(ms))
+	}
+	m.clean = m.clean[:len(ms)]
+	for i, meas := range ms {
+		row := m.row(i)
+		clean := true
+		for k, si := range sites {
+			v := meas.RTTms[si]
+			row[k] = v
+			clean = clean && !math.IsNaN(v)
+		}
+		m.clean[i] = clean
+	}
+}
+
+// row returns point i's gathered RTTs.
+func (m *DistMatrix) row(i int) []float64 {
+	return m.rows[i*m.width : (i+1)*m.width : (i+1)*m.width]
 }
 
 // N returns the number of points.
@@ -229,6 +292,7 @@ func DistanceMatrixContext(ctx context.Context, ms []*mlab.Measurement, sites []
 func DistanceMatrixInto(ctx context.Context, m *DistMatrix, ms []*mlab.Measurement, sites []int, exclude float64, workers int) error {
 	n := len(ms)
 	m.Reset(n)
+	m.gather(ms, sites)
 	pairs := n * (n - 1) / 2
 	blocks := (pairs + pairBlock - 1) / pairBlock
 	opts := par.Options{Workers: workers, Name: "distance-matrix"}
@@ -245,9 +309,11 @@ func DistanceMatrixInto(ctx context.Context, m *DistMatrix, ms []*mlab.Measureme
 	return nil
 }
 
-// fillBlock writes block b's cells. It unranks the block's first flat cell
-// into its (i, j) pair, then walks the triangle row-major: the flat index
-// advances in lockstep, so each cell is written exactly once by one task.
+// fillBlock writes block b's cells from the gathered rows. It unranks the
+// block's first flat cell into its (i, j) pair, then walks the triangle
+// row-major: the flat index advances in lockstep, so each cell is written
+// exactly once by one task. A pair with a NaN in either row takes
+// PairDistance over the measurements instead.
 func (m *DistMatrix) fillBlock(b int, sc *PairScratch, ms []*mlab.Measurement, sites []int, exclude float64) {
 	n := m.n
 	start := b * pairBlock
@@ -260,7 +326,11 @@ func (m *DistMatrix) fillBlock(b int, sc *PairScratch, ms []*mlab.Measurement, s
 	j := i + 1 + (start - rowStart)
 	lr := obs.ActiveLineage()
 	for k := start; k < end; k++ {
-		m.cells[k] = sc.PairDistance(ms[i].RTTms, ms[j].RTTms, sites, exclude)
+		if m.clean[i] && m.clean[j] {
+			m.cells[k] = sc.rowDistance(m.row(i), m.row(j), exclude)
+		} else {
+			m.cells[k] = sc.PairDistance(ms[i].RTTms, ms[j].RTTms, sites, exclude)
+		}
 		if lr != nil {
 			// Sampled pair evidence. Every pair belongs to exactly one
 			// ISP's measurement set and one block task, so no two

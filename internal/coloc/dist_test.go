@@ -197,6 +197,21 @@ func TestPairDistanceZeroAlloc(t *testing.T) {
 	}
 }
 
+// nanFree builds bare measurements with every RTT present, as at an ISP's
+// good sites.
+func nanFree(seed int64, n, sites int) []*mlab.Measurement {
+	r := rngutil.New(seed)
+	ms := make([]*mlab.Measurement, n)
+	for i := range ms {
+		v := make([]float64, sites)
+		for s := range v {
+			v[s] = r.Float64() * 40
+		}
+		ms[i] = &mlab.Measurement{RTTms: v}
+	}
+	return ms
+}
+
 // syntheticMeasurements builds bare measurements (only RTTms is read by the
 // distance kernel) for matrix tests.
 func syntheticMeasurements(seed int64, n, sites int) ([]*mlab.Measurement, []int) {
@@ -225,9 +240,10 @@ func syntheticMeasurements(seed int64, n, sites int) ([]*mlab.Measurement, []int
 // and 8 workers, and against the reference within the summation-order
 // bound. The site lists are the identity, a strict ascending subset and an
 // out-of-order subset (a pair reads its sites in the list's order); the
-// vectors have NaN holes, sparse and dense; n=100 gives 4950 pairs, three
-// 2048-cell blocks. The coloc.pairs funnel must read the same in, out and
-// drop counts as the direct calls.
+// vectors have NaN holes, sparse and dense, or none, so that every pair
+// takes the gathered rows; n=100 gives 4950 pairs, three 2048-cell blocks.
+// The coloc.pairs funnel must read the same in, out and drop counts as the
+// direct calls.
 func TestDistanceMatrixBlocksMatchPairDistance(t *testing.T) {
 	const n, width = 100, 60
 	identity := make([]int, width)
@@ -246,16 +262,20 @@ func TestDistanceMatrixBlocksMatchPairDistance(t *testing.T) {
 		}
 	}
 	sparse, _ := syntheticMeasurements(3, n, width)
+	clean := nanFree(5, n, width)
 	for _, c := range []struct {
 		name  string
 		ms    []*mlab.Measurement
 		sites []int
+		holes bool
 	}{
-		{"identity", sparse, identity},
-		{"ascending-subset", sparse, ascending},
-		{"out-of-order", sparse, outOfOrder},
-		{"dense-nan-out-of-order", dense, outOfOrder},
-		{"dense-nan-identity", dense, identity},
+		{"identity", sparse, identity, true},
+		{"ascending-subset", sparse, ascending, true},
+		{"out-of-order", sparse, outOfOrder, true},
+		{"dense-nan-out-of-order", dense, outOfOrder, true},
+		{"dense-nan-identity", dense, identity, true},
+		{"nan-free-identity", clean, identity, false},
+		{"nan-free-out-of-order", clean, outOfOrder, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ms, sites := c.ms, c.sites
@@ -288,8 +308,8 @@ func TestDistanceMatrixBlocksMatchPairDistance(t *testing.T) {
 					}
 				}
 			}
-			if nanDrops(want) == 0 {
-				t.Fatal("no NaN sample among the pairs")
+			if nan := nanDrops(want) > 0; nan != c.holes {
+				t.Fatalf("NaN drops among the pairs: %v, want %v", nan, c.holes)
 			}
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
@@ -331,18 +351,24 @@ func nanDrops(s obs.FunnelSnapshot) int64 {
 // DistanceMatrixInto, is outside the matrix.)
 func TestDistanceMatrixFillZeroAlloc(t *testing.T) {
 	ms, sites := syntheticMeasurements(12, 79, 163)
-	var m DistMatrix
-	var sc PairScratch
-	fill := func() {
-		m.Reset(len(ms))
-		for b := 0; b*pairBlock < len(m.cells); b++ {
-			m.fillBlock(b, &sc, ms, sites, DiscrepancyExclusion)
+	for _, c := range []struct {
+		name string
+		ms   []*mlab.Measurement
+	}{{"nan-holes", ms}, {"nan-free", nanFree(12, 79, 163)}} {
+		var m DistMatrix
+		var sc PairScratch
+		fill := func() {
+			m.Reset(len(c.ms))
+			m.gather(c.ms, sites)
+			for b := 0; b*pairBlock < len(m.cells); b++ {
+				m.fillBlock(b, &sc, c.ms, sites, DiscrepancyExclusion)
+			}
+			sc.FlushFunnel()
 		}
-		sc.FlushFunnel()
-	}
-	fill()
-	if n := testing.AllocsPerRun(20, fill); n != 0 {
-		t.Fatalf("a warm fill allocates %v times, want 0", n)
+		fill()
+		if n := testing.AllocsPerRun(20, fill); n != 0 {
+			t.Fatalf("%s: a warm fill allocates %v times, want 0", c.name, n)
+		}
 	}
 }
 
@@ -483,15 +509,7 @@ func BenchmarkPairDistance(b *testing.B) {
 // matrix on one worker: 79 offnets over 163 sites, 3081 pairs, with every
 // RTT present, as at an ISP's good sites.
 func BenchmarkDistanceMatrix(b *testing.B) {
-	r := rngutil.New(13)
-	ms := make([]*mlab.Measurement, 79)
-	for i := range ms {
-		v := make([]float64, 163)
-		for s := range v {
-			v[s] = r.Float64() * 40
-		}
-		ms[i] = &mlab.Measurement{RTTms: v}
-	}
+	ms := nanFree(13, 79, 163)
 	sites := make([]int, 163)
 	for i := range sites {
 		sites[i] = i

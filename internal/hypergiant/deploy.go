@@ -3,7 +3,9 @@ package hypergiant
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 
 	"offnetrisk/internal/geo"
 	"offnetrisk/internal/inet"
@@ -252,12 +254,7 @@ func deployInISP(d *Deployment, prof Profile, isp *inet.ISP, demandUsers float64
 	if len(fs) == 0 {
 		return fmt.Errorf("hypergiant: ISP %s has no facilities", isp.Name)
 	}
-	extraSiteP := map[traffic.HG]float64{
-		traffic.Google:  0.38,
-		traffic.Netflix: 0.10,
-		traffic.Meta:    0.28,
-		traffic.Akamai:  0.40,
-	}[prof.HG]
+	extraSiteP := extraSiteProbability(prof.HG)
 	maxSites := 1
 	if len(fs) > 1 && nServers > 1 {
 		for s := 1; s < len(fs) && s < 4; s++ {
@@ -274,7 +271,7 @@ func deployInISP(d *Deployment, prof Profile, isp *inet.ISP, demandUsers float64
 	// deployments (probability LegacySpread) land in a random facility
 	// instead, recreating Akamai's partially colocated signature.
 	siteFacility := make([]*inet.Facility, 0, maxSites)
-	used := make(map[inet.FacilityID]bool)
+	siteTags := make([]string, 0, maxSites)
 	for s := 0; s < maxSites; s++ {
 		var f *inet.Facility
 		legacy := rngutil.Bernoulli(r, prof.LegacySpread)
@@ -286,7 +283,7 @@ func deployInISP(d *Deployment, prof Profile, isp *inet.ISP, demandUsers float64
 			// deployment so extra sites are really distinct.
 			perm := rngutil.SampleWithoutReplacement(r, len(fs), len(fs))
 			for _, j := range perm {
-				if !used[fs[j].ID] {
+				if !slices.Contains(siteFacility, fs[j]) {
 					f = fs[j]
 					break
 				}
@@ -295,18 +292,17 @@ func deployInISP(d *Deployment, prof Profile, isp *inet.ISP, demandUsers float64
 				f = fs[perm[0]]
 			}
 		}
-		used[f.ID] = true
 		siteFacility = append(siteFacility, f)
+		siteTags = append(siteTags, f.Metro.Code+strconv.Itoa(1+int(f.ID)%89))
 	}
 
 	for i := 0; i < nServers; i++ {
-		f := siteFacility[i%len(siteFacility)]
+		f, siteTag := siteFacility[i%len(siteFacility)], siteTags[i%len(siteTags)]
 		addr, err := w.AllocHostIn(isp.ASN)
 		if err != nil {
 			// ISP space exhausted: deploy what fits.
 			break
 		}
-		siteTag := fmt.Sprintf("%s%d", f.Metro.Code, 1+int(f.ID)%89)
 		// Hypergiant gear concentrates in a small cage area rather than
 		// spreading over the whole floor; sharing a rack across hypergiants
 		// is "super common" per the paper's operator anecdote.
@@ -329,6 +325,22 @@ func deployInISP(d *Deployment, prof Profile, isp *inet.ISP, demandUsers float64
 		d.Servers = append(d.Servers, s)
 	}
 	return nil
+}
+
+// extraSiteProbability is the chance, per further facility, that a
+// multi-facility ISP gets one more site of the hypergiant.
+func extraSiteProbability(hg traffic.HG) float64 {
+	switch hg {
+	case traffic.Google:
+		return 0.38
+	case traffic.Netflix:
+		return 0.10
+	case traffic.Meta:
+		return 0.28
+	case traffic.Akamai:
+		return 0.40
+	}
+	return 0
 }
 
 // buildPeerings wires hypergiant↔ISP interconnection: PNIs for the biggest

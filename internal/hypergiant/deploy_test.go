@@ -287,7 +287,7 @@ func TestPeeringsSane(t *testing.T) {
 		}
 		if p.Kind == PeerIXP {
 			hgAS := d.ContentAS[p.HG]
-			if !d.World.MemberOf(hgAS, p.IXP) || !d.World.MemberOf(p.ISP, p.IXP) {
+			if !memberOf(d.World, hgAS, p.IXP) || !memberOf(d.World, p.ISP, p.IXP) {
 				t.Errorf("IXP peering %s↔AS%d at IXP %d without membership", p.HG, p.ISP, p.IXP)
 			}
 		}
@@ -299,7 +299,7 @@ func TestPeeringsSane(t *testing.T) {
 	hosts := d.HostISPs(traffic.Google)
 	unpeered := 0
 	for _, as := range hosts {
-		if len(d.PeeringsOf(traffic.Google, as)) == 0 {
+		if len(peeringsOf(d, traffic.Google, as)) == 0 {
 			unpeered++
 		}
 	}
@@ -379,8 +379,8 @@ func TestHostCountDistributionTrend(t *testing.T) {
 	// ISPs with ≥2, 1690→1880 with ≥3, 430→505 with all four).
 	d21 := deployTiny(t, Epoch2021, 1)
 	d23 := deployTiny(t, Epoch2023, 1)
-	c21 := d21.HostCountDistribution()
-	c23 := d23.HostCountDistribution()
+	c21 := hostCountDistribution(d21)
+	c23 := hostCountDistribution(d23)
 	atLeast := func(c [5]int, k int) int {
 		n := 0
 		for i := k; i <= 4; i++ {

@@ -1,8 +1,8 @@
 package hypergiant
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"offnetrisk/internal/cert"
 	"offnetrisk/internal/traffic"
@@ -95,7 +95,7 @@ func offnetCert(hg traffic.HG, epoch Epoch, siteTag string, serverIdx int, r *ra
 	switch hg {
 	case traffic.Google:
 		cn := "*.googlevideo.com"
-		san := fmt.Sprintf("r%d---sn-%s.googlevideo.com", serverIdx+1, siteTag)
+		san := "r" + strconv.Itoa(serverIdx+1) + "---sn-" + siteTag + ".googlevideo.com"
 		if epoch == Epoch2021 {
 			return cert.Certificate{
 				SubjectOrg: "Google LLC",
@@ -114,9 +114,8 @@ func offnetCert(hg traffic.HG, epoch Epoch, siteTag string, serverIdx int, r *ra
 		return cert.Certificate{
 			SubjectOrg: "Netflix, Inc.",
 			SubjectCN:  "*.nflxvideo.net",
-			DNSNames: []string{fmt.Sprintf("ipv4-c%03d-%s-isp.1.oca.nflxvideo.net",
-				serverIdx+1, siteTag)},
-			Issuer: "DigiCert Inc",
+			DNSNames:   []string{"ipv4-c" + zeroPad3(serverIdx+1) + "-" + siteTag + "-isp.1.oca.nflxvideo.net"},
+			Issuer:     "DigiCert Inc",
 		}
 	case traffic.Meta:
 		if epoch == Epoch2021 {
@@ -128,7 +127,7 @@ func offnetCert(hg traffic.HG, epoch Epoch, siteTag string, serverIdx int, r *ra
 			}
 		}
 		// Site-specific naming, e.g. *.fhan14-4.fna.fbcdn.net.
-		site := fmt.Sprintf("*.f%s-%d.fna.fbcdn.net", siteTag, serverIdx%6+1)
+		site := "*.f" + siteTag + "-" + strconv.Itoa(serverIdx%6+1) + ".fna.fbcdn.net"
 		return cert.Certificate{
 			SubjectOrg: "Meta Platforms, Inc.",
 			SubjectCN:  site,
@@ -145,4 +144,14 @@ func offnetCert(hg traffic.HG, epoch Epoch, siteTag string, serverIdx int, r *ra
 	default:
 		return cert.Certificate{}
 	}
+}
+
+// zeroPad3 formats n ≥ 0 as fmt's %03d does: zero-padded to three digits,
+// wider numbers unpadded.
+func zeroPad3(n int) string {
+	s := strconv.Itoa(n)
+	if len(s) < 3 {
+		s = "000"[len(s):] + s
+	}
+	return s
 }

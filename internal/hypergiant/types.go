@@ -7,7 +7,7 @@
 package hypergiant
 
 import (
-	"sort"
+	"slices"
 
 	"offnetrisk/internal/cert"
 	"offnetrisk/internal/inet"
@@ -100,6 +100,10 @@ type Deployment struct {
 
 	byISP   map[inet.ASN][]*Server
 	byHGISP map[hgISP][]*Server
+	// hosting and hosts are the ordered views behind HostingISPs and
+	// HostISPs, built with the maps in index.
+	hosting []inet.ASN
+	hosts   [traffic.NumHG][]inet.ASN
 }
 
 type hgISP struct {
@@ -107,13 +111,38 @@ type hgISP struct {
 	isp inet.ASN
 }
 
+// index builds the server maps and the ordered host views. Deploy and
+// Reindex call it, so HostISPs and HostingISPs never sort.
 func (d *Deployment) index() {
 	d.byISP = make(map[inet.ASN][]*Server)
 	d.byHGISP = make(map[hgISP][]*Server)
-	for _, s := range d.Servers {
-		d.byISP[s.ISP] = append(d.byISP[s.ISP], s)
+	// Deploy places each (hypergiant, ISP) deployment's servers together,
+	// so the maps grow by runs of servers rather than one server at a time;
+	// each key still collects its servers in slice order.
+	for start := 0; start < len(d.Servers); {
+		s := d.Servers[start]
+		end := start + 1
+		for end < len(d.Servers) && d.Servers[end].HG == s.HG && d.Servers[end].ISP == s.ISP {
+			end++
+		}
+		run := d.Servers[start:end]
+		d.byISP[s.ISP] = append(d.byISP[s.ISP], run...)
 		k := hgISP{s.HG, s.ISP}
-		d.byHGISP[k] = append(d.byHGISP[k], s)
+		d.byHGISP[k] = append(d.byHGISP[k], run...)
+		start = end
+	}
+	d.hosting = make([]inet.ASN, 0, len(d.byISP))
+	for as := range d.byISP {
+		d.hosting = append(d.hosting, as)
+	}
+	slices.Sort(d.hosting)
+	d.hosts = [traffic.NumHG][]inet.ASN{}
+	for _, as := range d.hosting {
+		for hg := range d.hosts {
+			if _, ok := d.byHGISP[hgISP{traffic.HG(hg), as}]; ok {
+				d.hosts[hg] = append(d.hosts[hg], as)
+			}
+		}
 	}
 }
 
@@ -127,27 +156,18 @@ func (d *Deployment) ServersOf(hg traffic.HG, as inet.ASN) []*Server {
 
 // HostISPs returns the ASNs hosting at least one offnet of the hypergiant,
 // ascending. This is the ground truth Table 1's inference is validated
-// against.
+// against. The slice is the caller's own.
 func (d *Deployment) HostISPs(hg traffic.HG) []inet.ASN {
-	var out []inet.ASN
-	for k := range d.byHGISP {
-		if k.hg == hg {
-			out = append(out, k.isp)
-		}
+	if hg < 0 || hg >= traffic.NumHG {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(d.hosts[hg])
 }
 
 // HostingISPs returns every ASN hosting at least one offnet of any
-// hypergiant, ascending.
+// hypergiant, ascending. The slice is the caller's own.
 func (d *Deployment) HostingISPs() []inet.ASN {
-	out := make([]inet.ASN, 0, len(d.byISP))
-	for as := range d.byISP {
-		out = append(out, as)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(make([]inet.ASN, 0, len(d.hosting)), d.hosting...)
 }
 
 // HGsIn returns the distinct hypergiants hosted by the ISP, in canonical
@@ -161,31 +181,6 @@ func (d *Deployment) HGsIn(as inet.ASN) []traffic.HG {
 	for _, hg := range traffic.All {
 		if present[hg] {
 			out = append(out, hg)
-		}
-	}
-	return out
-}
-
-// PeeringsOf returns all interconnections between the hypergiant and ISP.
-func (d *Deployment) PeeringsOf(hg traffic.HG, as inet.ASN) []Peering {
-	var out []Peering
-	for _, p := range d.Peerings {
-		if p.HG == hg && p.ISP == as {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// HostCountDistribution returns, indexed by k, the number of ISPs hosting
-// exactly k hypergiants (k = 0 unused). §3.1 tracks this distribution over
-// time: "ISPs tended to host more hypergiants over time".
-func (d *Deployment) HostCountDistribution() [5]int {
-	var out [5]int
-	for as := range d.byISP {
-		k := len(d.HGsIn(as))
-		if k >= 1 && k <= 4 {
-			out[k]++
 		}
 	}
 	return out

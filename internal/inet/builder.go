@@ -1,7 +1,10 @@
 package inet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 
 	"offnetrisk/internal/geo"
 	"offnetrisk/internal/netaddr"
@@ -11,7 +14,7 @@ import (
 // onnet address space, drawn from the content pool. Hypergiant deployments
 // are layered on top of the base world by the hypergiant package.
 func (w *World) AddContentAS(name string, metros []geo.Metro, n24 int) (ASN, error) {
-	as := ASN(asnContentBase + len(w.contentASNs()))
+	as := ASN(asnContentBase + w.nContent)
 	if _, exists := w.ISPs[as]; exists {
 		return 0, fmt.Errorf("inet: ASN %d already exists", as)
 	}
@@ -23,37 +26,32 @@ func (w *World) AddContentAS(name string, metros []geo.Metro, n24 int) (ASN, err
 		Tier:    TierContent,
 		Metros:  metros,
 	}
+	spans := len(w.owners)
 	w.allocPrefixes(isp, n24, w.contentPool)
 	if len(isp.Prefixes) == 0 {
 		return 0, fmt.Errorf("inet: content pool exhausted for %s", name)
 	}
 	w.ISPs[as] = isp
-	// Re-sort the announcement index so OwnerOf sees the new space; content
-	// prefixes sort below ISP space, so this cannot be a plain append.
-	w.finalize()
+	w.nContent++
+	// Update the indexes in place: the new announcements go to their sorted
+	// position (content space sits below ISP space, so this is not an
+	// append), and the AS joins the ordered view. Fabrics are unchanged, and
+	// so are the downstream totals: a content AS has no providers.
+	w.insertOwners(spans)
+	i, _ := slices.BinarySearchFunc(w.ispList, as, func(x *ISP, as ASN) int { return cmp.Compare(x.ASN, as) })
+	w.ispList = slices.Insert(w.ispList, i, isp)
 	return as, nil
 }
 
-// contentASNs returns the registered content ASes in ascending order.
-func (w *World) contentASNs() []ASN {
-	var out []ASN
-	for _, isp := range w.ISPList() {
-		if isp.Tier == TierContent {
-			out = append(out, isp.ASN)
-		}
+// insertOwners moves the spans appended at owners[from:] into their sorted
+// positions, leaving owners as finalize would sort it (starts are distinct).
+func (w *World) insertOwners(from int) {
+	for k := from; k < len(w.owners); k++ {
+		s := w.owners[k]
+		i := sort.Search(k, func(i int) bool { return w.owners[i].first > s.first })
+		copy(w.owners[i+1:k+1], w.owners[i:k])
+		w.owners[i] = s
 	}
-	return out
-}
-
-// ContentASes returns the registered content-provider ASes.
-func (w *World) ContentASes() []*ISP {
-	var out []*ISP
-	for _, isp := range w.ISPList() {
-		if isp.Tier == TierContent {
-			out = append(out, isp)
-		}
-	}
-	return out
 }
 
 // AllocHostIn carves the next unused host address out of the ISP's announced
@@ -98,28 +96,23 @@ func (w *World) JoinIXP(as ASN, id IXPID) error {
 	return nil
 }
 
-// MemberOf reports whether the AS is a member of the IXP.
-func (w *World) MemberOf(as ASN, id IXPID) bool {
-	x, ok := w.IXPs[id]
-	if !ok {
-		return false
-	}
-	_, member := x.MemberAddr[as]
-	return member
-}
-
 // SharedIXPs returns the exchanges where both ASes are members, in ID order.
+// It walks b's memberships: joinIXP records a membership on the ISP and on
+// the exchange together, and ReadWorld restores both.
 func (w *World) SharedIXPs(a, b ASN) []IXPID {
-	var out []IXPID
-	for _, x := range w.IXPList() {
-		if _, ok := x.MemberAddr[a]; !ok {
-			continue
-		}
-		if _, ok := x.MemberAddr[b]; !ok {
-			continue
-		}
-		out = append(out, x.ID)
+	isp, ok := w.ISPs[b]
+	if !ok {
+		return nil
 	}
+	var out []IXPID
+	for _, id := range isp.IXPs {
+		if x, ok := w.IXPs[id]; ok {
+			if _, member := x.MemberAddr[a]; member {
+				out = append(out, id)
+			}
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 

@@ -1,9 +1,9 @@
 package inet
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"offnetrisk/internal/geo"
 	"offnetrisk/internal/netaddr"
@@ -39,24 +39,40 @@ func Generate(cfg Config) *World {
 	w.isps.Reserve(cfg.Backbones + cfg.TransitISPs + cfg.AccessISPs)
 	w.facs.Reserve(2*cfg.TransitISPs + 2*cfg.AccessISPs)
 
-	countries := geo.Countries()
+	cat := catalogue{countries: geo.Countries()}
+	cat.homes = make([][]geo.Metro, len(cat.countries))
+	for i, cc := range cat.countries {
+		cat.homes[i] = geo.MetrosIn(cc)
+	}
 
 	// Country weight: Internet population proxy — proportional to metro
 	// count with noise, so countries with more catalogue metros host more
 	// ISPs and users, approximating the APNIC skew.
-	countryWeight := make([]float64, len(countries))
-	for i, cc := range countries {
-		countryWeight[i] = float64(len(geo.MetrosIn(cc))) * math.Exp(r.NormFloat64()*0.5)
+	cat.weight = make([]float64, len(cat.countries))
+	for i := range cat.countries {
+		cat.weight[i] = float64(len(cat.homes[i])) * math.Exp(r.NormFloat64()*0.5)
 	}
 
 	w.genBackbones(cfg, r)
-	w.genIXPs(cfg, r)
-	w.genTransits(cfg, r, countries, countryWeight)
-	w.genAccess(cfg, r, countries, countryWeight)
+	// The exchanges are fixed once genIXPs has created them, so every later
+	// loop walks this one ID-ordered list.
+	cat.ixps = w.genIXPs(cfg, r)
+	w.genTransits(cfg, r, &cat)
+	w.genAccess(cfg, r, &cat)
 	w.finalize()
 	mWorldsGenerated.Inc()
 	mISPsGenerated.Add(int64(len(w.ISPs)))
 	return w
+}
+
+// catalogue holds what the generator's per-ISP loops read and never
+// change: the countries, each one's weight and catalogue metros, and the
+// exchanges in ID order.
+type catalogue struct {
+	countries []string
+	weight    []float64
+	homes     [][]geo.Metro
+	ixps      []*IXP
 }
 
 // newWorld returns an empty world with fresh allocation pools.
@@ -86,7 +102,7 @@ func (w *World) genBackbones(cfg Config, r *rand.Rand) {
 		isp := w.isps.Get()
 		*isp = ISP{
 			ASN:     as,
-			Name:    fmt.Sprintf("backbone-%d", i+1),
+			Name:    "backbone-" + strconv.Itoa(i+1),
 			Country: metros[0].Country,
 			Tier:    TierBackbone,
 			Metros:  metros,
@@ -121,7 +137,9 @@ func ixpMetroOrder() []int {
 	return order
 }
 
-func (w *World) genIXPs(cfg Config, r *rand.Rand) {
+// genIXPs creates the exchanges and joins the backbones to them; it
+// returns the exchanges in ID order.
+func (w *World) genIXPs(cfg Config, r *rand.Rand) []*IXP {
 	order := ixpMetroOrder()
 	n := cfg.IXPs
 	if n > len(order) {
@@ -136,7 +154,7 @@ func (w *World) genIXPs(cfg Config, r *rand.Rand) {
 		id := IXPID(i + 1)
 		w.IXPs[id] = &IXP{
 			ID:           id,
-			Name:         fmt.Sprintf("ix-%s-%d", m.Code, i+1),
+			Name:         "ix-" + m.Code + "-" + strconv.Itoa(i+1),
 			Metro:        m,
 			Fabric:       fabric,
 			MemberAddr:   make(map[ASN]netaddr.Addr),
@@ -144,16 +162,18 @@ func (w *World) genIXPs(cfg Config, r *rand.Rand) {
 		}
 	}
 	// Backbones join most IXPs.
-	for _, isp := range w.ISPList() {
+	ixps := w.sortedIXPs()
+	for _, isp := range w.sortedISPs() {
 		if isp.Tier != TierBackbone {
 			continue
 		}
-		for _, x := range w.IXPList() {
+		for _, x := range ixps {
 			if rngutil.Bernoulli(r, 0.7) {
 				w.joinIXP(isp, x)
 			}
 		}
 	}
+	return ixps
 }
 
 func (w *World) joinIXP(isp *ISP, x *IXP) {
@@ -170,12 +190,12 @@ func (w *World) joinIXP(isp *ISP, x *IXP) {
 	isp.IXPs = append(isp.IXPs, x.ID)
 }
 
-func (w *World) genTransits(cfg Config, r *rand.Rand, countries []string, weight []float64) {
+func (w *World) genTransits(cfg Config, r *rand.Rand, cat *catalogue) {
 	fid := FacilityID(1_000_000) // transit facility IDs live in their own range
 	for i := 0; i < cfg.TransitISPs; i++ {
 		as := ASN(asnTransitBase + i)
-		cc := countries[rngutil.WeightedChoice(r, weight)]
-		home := geo.MetrosIn(cc)
+		ci := rngutil.WeightedChoice(r, cat.weight)
+		cc, home := cat.countries[ci], cat.homes[ci]
 		// Transit providers cover their home country and nearby spill.
 		metros := append([]geo.Metro(nil), home...)
 		extra := rngutil.IntBetween(r, 2, 6)
@@ -186,7 +206,7 @@ func (w *World) genTransits(cfg Config, r *rand.Rand, countries []string, weight
 		isp := w.isps.Get()
 		*isp = ISP{
 			ASN:     as,
-			Name:    fmt.Sprintf("transit-%s-%d", cc, i+1),
+			Name:    "transit-" + cc + "-" + strconv.Itoa(i+1),
 			Country: cc,
 			Tier:    TierTransit,
 			Metros:  metros,
@@ -200,7 +220,7 @@ func (w *World) genTransits(cfg Config, r *rand.Rand, countries []string, weight
 		w.allocPrefixes(isp, 4, w.ispPool)
 		w.ISPs[as] = isp
 		// Transit networks are heavy IXP joiners in their footprint.
-		for _, x := range w.IXPList() {
+		for _, x := range cat.ixps {
 			if w.inFootprint(isp, x.Metro) && rngutil.Bernoulli(r, 0.6) {
 				w.joinIXP(isp, x)
 			}
@@ -225,25 +245,28 @@ func (w *World) genTransits(cfg Config, r *rand.Rand, countries []string, weight
 	}
 }
 
-func (w *World) genAccess(cfg Config, r *rand.Rand, countries []string, weight []float64) {
+func (w *World) genAccess(cfg Config, r *rand.Rand, cat *catalogue) {
 	users := rngutil.Zipf(r, cfg.AccessISPs, cfg.ZipfExponent, cfg.TotalUsers)
 	// Rank 0 = biggest ISP. Assign countries by weight; big ISPs prefer big
 	// countries (first third of draws biased by squaring weights).
-	sq := make([]float64, len(weight))
-	for i, v := range weight {
+	sq := make([]float64, len(cat.weight))
+	for i, v := range cat.weight {
 		sq[i] = v * v
 	}
-	transits := w.transitsByCountry()
+	// genAccess adds no transit, so the transit lists hold for every ISP.
+	transits, allTransits := w.transitsByCountry()
+	// The exchange nearest each metro, looked up once per metro.
+	nearest := make(map[string]*IXP)
 
 	var fid FacilityID
 	for i := 0; i < cfg.AccessISPs; i++ {
 		as := ASN(asnAccessBase + i)
-		wsel := weight
+		wsel := cat.weight
 		if i < cfg.AccessISPs/3 {
 			wsel = sq
 		}
-		cc := countries[rngutil.WeightedChoice(r, wsel)]
-		home := geo.MetrosIn(cc)
+		ci := rngutil.WeightedChoice(r, wsel)
+		cc, home := cat.countries[ci], cat.homes[ci]
 		// Number of metros grows with size rank.
 		nm := 1
 		switch {
@@ -263,7 +286,7 @@ func (w *World) genAccess(cfg Config, r *rand.Rand, countries []string, weight [
 		isp := w.isps.Get()
 		*isp = ISP{
 			ASN:     as,
-			Name:    fmt.Sprintf("access-%s-%d", cc, i+1),
+			Name:    "access-" + cc + "-" + strconv.Itoa(i+1),
 			Country: cc,
 			Tier:    TierAccess,
 			Users:   users[i],
@@ -277,7 +300,7 @@ func (w *World) genAccess(cfg Config, r *rand.Rand, countries []string, weight [
 		}
 		cands := transits[cc]
 		if len(cands) == 0 {
-			cands = w.allTransits()
+			cands = allTransits
 		}
 		for _, j := range rngutil.SampleWithoutReplacement(r, len(cands), nProv) {
 			isp.Providers = append(isp.Providers, cands[j])
@@ -326,47 +349,45 @@ func (w *World) genAccess(cfg Config, r *rand.Rand, countries []string, weight [
 		// local hub interconnect at the big regional exchanges.
 		joinP := 0.15 + 0.6*math.Exp(-float64(i)/float64(cfg.AccessISPs/4+1))
 		joined := false
-		for _, x := range w.IXPList() {
+		for _, x := range cat.ixps {
 			if w.inFootprint(isp, x.Metro) && rngutil.Bernoulli(r, joinP) {
 				w.joinIXP(isp, x)
 				joined = true
 			}
 		}
 		if !joined && rngutil.Bernoulli(r, 0.35+joinP/2) {
-			if x := w.nearestIXP(metros[0].Loc); x != nil {
+			m := metros[0]
+			x, ok := nearest[m.Code]
+			if !ok {
+				x = nearestIXP(cat.ixps, m.Loc)
+				nearest[m.Code] = x
+			}
+			if x != nil {
 				w.joinIXP(isp, x)
 			}
 		}
 	}
 }
 
-// transitsByCountry groups transit ASNs by home country.
-func (w *World) transitsByCountry() map[string][]ASN {
-	out := make(map[string][]ASN)
-	for _, isp := range w.ISPList() {
+// transitsByCountry returns the transit ASNs grouped by home country, and
+// all of them, each list ascending.
+func (w *World) transitsByCountry() (byCountry map[string][]ASN, all []ASN) {
+	byCountry = make(map[string][]ASN)
+	for _, isp := range w.sortedISPs() {
 		if isp.Tier == TierTransit {
-			out[isp.Country] = append(out[isp.Country], isp.ASN)
+			byCountry[isp.Country] = append(byCountry[isp.Country], isp.ASN)
+			all = append(all, isp.ASN)
 		}
 	}
-	return out
+	return byCountry, all
 }
 
-func (w *World) allTransits() []ASN {
-	var out []ASN
-	for _, isp := range w.ISPList() {
-		if isp.Tier == TierTransit {
-			out = append(out, isp.ASN)
-		}
-	}
-	return out
-}
-
-// nearestIXP returns the exchange closest to the location, or nil when none
-// exist.
-func (w *World) nearestIXP(loc geo.Point) *IXP {
+// nearestIXP returns the exchange of ixps closest to the location (the
+// first on ties), or nil when there is none.
+func nearestIXP(ixps []*IXP, loc geo.Point) *IXP {
 	var best *IXP
 	bestD := math.Inf(1)
-	for _, x := range w.IXPList() {
+	for _, x := range ixps {
 		if d := geo.DistanceKm(loc, x.Metro.Loc); d < bestD {
 			best, bestD = x, d
 		}

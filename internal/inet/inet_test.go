@@ -189,7 +189,7 @@ func TestIXPMembership(t *testing.T) {
 	// Membership lists on ISPs agree with MemberAddr maps.
 	for _, isp := range w.ISPList() {
 		for _, id := range isp.IXPs {
-			if !w.MemberOf(isp.ASN, id) {
+			if !memberOf(w, isp.ASN, id) {
 				t.Errorf("%s claims membership of IXP %d but exchange disagrees", isp.Name, id)
 			}
 		}
@@ -225,8 +225,8 @@ func TestAddContentAS(t *testing.T) {
 	if len(isp.Prefixes) == 0 {
 		t.Fatal("content AS has no prefixes")
 	}
-	if got := len(w.ContentASes()); got != 1 {
-		t.Errorf("ContentASes = %d, want 1", got)
+	if got := len(contentASes(w)); got != 1 {
+		t.Errorf("content ASes = %d, want 1", got)
 	}
 	as2, err := w.AddContentAS("hg-netflix", geo.Metros[:3], 8)
 	if err != nil {
@@ -297,7 +297,7 @@ func TestJoinIXPExplicit(t *testing.T) {
 	if err := w.JoinIXP(as, x.ID); err != nil {
 		t.Fatal(err)
 	}
-	if !w.MemberOf(as, x.ID) {
+	if !memberOf(w, as, x.ID) {
 		t.Error("JoinIXP did not register membership")
 	}
 	// Idempotent.
@@ -416,6 +416,7 @@ func orderSensitiveWorld() *World {
 		w.ISPs[as] = &ISP{ASN: as, Country: "US", Tier: TierAccess, Users: 1}
 	}
 	w.ISPs[9].Users = 1e16
+	w.Reindex()
 	return w
 }
 

@@ -11,6 +11,7 @@
 package inet
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -192,6 +193,16 @@ type World struct {
 	// user total.
 	downstream map[ASN]float64
 
+	// The ordered views behind ISPList, AccessISPs, FacilityList and
+	// IXPList, ascending by ID, and the number of content ASes. Like the
+	// interval indexes, they are written only on the mutation paths, so the
+	// accessors never sort.
+	ispList    []*ISP
+	accessList []*ISP
+	facList    []*Facility
+	ixpList    []*IXP
+	nContent   int
+
 	// Entity slabs: ISPs and Facilities are values in chunked arenas; the
 	// maps above hold pointers into them.
 	isps slab[ISP]
@@ -211,18 +222,52 @@ func (w *World) registerOwner(first, last netaddr.Addr, as ASN) {
 	w.owners = append(w.owners, ownerSpan{first: first, last: last, as: as})
 }
 
-// finalize sorts the interval indexes and totals the downstream users.
-// Every mutation path (Generate, Restore, AddContentAS) calls it eagerly
-// before returning, so OwnerOf, IXPOf and DownstreamUsers are pure reads —
-// safe under the parallel measurement stages.
+// finalize builds the ordered views, sorts the interval indexes and totals
+// the downstream users. Every mutation path (Generate, ReadWorld, Reindex)
+// calls it eagerly before returning, and AddContentAS updates what it
+// changes in place, so OwnerOf, IXPOf, DownstreamUsers and the list
+// accessors are pure reads — safe under the parallel measurement stages.
 func (w *World) finalize() {
+	w.ispList = w.sortedISPs()
+	w.accessList, w.nContent = nil, 0
+	for _, isp := range w.ispList {
+		switch isp.Tier {
+		case TierAccess:
+			w.accessList = append(w.accessList, isp)
+		case TierContent:
+			w.nContent++
+		}
+	}
+	w.facList = sortedBy(w.Facilities, func(f *Facility) FacilityID { return f.ID })
+	w.ixpList = w.sortedIXPs()
+
 	sort.Slice(w.owners, func(i, j int) bool { return w.owners[i].first < w.owners[j].first })
 	w.fabrics = w.fabrics[:0]
-	for _, x := range w.IXPs {
+	for _, x := range w.ixpList {
 		w.fabrics = append(w.fabrics, fabricSpan{first: x.Fabric.First(), last: x.Fabric.Last(), id: x.ID})
 	}
 	sort.Slice(w.fabrics, func(i, j int) bool { return w.fabrics[i].first < w.fabrics[j].first })
 	w.indexDownstream()
+}
+
+// Reindex rebuilds the ordered views and lookup indexes of a world whose
+// maps were filled or edited outside Generate, ReadWorld and AddContentAS.
+func (w *World) Reindex() { w.finalize() }
+
+// sortedISPs returns every ISP in the map, ascending by ASN.
+func (w *World) sortedISPs() []*ISP { return sortedBy(w.ISPs, func(x *ISP) ASN { return x.ASN }) }
+
+// sortedIXPs returns every IXP in the map, ascending by ID.
+func (w *World) sortedIXPs() []*IXP { return sortedBy(w.IXPs, func(x *IXP) IXPID { return x.ID }) }
+
+// sortedBy returns the map's values ascending by id.
+func sortedBy[K comparable, V any, I cmp.Ordered](m map[K]V, id func(V) I) []V {
+	out := make([]V, 0, len(m))
+	for _, v := range m {
+		out = append(out, v)
+	}
+	slices.SortFunc(out, func(a, b V) int { return cmp.Compare(id(a), id(b)) })
+	return out
 }
 
 // indexDownstream totals every AS's customer users. Customers add in
@@ -232,7 +277,7 @@ func (w *World) finalize() {
 // break byte-identical replay digests downstream.
 func (w *World) indexDownstream() {
 	w.downstream = make(map[ASN]float64)
-	for _, isp := range w.ISPList() {
+	for _, isp := range w.ispList {
 		for i, prov := range isp.Providers {
 			if !slices.Contains(isp.Providers[:i], prov) {
 				w.downstream[prov] += isp.Users
@@ -241,46 +286,21 @@ func (w *World) indexDownstream() {
 	}
 }
 
-// ISPList returns all ISPs ordered by ASN for deterministic iteration.
-func (w *World) ISPList() []*ISP {
-	out := make([]*ISP, 0, len(w.ISPs))
-	for _, isp := range w.ISPs {
-		out = append(out, isp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
-	return out
-}
+// ISPList returns all ISPs ordered by ASN for deterministic iteration. The
+// slice is the caller's own.
+func (w *World) ISPList() []*ISP { return slices.Clone(w.ispList) }
 
-// AccessISPs returns the access ISPs ordered by ASN.
-func (w *World) AccessISPs() []*ISP {
-	var out []*ISP
-	for _, isp := range w.ISPList() {
-		if isp.IsAccess() {
-			out = append(out, isp)
-		}
-	}
-	return out
-}
+// AccessISPs returns the access ISPs ordered by ASN; the slice is the
+// caller's own.
+func (w *World) AccessISPs() []*ISP { return slices.Clone(w.accessList) }
 
-// FacilityList returns all facilities ordered by ID.
-func (w *World) FacilityList() []*Facility {
-	out := make([]*Facility, 0, len(w.Facilities))
-	for _, f := range w.Facilities {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// FacilityList returns all facilities ordered by ID; the slice is the
+// caller's own.
+func (w *World) FacilityList() []*Facility { return slices.Clone(w.facList) }
 
-// IXPList returns all IXPs ordered by ID.
-func (w *World) IXPList() []*IXP {
-	out := make([]*IXP, 0, len(w.IXPs))
-	for _, x := range w.IXPs {
-		out = append(out, x)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// IXPList returns all IXPs ordered by ID. The slice is the caller's own:
+// Deploy re-sorts it by capacity.
+func (w *World) IXPList() []*IXP { return slices.Clone(w.ixpList) }
 
 // OwnerOf returns the AS announcing the address space containing addr, or
 // false when the address is unrouted. IXP fabric addresses belong to no AS
@@ -341,7 +361,7 @@ func (w *World) UsersInISPs(set map[ASN]bool) float64 {
 // ascending-ASN order.
 func (w *World) TotalUsers() float64 {
 	var total float64
-	for _, isp := range w.AccessISPs() {
+	for _, isp := range w.accessList {
 		total += isp.Users
 	}
 	return total
@@ -351,7 +371,7 @@ func (w *World) TotalUsers() float64 {
 // each summed in ascending-ASN order.
 func (w *World) CountryUsers() map[string]float64 {
 	out := make(map[string]float64)
-	for _, isp := range w.AccessISPs() {
+	for _, isp := range w.accessList {
 		out[isp.Country] += isp.Users
 	}
 	return out

@@ -222,17 +222,20 @@ func (t *Tracer) eventSink() *EventSink {
 }
 
 // Start opens a span. If another span is open, the new span becomes its
-// child; otherwise it is a root. Safe on a nil tracer (returns nil).
+// child; otherwise it is a root. Safe on a nil tracer (returns nil). The
+// span starts before its allocation baseline is read: the read stops the
+// world, and its wait belongs to the span, as End's does.
 func (t *Tracer) Start(name string) *Span {
 	if t == nil {
 		return nil
 	}
+	start := time.Now()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	s := &Span{
 		tracer:       t,
 		name:         name,
-		start:        time.Now(),
+		start:        start,
 		startAllocs:  ms.TotalAlloc,
 		startMallocs: ms.Mallocs,
 	}

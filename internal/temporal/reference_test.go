@@ -8,6 +8,7 @@ package temporal
 // name.
 
 import (
+	"container/heap"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -41,11 +42,48 @@ type referenceStep struct {
 	Agg       Aggregate
 }
 
-// referenceRun is Run as it was, over the same heap and state handling:
-// it returns the trajectory, whose Steps hold each step's time, hour and
-// aggregate, and every step in full.
+// itemHeap is the event queue as Run kept it before sorting its items
+// once: a container/heap of the same items, popped in (timestamp,
+// sequence) order.
+type itemHeap []item
+
+func (h itemHeap) Len() int { return len(h) }
+func (h itemHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h itemHeap) Swap(i, j int)    { h[i], h[j] = h[j], h[i] }
+func (h *itemHeap) Push(x any)      { *h = append(*h, x.(item)) }
+func (h *itemHeap) Pop() any        { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h *itemHeap) peekAt() float64 { return (*h)[0].at }
+
+// referenceHeap pushes the run's items onto a heap in construction order.
+func referenceHeap(e *Engine) *itemHeap {
+	h := &itemHeap{}
+	for _, it := range e.items() {
+		heap.Push(h, it)
+	}
+	return h
+}
+
+// referenceAdvance pops every item at the earliest timestamp off the heap
+// and applies it; returns the timestamp and whether the active cut set
+// changed.
+func referenceAdvance(e *Engine, h *itemHeap, traj *Trajectory, st *state) (at float64, cutsChanged bool) {
+	at = h.peekAt()
+	for h.Len() > 0 && h.peekAt() == at {
+		cutsChanged = e.apply(traj, st, heap.Pop(h).(item), at) || cutsChanged
+	}
+	return at, cutsChanged
+}
+
+// referenceRun is Run as it was, with its event heap and the same state
+// handling: it returns the trajectory, whose Steps hold each step's time,
+// hour and aggregate, and every step in full.
 func referenceRun(ctx context.Context, e *Engine) (*Trajectory, []referenceStep, error) {
-	h := e.items()
+	h := referenceHeap(e)
 	traj := &Trajectory{Hours: e.cfg.Hours, ScheduleName: e.scheduleName()}
 	st := newState()
 	cur := e.base
@@ -61,7 +99,7 @@ func referenceRun(ctx context.Context, e *Engine) (*Trajectory, []referenceStep,
 		if err := ctx.Err(); err != nil {
 			return traj, steps, err
 		}
-		at, cutsChanged := e.advance(h, traj, st)
+		at, cutsChanged := referenceAdvance(e, h, traj, st)
 		hour := int(math.Floor(at))
 		if cutsChanged {
 			cur = e.base.WithCuts(st.cutSet(e.sched))

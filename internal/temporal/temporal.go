@@ -8,8 +8,8 @@
 // capacity cuts drain individual serving layers.
 //
 // The engine is deterministic by construction: events are ordered by
-// (timestamp, sequence number) on a heap, sequence numbers are assigned in
-// a fixed construction order, the serving model and cascade assessment are
+// (timestamp, sequence number), sequence numbers are assigned in a fixed
+// construction order, the serving model and cascade assessment are
 // the kernels the closed-form sweeps run (capacity.Model.ServeInto in the
 // burst regime, and cascade.Baseline.AssessInto, the kernel pass behind
 // Assess and Simulate, against one no-failure cascade.Baseline per clock
@@ -25,7 +25,7 @@
 package temporal
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -94,7 +94,7 @@ func New(m *capacity.Model, d *hypergiant.Deployment, sched *scenario.Schedule, 
 	return &Engine{cfg: cfg, base: m, dep: d, sched: sched}, nil
 }
 
-// itemKind orders what a heap item does when it fires.
+// itemKind orders what a queue item does when it fires.
 type itemKind int
 
 const (
@@ -104,7 +104,7 @@ const (
 	itemToggle
 )
 
-// item is one entry on the event heap: a timestamp, a deterministic
+// item is one entry of the event queue: a timestamp, a deterministic
 // tiebreak sequence assigned at construction, and the schedule entry it
 // activates or deactivates (ticks carry the hour instead).
 type item struct {
@@ -115,23 +115,18 @@ type item struct {
 	ev   int // schedule event index, for start/end/toggle
 }
 
-type itemHeap []item
-
-func (h itemHeap) Len() int { return len(h) }
-func (h itemHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// compareItems orders items by (timestamp, sequence). Sequences are
+// unique and New rejects NaN times, so the order is total.
+func compareItems(a, b item) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	return h[i].seq < h[j].seq
+	return cmp.Compare(a.seq, b.seq)
 }
-func (h itemHeap) Swap(i, j int)    { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x any)      { *h = append(*h, x.(item)) }
-func (h *itemHeap) Pop() any        { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-func (h *itemHeap) peekAt() float64 { return (*h)[0].at }
 
 // state is the engine's mutable world between steps. Activation is counted,
 // not boolean, so a window ending and an adjacent window starting at the
-// same instant commute whatever their heap order.
+// same instant commute whatever their queue order.
 type state struct {
 	failures map[inet.FacilityID]int
 	steps    map[int]bool // active demand-step schedule indexes
@@ -227,21 +222,28 @@ func (st *state) cutSet(sched *scenario.Schedule) []capacity.Cut {
 	return out
 }
 
-// Run replays the schedule over the horizon and returns the trajectory. The
-// loop pops every heap item sharing the earliest timestamp, applies them to
-// the state, then evaluates the world once at that instant — serving split,
-// congestion assessment, onset/clearance detection, isolation accounting.
+// Run replays the schedule over the horizon and returns the trajectory.
+// Every item is known before the run starts and none is added during it,
+// so the queue is the items sorted once. The loop takes every item sharing
+// the earliest timestamp, applies them to the state, then evaluates the
+// world once at that instant — serving split, congestion assessment,
+// onset/clearance detection, isolation accounting.
 func (e *Engine) Run(ctx context.Context) (*Trajectory, error) {
-	h := e.items()
+	items := e.items()
+	slices.SortFunc(items, compareItems)
 	traj := &Trajectory{Hours: e.cfg.Hours, ScheduleName: e.scheduleName()}
 	st := newState()
 	cur := e.base
 	var ev evaluator
-	for h.Len() > 0 {
+	for next := 0; next < len(items); {
 		if err := ctx.Err(); err != nil {
 			return traj, err
 		}
-		at, cutsChanged := e.advance(h, traj, st)
+		at := items[next].at
+		cutsChanged := false
+		for ; next < len(items) && items[next].at == at; next++ {
+			cutsChanged = e.apply(traj, st, items[next], at) || cutsChanged
+		}
 		if cutsChanged {
 			cur = e.base.WithCuts(st.cutSet(e.sched))
 		}
@@ -257,15 +259,14 @@ func (e *Engine) Run(ctx context.Context) (*Trajectory, error) {
 	return traj, nil
 }
 
-// items builds the run's event heap: every hourly tick of the horizon,
-// then every schedule item inside it.
-func (e *Engine) items() *itemHeap {
-	h := &itemHeap{}
-	seq := 0
+// items returns the run's queue items in construction order, each with its
+// sequence number: every hourly tick of the horizon, then every schedule
+// item inside it.
+func (e *Engine) items() []item {
+	h := make([]item, 0, e.cfg.Hours)
 	push := func(it item) {
-		it.seq = seq
-		seq++
-		heap.Push(h, it)
+		it.seq = len(h)
+		h = append(h, it)
 	}
 	// Ticks first: at equal timestamps the clock advances before schedule
 	// actions apply, so an on-the-hour disturbance is evaluated once, with
@@ -295,32 +296,27 @@ func (e *Engine) items() *itemHeap {
 	return h
 }
 
-// advance pops every item at the earliest timestamp, applies it to the
-// state and records its event; returns the timestamp and whether the
-// active cut set changed.
-func (e *Engine) advance(h *itemHeap, traj *Trajectory, st *state) (at float64, cutsChanged bool) {
-	at = h.peekAt()
-	for h.Len() > 0 && h.peekAt() == at {
-		it := heap.Pop(h).(item)
-		switch it.kind {
-		case itemTick:
-			traj.append(e.cfg.Sink, Event{
-				AtHours: at, Kind: "tick", Hour: it.hour,
-				Value: capacity.Diurnal[it.hour%24],
-			})
-		case itemStart, itemEnd:
-			cutsChanged = e.applyWindow(traj, st, it, at) || cutsChanged
-		case itemToggle:
-			en := e.sched.Events[it.ev].Isolation.Enabled
-			st.isolated = en
-			kind := "isolation_off"
-			if en {
-				kind = "isolation_on"
-			}
-			traj.append(e.cfg.Sink, Event{AtHours: at, Kind: kind})
+// apply applies one item at its timestamp to the state and records its
+// event; reports whether the active cut set changed.
+func (e *Engine) apply(traj *Trajectory, st *state, it item, at float64) bool {
+	switch it.kind {
+	case itemTick:
+		traj.append(e.cfg.Sink, Event{
+			AtHours: at, Kind: "tick", Hour: it.hour,
+			Value: capacity.Diurnal[it.hour%24],
+		})
+	case itemStart, itemEnd:
+		return e.applyWindow(traj, st, it, at)
+	case itemToggle:
+		en := e.sched.Events[it.ev].Isolation.Enabled
+		st.isolated = en
+		kind := "isolation_off"
+		if en {
+			kind = "isolation_on"
 		}
+		traj.append(e.cfg.Sink, Event{AtHours: at, Kind: kind})
 	}
-	return at, cutsChanged
+	return false
 }
 
 // outcome is what one evaluated step reports: its aggregate and its
